@@ -254,7 +254,6 @@ def cmd_scan(args) -> int:
         tools_only=args.tools_only,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
-        jobs=args.jobs,
         strategies=tuple(args.strategy) if args.strategy else ("random",),
     )
     system = None if args.tools_only else _make_system(args.preset)
@@ -274,15 +273,16 @@ def cmd_scan(args) -> int:
 
 def cmd_eval(args) -> int:
     """Run the Table-5 evaluation and print both language blocks."""
+    from repro.detectors import build_tool_detectors
     from repro.drb import DRBSuite
-    from repro.eval import EvaluationHarness, HarnessConfig, render_table5
+    from repro.eval import EvaluationHarness, render_table5
 
-    system = _make_system(args.preset)
-    detectors = system.table5_detectors()
     if args.tools_only:
-        detectors = [d for d in detectors if d.kind != "llm"]
+        detectors = build_tool_detectors()
+    else:
+        detectors = _make_system(args.preset).table5_detectors()
     suite = DRBSuite.evaluation(seed=args.seed)
-    out = EvaluationHarness(suite, HarnessConfig()).run(detectors)
+    out = EvaluationHarness(suite).run(detectors)
     for language in ("C/C++", "Fortran"):
         print(render_table5(out.rows, language))
         print()
@@ -401,8 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ignore and don't update the verdict cache")
     p.add_argument("--cache-dir", help="verdict cache location "
                    "(default: $REPRO_CACHE/scan or .repro_cache/scan)")
-    p.add_argument("--jobs", type=int, default=4,
-                   help="tool-ensemble worker threads (default 4)")
     from repro.runtime.schedules import SCHEDULE_STRATEGIES
 
     p.add_argument("--strategy", action="append",

@@ -17,7 +17,7 @@ zero-shot comparator sims (GPT-3.5 / GPT-4 heuristics, LLaMA sims = the
 actual untuned tiny base models) and HPC-GPT (the fine-tuned models).
 """
 
-from repro.detectors.base import Detector, ToolResult, Verdict
+from repro.detectors.base import Detector, ToolResult, Verdict, run_detectors
 from repro.detectors.llov import LLOVDetector
 from repro.detectors.tsan import ThreadSanitizerDetector
 from repro.detectors.inspector import IntelInspectorDetector
@@ -46,4 +46,5 @@ __all__ = [
     "race_prompt",
     "TOOL_VERSIONS",
     "build_tool_detectors",
+    "run_detectors",
 ]

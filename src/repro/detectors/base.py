@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.drb.generator import KernelSpec
 from repro.runtime.interpreter import Trace
@@ -36,9 +37,9 @@ class Detector:
     """Base class.  Subclasses define :attr:`name`, :meth:`supports`, and
     :meth:`detect`.
 
-    Dynamic detectors receive pre-computed traces from the harness (one
-    Machine exploration shared across all dynamic tools); static and
-    LLM-based detectors ignore them.
+    Dynamic detectors receive pre-computed traces from
+    :func:`run_detectors` (one Machine exploration shared across all
+    dynamic tools); static and LLM-based detectors ignore them.
     """
 
     name: str = "detector"
@@ -52,20 +53,6 @@ class Detector:
 
     def detect(self, spec: KernelSpec, traces: list[Trace] | None = None) -> Verdict:
         raise NotImplementedError
-
-    def detect_many(
-        self,
-        specs: list[KernelSpec],
-        traces_list: "list[list[Trace] | None] | None" = None,
-    ) -> list[Verdict]:
-        """Verdicts for a batch of (supported) programs.
-
-        The default loops :meth:`detect`; LLM detectors override this to
-        route the whole batch through the inference engine in a few
-        batched forwards.
-        """
-        traces_list = traces_list or [None] * len(specs)
-        return [self.detect(spec, traces) for spec, traces in zip(specs, traces_list)]
 
     def run(self, spec: KernelSpec, traces: list[Trace] | None = None) -> ToolResult:
         """Support check + detection, packaged."""
@@ -81,23 +68,72 @@ class Detector:
         specs: list[KernelSpec],
         traces_list: "list[list[Trace] | None] | None" = None,
     ) -> list[ToolResult]:
-        """Batched :meth:`run`: support checks, then one
-        :meth:`detect_many` call over the supported programs."""
-        traces_list = list(traces_list) if traces_list is not None else [None] * len(specs)
-        results: list[ToolResult | None] = [None] * len(specs)
-        supported = [i for i, spec in enumerate(specs) if self.supports(spec)]
-        verdicts = (
-            self.detect_many(
-                [specs[i] for i in supported], [traces_list[i] for i in supported]
-            )
-            if supported
-            else []
-        )
-        for i, verdict in zip(supported, verdicts):
-            if not isinstance(verdict, Verdict):
-                raise TypeError(f"{self.name}.detect_many returned {verdict!r}")
-            results[i] = ToolResult(self.name, specs[i].id, verdict)
-        for i, spec in enumerate(specs):
-            if results[i] is None:
-                results[i] = ToolResult(self.name, spec.id, Verdict.UNSUPPORTED)
-        return results
+        """:meth:`run` once per program; a program the detector raises on
+        reports ``UNSUPPORTED`` with the exception as its ``detail``.
+
+        LLM detectors override this to score the whole batch through
+        the inference engine in a few batched forwards.
+        """
+        traces_list = traces_list or [None] * len(specs)
+        return [_run_contained(self, spec, traces) for spec, traces in zip(specs, traces_list)]
+
+
+def _failure_detail(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_contained(det: Detector, spec: KernelSpec, traces: list[Trace] | None) -> ToolResult:
+    try:
+        return det.run(spec, traces)
+    except Exception as exc:  # noqa: BLE001 - one program must not sink the batch
+        return ToolResult(det.name, spec.id, Verdict.UNSUPPORTED, _failure_detail(exc))
+
+
+def run_detectors(
+    detectors: list[Detector],
+    specs: list[KernelSpec],
+    traces_of: Callable[[KernelSpec], list[Trace]],
+) -> dict[str, list[ToolResult]]:
+    """Run an ensemble over ``specs``; results per detector name, in
+    ``specs`` order.  The one executor behind the Table-5 harness and
+    repository scans.
+
+    * Each program's traces come from ``traces_of`` at most once, and
+      only when some dynamic detector supports the program; dynamic
+      detectors share them, static and LLM detectors get ``None``.
+    * Every detector runs through :meth:`Detector.run_many`, so LLM
+      detectors keep their batched path.
+    * Failures stay with their (detector, program) pair: a program
+      whose traces cannot be generated is ``UNSUPPORTED`` for the
+      dynamic detectors that support it, and a batch that raises is
+      retried program by program so only the failing programs turn
+      ``UNSUPPORTED``.  ``detail`` carries ``"ExcType: message"``.
+    """
+    dynamic = [d for d in detectors if d.kind == "dynamic"]
+    traces: list[list[Trace] | None] = [None] * len(specs)
+    trace_errors: dict[int, str] = {}
+    for i, spec in enumerate(specs):
+        if any(d.supports(spec) for d in dynamic):
+            try:
+                traces[i] = traces_of(spec)
+            except Exception as exc:  # noqa: BLE001 - a program the runtime rejects
+                trace_errors[i] = _failure_detail(exc)
+
+    out: dict[str, list[ToolResult]] = {}
+    for det in detectors:
+        dyn = det.kind == "dynamic"
+        by_index = {
+            i: ToolResult(det.name, specs[i].id, Verdict.UNSUPPORTED, error)
+            for i, error in trace_errors.items()
+            if dyn and det.supports(specs[i])
+        }
+        todo = [i for i in range(len(specs)) if i not in by_index]
+        batch = [specs[i] for i in todo]
+        batch_traces = [traces[i] if dyn else None for i in todo]
+        try:
+            done = det.run_many(batch, batch_traces)
+        except Exception:  # noqa: BLE001 - isolate the failing programs
+            done = [_run_contained(det, s, t) for s, t in zip(batch, batch_traces)]
+        by_index.update(zip(todo, done))
+        out[det.name] = [by_index[i] for i in range(len(specs))]
+    return out

@@ -27,7 +27,7 @@ import re
 import numpy as np
 
 from repro.datagen.prompts import race_instruction
-from repro.detectors.base import Detector, Verdict
+from repro.detectors.base import Detector, ToolResult, Verdict
 from repro.drb.generator import KernelSpec
 from repro.llm.chat import ChatFormat
 from repro.llm.engine import InferenceEngine
@@ -75,6 +75,28 @@ class _TokenBudgetMixin(Detector):
     def supports(self, spec: KernelSpec) -> bool:
         return self.prompt_tokens(spec) <= TOKEN_BUDGET
 
+    def detect_many(self, specs: list[KernelSpec]) -> list[Verdict]:
+        """Verdicts for a batch of supported programs.  The default loops
+        :meth:`detect`; engine-backed detectors batch the whole list."""
+        return [self.detect(spec) for spec in specs]
+
+    def run_many(
+        self,
+        specs: list[KernelSpec],
+        traces_list: "list[list[Trace] | None] | None" = None,
+    ) -> list[ToolResult]:
+        """Support checks, then one :meth:`detect_many` call over the
+        supported programs (LLM detectors ignore traces)."""
+        results = [ToolResult(self.name, spec.id, Verdict.UNSUPPORTED) for spec in specs]
+        supported = [i for i, spec in enumerate(specs) if self.supports(spec)]
+        if supported:
+            verdicts = self.detect_many([specs[i] for i in supported])
+            for i, verdict in zip(supported, verdicts):
+                if not isinstance(verdict, Verdict):
+                    raise TypeError(f"{self.name}.detect_many returned {verdict!r}")
+                results[i] = ToolResult(self.name, specs[i].id, verdict)
+        return results
+
 
 def yes_no_margin(model: CausalLM, tokenizer: BPETokenizer, instruction: str) -> float:
     """Log-odds style margin: logit(" yes") - logit(" no") at the answer
@@ -107,11 +129,7 @@ class LLMBaseModelDetector(_TokenBudgetMixin):
     def detect(self, spec: KernelSpec, traces: list[Trace] | None = None) -> Verdict:
         return self.detect_many([spec])[0]
 
-    def detect_many(
-        self,
-        specs: list[KernelSpec],
-        traces_list: "list[list[Trace] | None] | None" = None,
-    ) -> list[Verdict]:
+    def detect_many(self, specs: list[KernelSpec]) -> list[Verdict]:
         outs = self.engine.generate_many(
             [self._prompt_ids(s) for s in specs],
             GenerationConfig(max_new_tokens=8, temperature=0.0),
@@ -146,11 +164,7 @@ class HPCGPTDetector(_TokenBudgetMixin):
     def detect(self, spec: KernelSpec, traces: list[Trace] | None = None) -> Verdict:
         return self.detect_many([spec])[0]
 
-    def detect_many(
-        self,
-        specs: list[KernelSpec],
-        traces_list: "list[list[Trace] | None] | None" = None,
-    ) -> list[Verdict]:
+    def detect_many(self, specs: list[KernelSpec]) -> list[Verdict]:
         margins = self.engine.yes_no_margins([race_prompt(s) for s in specs])
         return [
             Verdict.RACE if m >= self.threshold else Verdict.NO_RACE for m in margins
@@ -202,11 +216,7 @@ class ChunkedHPCGPTDetector(HPCGPTDetector):
             segments.append("".join(current))
         return segments
 
-    def detect_many(
-        self,
-        specs: list[KernelSpec],
-        traces_list: "list[list[Trace] | None] | None" = None,
-    ) -> list[Verdict]:
+    def detect_many(self, specs: list[KernelSpec]) -> list[Verdict]:
         # Flatten every program's segments into one scoring batch; a
         # program is racy iff any of its segments crosses the threshold.
         owners: list[int] = []

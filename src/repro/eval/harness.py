@@ -1,37 +1,30 @@
 """The Table-5 harness: run every detector over the evaluation suite.
 
-Dynamic detectors share one Machine exploration per program (traces are
-computed once and reused), which keeps full-suite evaluation fast.
+Each language slice goes through :func:`repro.detectors.run_detectors`,
+the same ensemble executor repository scans use: dynamic detectors
+share one Machine exploration per program (traces are computed once and
+cached across runs), LLM detectors score the whole slice in batches,
+and a program a detector fails on counts as unsupported for that
+detector only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.detectors.base import Detector, ToolResult
+from repro.detectors.base import Detector, ToolResult, run_detectors
 from repro.drb.generator import KernelSpec
 from repro.drb.suite import DRBSuite
 from repro.eval.metrics import MetricRow, compute_metrics
 from repro.runtime import Machine, MachineConfig
 from repro.runtime.interpreter import Trace
 
-
-@dataclass(frozen=True)
-class HarnessConfig:
-    """Evaluation parameters.
-
-    Four explored schedules give the dynamic tools' schedule-dependent
-    behaviours (e.g. Inspector's lockset false positives on
-    barrier-separated phases, which need a non-master single winner) a
-    realistic chance to manifest.
-    """
-
-    n_threads: int = 2
-    n_schedules: int = 4
-    base_seed: int = 0
-    # Table-5 rows are defined against the seed exploration policy;
-    # alternative strategies are opt-in (see repro.runtime.schedules).
-    strategies: tuple[str, ...] = ("random",)
+#: Four explored schedules give the dynamic tools' schedule-dependent
+#: behaviours (e.g. Inspector's lockset false positives on
+#: barrier-separated phases, which need a non-master single winner) a
+#: realistic chance to manifest.  Table-5 rows are defined against the
+#: seed ``random`` exploration policy.
+DEFAULT_MACHINE = MachineConfig(n_schedules=4)
 
 
 @dataclass
@@ -51,47 +44,26 @@ class HarnessOutput:
 class EvaluationHarness:
     """Runs detectors across the suite and computes Table-5 rows."""
 
-    def __init__(self, suite: DRBSuite, config: HarnessConfig | None = None) -> None:
+    def __init__(self, suite: DRBSuite, machine: MachineConfig | None = None) -> None:
         self.suite = suite
-        self.config = config or HarnessConfig()
+        self.machine = Machine(machine or DEFAULT_MACHINE)
         self._trace_cache: dict[str, list[Trace]] = {}
 
     def traces_for(self, spec: KernelSpec) -> list[Trace]:
         cached = self._trace_cache.get(spec.id)
         if cached is None:
-            machine = Machine(
-                MachineConfig(
-                    n_threads=self.config.n_threads,
-                    n_schedules=self.config.n_schedules,
-                    base_seed=self.config.base_seed,
-                    strategies=self.config.strategies,
-                )
-            )
-            cached = machine.traces(spec.parse())
+            cached = self.machine.traces(spec.parse())
             self._trace_cache[spec.id] = cached
         return cached
 
     def run(self, detectors: list[Detector], languages: tuple[str, ...] = ("C/C++", "Fortran")) -> HarnessOutput:
         """Evaluate every detector on every program of the requested
-        languages; returns raw results and metric rows per language.
-
-        Each detector sees the whole language slice at once via
-        ``run_many``, so LLM-based rows decode/score in batches through
-        the inference engine instead of one program at a time.
-        """
+        languages; returns raw results and metric rows per language."""
         out = HarnessOutput()
         labels = self.suite.labels()
         for language in languages:
-            specs = self.suite.by_language(language)
+            results = run_detectors(detectors, self.suite.by_language(language), self.traces_for)
             for det in detectors:
-                traces_list = [
-                    self.traces_for(spec)
-                    if det.kind == "dynamic" and det.supports(spec)
-                    else None
-                    for spec in specs
-                ]
-                results: list[ToolResult] = det.run_many(specs, traces_list)
-                key = f"{det.name}|{language}"
-                out.results[key] = results
-                out.rows.append(compute_metrics(det.name, language, results, labels))
+                out.results[f"{det.name}|{language}"] = results[det.name]
+                out.rows.append(compute_metrics(det.name, language, results[det.name], labels))
         return out

@@ -9,7 +9,9 @@ at once — the "scan my repo" workload of real race-detection tooling:
 * :mod:`repro.scan.cache` — persistent content-addressed verdict store,
   so unchanged kernels never re-run the ensemble;
 * :mod:`repro.scan.pipeline` — the orchestrator: dedupe, cache lookup,
-  tool ensemble in a worker pool, LLM margins in large engine batches;
+  then the cache misses through the Table-5 harness's ensemble executor
+  (:func:`repro.detectors.run_detectors`) and LLM margins in large
+  engine batches;
 * :mod:`repro.scan.report` / :mod:`repro.scan.sarif` — aggregation and
   the JSON / SARIF 2.1.0 emitters;
 * :mod:`repro.scan.jobs` — the async job queue behind ``POST /api/scan``.
@@ -17,7 +19,7 @@ at once — the "scan my repo" workload of real race-detection tooling:
 
 from repro.scan.cache import VerdictCache, kernel_key
 from repro.scan.extractor import ExtractedKernel, extract_kernels
-from repro.scan.jobs import Job, JobQueue, ScanJobQueue
+from repro.scan.jobs import Job, JobQueue
 from repro.scan.pipeline import ScanConfig, ScanPipeline
 from repro.scan.report import KernelResult, ScanReport
 from repro.scan.sarif import to_sarif
@@ -29,7 +31,6 @@ __all__ = [
     "ScanConfig",
     "Job",
     "JobQueue",
-    "ScanJobQueue",
     "ScanPipeline",
     "ScanReport",
     "SourceFile",

@@ -10,8 +10,7 @@ is closed (a bounded history evicts the oldest finished jobs).
 :class:`JobQueue` is generic — a *kind* names the job-id prefix, a
 *subject_key* names how the job's subject serialises (``"path"`` for
 scans, ``"version"`` for updates), and a *result_key* names the result
-field.  :class:`ScanJobQueue` keeps the original scan-flavoured
-defaults.
+field; the defaults are the scan queue's.
 """
 
 from __future__ import annotations
@@ -40,11 +39,6 @@ class Job:
     started_at: float | None = None
     finished_at: float | None = None
 
-    @property
-    def path(self) -> str:
-        """Back-compat alias: a scan job's subject is its path."""
-        return self.subject
-
     def to_dict(self, include_result: bool = True) -> dict:
         out = {
             "id": self.id,
@@ -59,10 +53,6 @@ class Job:
         if include_result and self.result is not None:
             out[self.result_key] = self.result
         return out
-
-
-#: Back-compat name (the queue predates non-scan jobs).
-ScanJob = Job
 
 
 class JobQueue:
@@ -158,7 +148,3 @@ class JobQueue:
                 job.error = f"{type(exc).__name__}: {exc}"
                 job.status = ERROR
             job.finished_at = time.time()
-
-
-class ScanJobQueue(JobQueue):
-    """The repository-scan queue (original defaults)."""

@@ -9,11 +9,12 @@ Stages (each timed into the report):
 4. **cache** lookup in the persistent verdict store — unchanged kernels
    cost one file read, no model and no tools;
 5. for the misses: the **tool ensemble** (LLOV / Inspector / ROMP /
-   TSan) runs in a thread worker pool over shared per-kernel traces,
-   while **LLM scoring** routes every kernel through
-   :meth:`InferenceEngine.yes_no_margins` in large batches — the same
-   calibrated-margin path as single-kernel ``detect_race``, so scan
-   verdicts match it exactly.
+   TSan) runs through :func:`repro.detectors.run_detectors`, the same
+   executor as the Table-5 harness (shared per-kernel traces, failures
+   contained per tool and kernel), while **LLM scoring** routes every
+   kernel through :meth:`InferenceEngine.yes_no_margins` in large
+   batches — the same calibrated-margin path as single-kernel
+   ``detect_race``, so scan verdicts match it exactly.
 
 The optional ``llm_lock`` serialises only the engine phase, letting the
 HTTP server run long scans concurrently with its micro-batched
@@ -23,12 +24,11 @@ answer/detect traffic (the model itself is single-threaded).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.datagen.prompts import race_instruction
-from repro.detectors.base import Verdict
+from repro.detectors.base import Verdict, run_detectors
 from repro.detectors.registry import build_tool_detectors
 from repro.runtime import Machine, MachineConfig
 from repro.scan.cache import VerdictCache, kernel_key, pipeline_fingerprint
@@ -47,7 +47,6 @@ class ScanConfig:
     llm_version: str = "l2"
     use_cache: bool = True
     cache_dir: str | Path | None = None
-    jobs: int = 4
     n_threads: int = 2
     n_schedules: int = 4
     base_seed: int = 0
@@ -217,42 +216,26 @@ class ScanPipeline:
     # -- detection over the cache misses ------------------------------------
 
     def _detect_batch(self, items: list[tuple[str, ExtractedKernel]]) -> dict[str, dict]:
-        """Ensemble verdicts for unique kernels: tool pool + one LLM batch."""
+        """Ensemble verdicts for unique kernels: the shared executor over
+        the parsed kernels, then one LLM batch over all of them."""
         if not items:
             return {}
-        specs = [k.to_spec() for _, k in items]
+        # Only kernels the extractor marked parse_ok reach the tools.
+        # Parsing again would not do: declaration-only sources parse but
+        # are not kernels.  The others stay UNSUPPORTED for every tool.
+        parsed = [i for i, (_, k) in enumerate(items) if k.parse_ok]
         machine = Machine(self._machine_config)
-
-        def traces_of(idx: int):
-            _, kernel = items[idx]
-            if not kernel.parse_ok:
-                return None
-            try:
-                return machine.traces(specs[idx].parse())
-            except Exception:  # noqa: BLE001 - a kernel the runtime rejects
-                return None
-
-        with ThreadPoolExecutor(max_workers=max(1, self.config.jobs)) as pool:
-            traces = list(pool.map(traces_of, range(len(items))))
-            tool_tasks = [
-                (d, i) for d in self.detectors for i in range(len(items))
-            ]
-
-            def run_tool(task):
-                det, i = task
-                if not items[i][1].parse_ok:
-                    return det.name, i, Verdict.UNSUPPORTED
-                if det.kind == "dynamic" and traces[i] is None:
-                    return det.name, i, Verdict.UNSUPPORTED
-                try:
-                    result = det.run(specs[i], traces[i])
-                    return det.name, i, result.verdict
-                except Exception:  # noqa: BLE001 - one kernel must not kill the scan
-                    return det.name, i, Verdict.UNSUPPORTED
-
-            tool_verdicts: dict[tuple[str, int], Verdict] = {}
-            for name, i, verdict in pool.map(run_tool, tool_tasks):
-                tool_verdicts[(name, i)] = verdict
+        results = run_detectors(
+            self.detectors,
+            [items[i][1].to_spec() for i in parsed],
+            lambda spec: machine.traces(spec.parse()),
+        )
+        tool_verdicts = [
+            {d.name: Verdict.UNSUPPORTED.value for d in self.detectors} for _ in items
+        ]
+        for name, column in results.items():
+            for i, result in zip(parsed, column):
+                tool_verdicts[i][name] = result.verdict.value
 
         llm_verdicts: list[str | None] = [None] * len(items)
         llm_margins: list[float | None] = [None] * len(items)
@@ -276,9 +259,7 @@ class ScanPipeline:
         payloads: dict[str, dict] = {}
         for i, (key, kernel) in enumerate(items):
             payloads[key] = {
-                "verdicts": {
-                    d.name: tool_verdicts[(d.name, i)].value for d in self.detectors
-                },
+                "verdicts": tool_verdicts[i],
                 "llm_verdict": llm_verdicts[i],
                 "llm_margin": llm_margins[i],
                 "parse_ok": kernel.parse_ok,

@@ -264,7 +264,6 @@ class ServingFrontend:
             languages=tuple(options["languages"]) if options.get("languages") else None,
             tools_only=bool(options.get("tools_only", False)),
             use_cache=not options.get("no_cache", False),
-            jobs=int(options.get("jobs", 4)),
             strategies=tuple(options["strategies"])
             if options.get("strategies") else ("random",),
         )
@@ -277,11 +276,11 @@ class ServingFrontend:
             return pipeline.scan(path).to_dict()
 
     def scan_submit(self, path: str, options: dict):
-        from repro.scan import ScanJobQueue
+        from repro.scan import JobQueue
 
         with self._scan_queue_lock:
             if self._scan_queue is None:
-                self._scan_queue = ScanJobQueue(self._scan_runner)
+                self._scan_queue = JobQueue(self._scan_runner)
             return self._scan_queue.submit(path, options)
 
     def scan_job(self, job_id: str):
@@ -363,6 +362,47 @@ class ServingFrontend:
                 self._update_queue.close()
 
 
+class _BadRequest(Exception):
+    """A malformed request: the handler answers 400 with the message."""
+
+
+_KIND_NAMES = {str: "a string", bool: "true or false", list: "a list of strings"}
+
+
+def _field(payload: dict, key: str, kind: type, default=None):
+    """``payload[key]`` type-checked against ``kind`` (``str``, ``bool``,
+    or ``list`` of strings); ``default`` when absent or null."""
+    value = payload.get(key)
+    if value is None:
+        return default
+    ok = isinstance(value, kind) and (
+        kind is not list or all(isinstance(v, str) for v in value)
+    )
+    if not ok:
+        raise _BadRequest(f"{key!r} must be {_KIND_NAMES[kind]}")
+    return value
+
+
+def _positive_int(payload: dict, key: str) -> int | None:
+    value = payload.get(key)
+    if value is None:
+        return None
+    try:
+        value = int(value)
+    except (TypeError, ValueError):
+        raise _BadRequest(f"{key!r} must be an integer") from None
+    if value < 1:
+        raise _BadRequest(f"{key!r} must be >= 1")
+    return value
+
+
+def _version(payload: dict) -> str:
+    version = _field(payload, "version", str, "l2")
+    if version not in ("l1", "l2"):
+        raise _BadRequest(f"unknown version {version!r}; have ['l1', 'l2']")
+    return version
+
+
 class HPCGPTRequestHandler(BaseHTTPRequestHandler):
     """Dispatches API requests to the bound :class:`ServingFrontend`."""
 
@@ -384,9 +424,23 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", "0"))
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the connection cannot be
+            # reused for another request.
+            self.close_connection = True
+            raise _BadRequest("invalid Content-Length header")
         raw = self.rfile.read(length) if length else b"{}"
-        return json.loads(raw.decode("utf-8"))
+        try:
+            payload = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            raise _BadRequest("invalid JSON body") from None
+        if not isinstance(payload, dict):
+            raise _BadRequest("JSON body must be an object")
+        return payload
 
     def log_message(self, fmt, *args):  # pragma: no cover - silence
         pass
@@ -430,154 +484,121 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
             self._send(404, {"error": f"unknown path {self.path}"})
 
     def do_POST(self) -> None:
+        routes = {
+            "/api/answer": self._post_answer,
+            "/api/detect": self._post_detect,
+            "/api/knowledge": self._post_knowledge,
+            "/api/scan": self._post_scan,
+            "/api/update": self._post_update,
+        }
         try:
             payload = self._read_json()
-        except json.JSONDecodeError:
-            self._send(400, {"error": "invalid JSON body"})
-            return
-        if self.path == "/api/answer":
-            question = payload.get("question", "").strip()
-            if not question:
-                self._send(400, {"error": "missing 'question'"})
-                return
-            version = payload.get("version", "l2")
-            retrieval = bool(payload.get("retrieval", False))
-            if retrieval and not self.frontend.supports_retrieval():
-                self._send(
-                    501,
-                    {"error": "system does not support retrieval-augmented answering"},
-                )
-                return
-            answer = self.frontend.answer(question, version=version, retrieval=retrieval)
+            route = routes.get(self.path)
+            if route is None:
+                self._send(404, {"error": f"unknown path {self.path}"})
+            else:
+                route(payload)
+        except _BadRequest as exc:
+            self._send(400, {"error": str(exc)})
+
+    def _post_answer(self, payload: dict) -> None:
+        question = _field(payload, "question", str, "").strip()
+        if not question:
+            raise _BadRequest("missing 'question'")
+        version = _version(payload)
+        retrieval = _field(payload, "retrieval", bool, False)
+        if retrieval and not self.frontend.supports_retrieval():
             self._send(
-                200,
-                {
-                    "question": question,
-                    "answer": answer,
-                    "version": version,
-                    "retrieval": retrieval,
-                },
+                501,
+                {"error": "system does not support retrieval-augmented answering"},
             )
-        elif self.path == "/api/detect":
-            code = payload.get("code", "")
-            if not code.strip():
-                self._send(400, {"error": "missing 'code'"})
-                return
-            try:
-                language = normalize_language(payload.get("language", "C/C++"))
-            except UnknownLanguageError as exc:
-                self._send(400, {"error": str(exc)})
-                return
-            verdict = self.frontend.detect(code, language=language)
-            self._send(200, {"language": language, "data_race": verdict})
-        elif self.path == "/api/knowledge":
-            self._post_knowledge(payload)
-        elif self.path == "/api/scan":
-            self._post_scan(payload)
-        elif self.path == "/api/update":
-            self._post_update(payload)
-        else:
-            self._send(404, {"error": f"unknown path {self.path}"})
+            return
+        answer = self.frontend.answer(question, version=version, retrieval=retrieval)
+        self._send(
+            200,
+            {
+                "question": question,
+                "answer": answer,
+                "version": version,
+                "retrieval": retrieval,
+            },
+        )
+
+    def _post_detect(self, payload: dict) -> None:
+        code = _field(payload, "code", str, "")
+        if not code.strip():
+            raise _BadRequest("missing 'code'")
+        try:
+            language = normalize_language(payload.get("language", "C/C++"))
+        except UnknownLanguageError as exc:
+            raise _BadRequest(str(exc)) from None
+        verdict = self.frontend.detect(code, language=language)
+        self._send(200, {"language": language, "data_race": verdict})
 
     def _post_knowledge(self, payload: dict) -> None:
         documents = payload.get("documents")
         if not isinstance(documents, list) or not documents:
-            self._send(400, {"error": "missing 'documents' (non-empty list)"})
-            return
+            raise _BadRequest("missing 'documents' (non-empty list)")
         for i, doc in enumerate(documents):
             if isinstance(doc, str):
                 if not doc.strip():
-                    self._send(400, {"error": f"documents[{i}] is empty"})
-                    return
+                    raise _BadRequest(f"documents[{i}] is empty")
             elif not isinstance(doc, dict) or not str(doc.get("text", "")).strip():
-                self._send(
-                    400, {"error": f"documents[{i}] needs a non-empty 'text' field"}
-                )
-                return
-        max_tokens = payload.get("max_tokens")
-        if max_tokens is not None:
-            try:
-                max_tokens = int(max_tokens)
-            except (TypeError, ValueError):
-                self._send(400, {"error": "'max_tokens' must be an integer"})
-                return
-            if max_tokens < 1:
-                self._send(400, {"error": "'max_tokens' must be >= 1"})
-                return
+                raise _BadRequest(f"documents[{i}] needs a non-empty 'text' field")
+        max_tokens = _positive_int(payload, "max_tokens")
         try:
             result = self.frontend.ingest(documents, max_tokens=max_tokens)
         except NotImplementedError as exc:
             self._send(501, {"error": str(exc)})
             return
         except ValueError as exc:
-            self._send(400, {"error": str(exc)})
-            return
+            raise _BadRequest(str(exc)) from None
         self._send(200, result)
 
     def _post_scan(self, payload: dict) -> None:
         from pathlib import Path
 
-        path = str(payload.get("path", "")).strip()
+        path = _field(payload, "path", str, "").strip()
         if not path:
-            self._send(400, {"error": "missing 'path'"})
-            return
+            raise _BadRequest("missing 'path'")
         if not Path(path).exists():
-            self._send(400, {"error": f"scan path {path!r} does not exist"})
-            return
+            raise _BadRequest(f"scan path {path!r} does not exist")
         options = {
-            k: payload[k]
-            for k in ("languages", "tools_only", "no_cache", "jobs", "strategies")
-            if k in payload
+            "tools_only": _field(payload, "tools_only", bool, False),
+            "no_cache": _field(payload, "no_cache", bool, False),
         }
-        try:
-            if options.get("languages"):
-                options["languages"] = [
-                    normalize_language(l) for l in options["languages"]
-                ]
-        except UnknownLanguageError as exc:
-            self._send(400, {"error": str(exc)})
-            return
-        if options.get("strategies"):
+        languages = _field(payload, "languages", list)
+        if languages:
+            try:
+                options["languages"] = [normalize_language(l) for l in languages]
+            except UnknownLanguageError as exc:
+                raise _BadRequest(str(exc)) from None
+        strategies = _field(payload, "strategies", list)
+        if strategies:
             from repro.runtime.schedules import SCHEDULE_STRATEGIES
 
-            unknown = [
-                s for s in options["strategies"] if s not in SCHEDULE_STRATEGIES
-            ]
+            unknown = [s for s in strategies if s not in SCHEDULE_STRATEGIES]
             if unknown:
-                self._send(400, {
-                    "error": f"unknown schedule strategies {unknown!r}; "
-                             f"have {sorted(SCHEDULE_STRATEGIES)}",
-                })
-                return
+                raise _BadRequest(
+                    f"unknown schedule strategies {unknown!r}; "
+                    f"have {sorted(SCHEDULE_STRATEGIES)}"
+                )
+            options["strategies"] = strategies
         job = self.frontend.scan_submit(path, options)
-        self._send(202, {"id": job.id, "status": job.status, "path": job.path})
+        self._send(202, {"id": job.id, "status": job.status, "path": path})
 
     def _post_update(self, payload: dict) -> None:
         records = payload.get("records")
         if not isinstance(records, list) or not records:
-            self._send(400, {"error": "missing 'records' (non-empty list)"})
-            return
+            raise _BadRequest("missing 'records' (non-empty list)")
         for i, rec in enumerate(records):
             if not isinstance(rec, dict) or not rec.get("instruction") or "output" not in rec:
-                self._send(
-                    400,
-                    {"error": f"records[{i}] needs 'instruction' and 'output' fields"},
-                )
-                return
-        version = str(payload.get("version", "l2"))
-        if version not in ("l1", "l2"):
-            self._send(400, {"error": f"unknown version {version!r}; have ['l1', 'l2']"})
-            return
+                raise _BadRequest(f"records[{i}] needs 'instruction' and 'output' fields")
+        version = _version(payload)
         options: dict = {"records": records}
-        if payload.get("epochs") is not None:
-            try:
-                options["epochs"] = int(payload["epochs"])
-            except (TypeError, ValueError):
-                self._send(400, {"error": "'epochs' must be an integer"})
-                return
-            if options["epochs"] < 1:
-                self._send(400, {"error": "'epochs' must be >= 1"})
-                return
+        epochs = _positive_int(payload, "epochs")
+        if epochs is not None:
+            options["epochs"] = epochs
         job = self.frontend.update_submit(version, options)
         self._send(202, {"id": job.id, "status": job.status, "version": version})
 

@@ -13,7 +13,7 @@ substrate we simulate the numerically relevant parts:
 
 This is training-wide machinery (pretraining, SFT, and continual
 updates all run through it via :class:`repro.train.Trainer`), so it
-lives here; :mod:`repro.finetune.fp16` re-exports for compatibility.
+lives here.
 """
 
 from __future__ import annotations

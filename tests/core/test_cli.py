@@ -74,12 +74,28 @@ class TestParser:
     def test_scan_args(self):
         args = build_parser().parse_args(
             ["scan", "src/", "--tools-only", "--language", "c",
-             "--language", "fortran", "--sarif", "out.sarif", "--jobs", "2"]
+             "--language", "fortran", "--sarif", "out.sarif"]
         )
         assert args.path == "src/"
-        assert args.tools_only and args.jobs == 2
+        assert args.tools_only
         assert args.language == ["C/C++", "Fortran"]
         assert args.sarif == "out.sarif"
+
+
+class TestEval:
+    def test_tools_only_builds_no_model(self, monkeypatch, capsys):
+        import repro.cli as cli
+
+        def no_build(preset):
+            raise AssertionError("tools-only eval must not build a system")
+
+        monkeypatch.setattr(cli, "_make_system", no_build)
+        assert cli.main(["eval", "--tools-only"]) == 0
+        out = capsys.readouterr().out
+        for language in ("C/C++", "Fortran"):
+            block = out.split(f"Table 5 — {language}")[1].split("Table 5 —")[0]
+            rows = [line.split()[0] for line in block.splitlines()[3:] if line.strip()]
+            assert rows == ["LLOV", "Intel", "ROMP", "Thread"]
 
 
 class TestExport:

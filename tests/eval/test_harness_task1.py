@@ -5,10 +5,11 @@ import pytest
 from repro.detectors import LLOVDetector, ThreadSanitizerDetector
 from repro.drb import DRBSuite
 from repro.drb.generator import generate_eval_suite
-from repro.eval import EvaluationHarness, HarnessConfig, Task1Evaluator
+from repro.eval import EvaluationHarness, Task1Evaluator
 from repro.eval.task1_eval import build_qa_set
 from repro.knowledge import build_mlperf_table, build_plp_catalog
 from repro.ontology import HPCOntology
+from repro.runtime import MachineConfig
 
 
 @pytest.fixture(scope="module")
@@ -26,14 +27,14 @@ def mini_suite():
 
 class TestHarness:
     def test_runs_static_and_dynamic(self, mini_suite):
-        harness = EvaluationHarness(mini_suite, HarnessConfig(n_schedules=1))
+        harness = EvaluationHarness(mini_suite, MachineConfig(n_schedules=1))
         out = harness.run([LLOVDetector(), ThreadSanitizerDetector()])
         assert len(out.rows) == 4  # 2 tools x 2 languages
         row = out.row("LLOV", "C/C++")
         assert row.counts.total == len(mini_suite.by_language("C/C++"))
 
     def test_trace_cache_reused(self, mini_suite):
-        harness = EvaluationHarness(mini_suite, HarnessConfig(n_schedules=1))
+        harness = EvaluationHarness(mini_suite, MachineConfig(n_schedules=1))
         spec = mini_suite.specs[0]
         t1 = harness.traces_for(spec)
         t2 = harness.traces_for(spec)
@@ -46,7 +47,7 @@ class TestHarness:
             out.row("LLOV", "Fortran")
 
     def test_tsan_beats_chance(self, mini_suite):
-        harness = EvaluationHarness(mini_suite, HarnessConfig(n_schedules=2))
+        harness = EvaluationHarness(mini_suite, MachineConfig(n_schedules=2))
         out = harness.run([ThreadSanitizerDetector()], languages=("C/C++",))
         row = out.row("Thread Sanitizer", "C/C++")
         assert row.accuracy > 0.6

@@ -5,18 +5,12 @@ import numpy as np
 import pytest
 
 from repro.datagen.schema import InstructionRecord
-from repro.finetune import (
-    Fp16Config,
-    LossScaler,
-    SFTConfig,
-    SFTDataset,
-    SFTTrainer,
-    round_to_fp16,
-)
+from repro.finetune import SFTConfig, SFTDataset, SFTTrainer
 from repro.llm import CausalLM, ModelConfig
 from repro.llm.pretrain import PretrainConfig, build_general_corpus, train_tokenizer_on
 from repro.nn import LoRAConfig
 from repro.nn.module import Parameter
+from repro.train import Fp16Config, LossScaler, round_to_fp16
 from repro.utils.rng import derive_rng
 
 

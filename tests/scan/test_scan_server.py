@@ -8,7 +8,7 @@ import urllib.request
 
 import pytest
 
-from repro.scan.jobs import ScanJobQueue
+from repro.scan.jobs import JobQueue
 from repro.serve import HPCGPTClient
 from repro.serve.server import start_background
 
@@ -28,7 +28,7 @@ class TestScanJobQueue:
             seen.append(path)
             return {"path": path, **options}
 
-        q = ScanJobQueue(runner)
+        q = JobQueue(runner)
         try:
             a = q.submit("/a", {"tools_only": True})
             b = q.submit("/b")
@@ -50,7 +50,7 @@ class TestScanJobQueue:
                 raise RuntimeError("kaput")
             return {"ok": True}
 
-        q = ScanJobQueue(runner)
+        q = JobQueue(runner)
         try:
             bad = q.submit("/boom")
             good = q.submit("/fine")
@@ -64,7 +64,7 @@ class TestScanJobQueue:
             q.close()
 
     def test_submit_after_close_rejected(self):
-        q = ScanJobQueue(lambda p, o: {})
+        q = JobQueue(lambda p, o: {})
         q.close()
         with pytest.raises(RuntimeError):
             q.submit("/x")
@@ -172,6 +172,29 @@ class TestScanEndpoints:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req)
         assert err.value.code == 400
+
+    @pytest.mark.parametrize(
+        "extra, error",
+        [
+            ({"tools_only": "false"}, "'tools_only' must be true or false"),
+            ({"no_cache": 1}, "'no_cache' must be true or false"),
+            ({"languages": "fortran"}, "'languages' must be a list of strings"),
+            ({"languages": [5]}, "'languages' must be a list of strings"),
+            ({"strategies": "random"}, "'strategies' must be a list of strings"),
+            ({"path": 5}, "'path' must be a string"),
+        ],
+    )
+    def test_bad_option_types_400(self, scan_server, extra, error):
+        root, url = scan_server
+        req = urllib.request.Request(
+            url + "/api/scan",
+            data=json.dumps({"path": str(root), **extra}).encode(),
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req)
+        assert err.value.code == 400
+        assert error in json.loads(err.value.read())["error"]
 
     def test_unknown_job_404(self, scan_server):
         _, url = scan_server

@@ -1,6 +1,7 @@
 """Tests for the deployment stage (server + client) using a stub system
 so no training happens in unit tests."""
 
+import http.client
 import json
 import threading
 import urllib.request
@@ -70,6 +71,39 @@ class TestServer:
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(req)
             assert err.value.code == 400
+
+    @pytest.mark.parametrize(
+        "path, body, headers, error",
+        [
+            ("/api/answer", b"[1]", {}, "must be an object"),
+            ("/api/detect", b'"x"', {}, "must be an object"),
+            ("/api/answer", b'{"question": 5}', {}, "'question' must be a string"),
+            ("/api/detect", b'{"code": ["x"]}', {}, "'code' must be a string"),
+            ("/api/answer", b'{"question": "q", "retrieval": "false"}', {},
+             "'retrieval' must be true or false"),
+            ("/api/answer", b'{"question": "q", "version": 5}', {},
+             "'version' must be a string"),
+            ("/api/answer", b'{"question": "q", "version": "l9"}', {},
+             "unknown version"),
+            ("/api/detect", b'{"code": "x", "language": 3}', {},
+             "language must be a string"),
+            ("/api/answer", b"\xff\xfe", {}, "invalid JSON body"),
+            ("/api/answer", b'{"question": "q"}', {"Content-Length": "lots"},
+             "invalid Content-Length"),
+        ],
+    )
+    def test_malformed_request_400(self, server_url, path, body, headers, error):
+        """Malformed bodies get a 400 with a reason, never a dropped
+        connection."""
+        host, port = server_url.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            conn.request("POST", path, body=body, headers=headers)
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert error in json.loads(resp.read())["error"]
+        finally:
+            conn.close()
 
     def test_bad_json_400(self, server_url):
         req = urllib.request.Request(
