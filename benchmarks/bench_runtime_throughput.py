@@ -2,8 +2,12 @@
 
 Three views of the rebuilt ``repro.runtime``:
 
-* **trace generation** — events/s executing the corpus (interned clock
-  rows instead of per-event dict copies);
+* **trace generation** — events/s executing the corpus with the
+  compiled runtime (each kernel compiled once into closures, reused
+  for every schedule) against the generator interpreter it replaced
+  (``tests/support/reference_runtime.py``, an AST walk per schedule),
+  median/min/max over ``--repeats`` passes, traces asserted
+  bit-identical;
 * **race checking** — the epoch-matrix ``hb_races`` vs the seed
   ``combinations`` + dict-``VectorClock`` path (``hb_races_reference``,
   kept verbatim in the tree), timed over (a) a *hot corpus* of
@@ -26,7 +30,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
+import sys
 import time
+from pathlib import Path
 
 from _shared import OUT_DIR, write_out
 from repro.detectors.inspector import lockset_races
@@ -36,6 +43,9 @@ from repro.openmp import parse_c
 from repro.runtime import Machine, MachineConfig, execute
 from repro.runtime.machine import hb_races, hb_races_reference
 from repro.runtime.schedules import SCHEDULE_STRATEGIES
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from support.reference_runtime import execute_reference  # noqa: E402
 
 N_SCHEDULES = 2  # per spec for the checking corpus
 FIRST_RACE_BUDGET = 8  # schedule budget for the exploration metric
@@ -100,6 +110,41 @@ def timed_check(checker, traces, repeats: int) -> tuple[float, int]:
     for _ in range(repeats):
         check_all(checker, traces)
     return (time.perf_counter() - start) / repeats, found
+
+
+def trace_signature(trace) -> tuple:
+    rows = trace.clock_bank.rows
+    events = [
+        (e.seq, e.tid, e.is_write, e.loc, rows[e.clock_row], e.locks, e.atomic,
+         e.lane, e.region)
+        for e in trace.events
+    ]
+    arrays = {k: v.tobytes() for k, v in trace.final_arrays.items()}
+    return events, arrays, trace.regions
+
+
+def timed_generation(specs, run, repeats: int) -> tuple[list, list[float]]:
+    """Traces of every spec (``run(program)`` -> list) and the wall time
+    of each of ``repeats`` full passes.  Programs are parsed (and
+    memoised) before the clock starts."""
+    programs = [spec.parse() for spec in specs]
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        traces = [t for program in programs for t in run(program)]
+        times.append(time.perf_counter() - start)
+    return traces, times
+
+
+def spread(n_events: int, times: list[float]) -> dict:
+    rates = [n_events / t for t in times]
+    return {
+        "passes": len(times),
+        "events_per_s_median": round(statistics.median(rates), 1),
+        "events_per_s_min": round(min(rates), 1),
+        "events_per_s_max": round(max(rates), 1),
+        "seconds_median": round(statistics.median(times), 4),
+    }
 
 
 def parity_specs(suite: DRBSuite, smoke: bool):
@@ -180,14 +225,27 @@ def main() -> None:
     # -- trace generation + verdict parity ------------------------------------
 
     machine = Machine(MachineConfig(n_threads=2, n_schedules=N_SCHEDULES))
-    suite_traces, n_events = [], 0
+    plan = machine.schedule_plan()
+
+    def reference_traces(program):
+        return [execute_reference(program, 2, seed, strategy) for strategy, seed in plan]
+
+    # Alternate the two runtimes pass by pass so host drift hits both.
+    suite_traces, compiled_times, ref_traces, ref_times = None, [], None, []
+    for _ in range(repeats):
+        suite_traces, times = timed_generation(specs, machine.traces, 1)
+        compiled_times += times
+        ref_traces, times = timed_generation(specs, reference_traces, 1)
+        ref_times += times
+    n_events = sum(len(t.events) for t in suite_traces)
+    assert [trace_signature(t) for t in suite_traces] == [
+        trace_signature(t) for t in ref_traces
+    ], "compiled traces differ from the generator reference"
+    compiled = spread(n_events, compiled_times)
+    reference = spread(n_events, ref_times)
+    gen_speedup = reference["seconds_median"] / compiled["seconds_median"]
+
     parity_failures = []
-    gen_start = time.perf_counter()
-    for spec in specs:
-        traces = machine.traces(spec.parse())
-        suite_traces.extend(traces)
-        n_events += sum(len(t.events) for t in traces)
-    gen_s = time.perf_counter() - gen_start
     for spec, idx in zip(specs, range(0, len(suite_traces), N_SCHEDULES)):
         fast, slow = verdict_signature(suite_traces[idx : idx + N_SCHEDULES])
         if fast != slow:
@@ -229,9 +287,10 @@ def main() -> None:
             "hot_iterations": hot_n,
         },
         "trace_generation": {
-            "seconds": round(gen_s, 4),
-            "events_per_s": round(n_events / gen_s, 1),
-            "traces_per_s": round(len(suite_traces) / gen_s, 1),
+            "compiled": compiled,
+            "generator_reference": reference,
+            "speedup_median": round(gen_speedup, 2),
+            "traces_bit_identical": True,
         },
         "race_checking": {
             "repeats": repeats,
@@ -275,7 +334,9 @@ def main() -> None:
             [
                 f"Runtime throughput ({'smoke' if smoke else 'full'}; "
                 f"{len(specs)} parity specs, hot kernels at N={hot_n})",
-                f"  trace generation  {payload['trace_generation']['events_per_s']:>10.0f} events/s",
+                f"  trace generation  reference: {reference['events_per_s_median']:>8.0f}   "
+                f"compiled: {compiled['events_per_s_median']:>8.0f} events/s "
+                f"(median of {repeats}; {gen_speedup:.1f}x, traces bit-identical)",
                 f"  race check (hot)  seed: {hot_ref_s:7.3f}s   epoch: {hot_new_s:7.3f}s "
                 f"({speedup_hot:.1f}x)",
                 f"  race check (DRB)  seed: {suite_ref_s:7.3f}s   epoch: {suite_new_s:7.3f}s "

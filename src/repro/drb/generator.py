@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.drb.categories import CATEGORY_LABELS, EVAL_COUNTS
 from repro.drb.params import Params
@@ -23,14 +23,20 @@ class KernelSpec:
     label: str  # "yes" (data race) / "no"
     source: str
     features: frozenset
+    #: The parsed program, once known; excluded from equality, hash and
+    #: repr (it is a function of ``source`` and ``language``).
+    program: object = field(default=None, compare=False, repr=False)
 
     def parse(self):
-        """Parse the source through the matching front end."""
-        from repro.openmp import parse_c, parse_fortran
+        """Parse the source through the matching front end, once: the
+        runtime, LLOV and the harness share the memoised program (none
+        of them mutates it)."""
+        if self.program is None:
+            from repro.openmp import parse_c, parse_fortran
 
-        if self.language == "C/C++":
-            return parse_c(self.source)
-        return parse_fortran(self.source)
+            parse = parse_c if self.language == "C/C++" else parse_fortran
+            object.__setattr__(self, "program", parse(self.source))
+        return self.program
 
 
 def _templates_for(language: str) -> dict[str, list]:

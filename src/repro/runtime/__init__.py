@@ -17,7 +17,15 @@ regions, ``simd`` (vector lanes with chunk barriers honouring safelen),
 from repro.runtime.vectorclock import VectorClock
 from repro.runtime.clocks import ClockBank, ClockView, EpochClock
 from repro.runtime.memory import SharedMemory
-from repro.runtime.interpreter import ExecutionError, MemEvent, Trace, execute
+from repro.runtime.interpreter import (
+    STEP_BUDGET,
+    BudgetExceeded,
+    CompiledProgram,
+    ExecutionError,
+    MemEvent,
+    Trace,
+    execute,
+)
 from repro.runtime.machine import (
     Machine,
     MachineConfig,
@@ -34,6 +42,9 @@ __all__ = [
     "EpochClock",
     "SharedMemory",
     "ExecutionError",
+    "BudgetExceeded",
+    "CompiledProgram",
+    "STEP_BUDGET",
     "MemEvent",
     "Trace",
     "execute",

@@ -35,12 +35,13 @@ from repro.runtime.vectorclock import VectorClock
 class ClockBank:
     """Per-trace store of interned clock snapshots (the epoch matrix)."""
 
-    __slots__ = ("tids", "cols", "rows", "_matrix")
+    __slots__ = ("tids", "cols", "rows", "views", "_matrix")
 
     def __init__(self) -> None:
         self.tids: list = []  # column -> thread id
         self.cols: dict = {}  # thread id -> column
         self.rows: list[tuple] = []  # row -> clock values (len <= n_cols)
+        self.views: list[ClockView] = []  # row -> the one view all its events share
         self._matrix: np.ndarray | None = None
 
     def col(self, tid) -> int:
@@ -57,8 +58,10 @@ class ClockBank:
         return len(self.tids)
 
     def add_row(self, values: list[int]) -> int:
+        row = len(self.rows)
         self.rows.append(tuple(values))
-        return len(self.rows) - 1
+        self.views.append(ClockView(self, row))
+        return row
 
     def component(self, row: int, col: int) -> int:
         """One matrix cell, tolerant of rows snapshotted before ``col``

@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.openmp.ast_nodes import Program
-from repro.runtime.interpreter import MemEvent, Trace, execute
+from repro.runtime.interpreter import CompiledProgram, MemEvent, Trace, execute
 from repro.runtime.schedules import SCHEDULE_STRATEGIES
 
 
@@ -207,7 +207,7 @@ def hb_races(
 
 
 class Machine:
-    """Runs programs across schedules; caches nothing (programs are tiny)."""
+    """Runs programs across schedules."""
 
     def __init__(self, config: MachineConfig | None = None) -> None:
         self.config = config or MachineConfig()
@@ -222,10 +222,13 @@ class Machine:
 
     def iter_traces(self, program: Program) -> Iterator[Trace]:
         """Lazily execute one schedule at a time, in plan order — the
-        short-circuit substrate for :meth:`any_hb_race`."""
+        short-circuit substrate for :meth:`any_hb_race`.  The program is
+        compiled once, by the first execution, and every schedule reuses
+        the closures."""
+        code = CompiledProgram(program)
         for strategy, seed in self.schedule_plan():
             yield execute(
-                program,
+                code,
                 n_threads=self.config.n_threads,
                 schedule_seed=seed,
                 strategy=strategy,

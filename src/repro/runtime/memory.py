@@ -1,9 +1,12 @@
 """Simulated shared memory.
 
-Arrays are NumPy float64 buffers initialised with a deterministic
-pattern; scalars live in a dict.  Fortran programs index from 1, so
-array buffers get one padding slot and a base offset — subscripts are
-used as-is in both languages.
+Arrays are initialised as NumPy float64 buffers with a deterministic
+pattern and held as Python float lists while a program runs (element
+access on a list is several times cheaper than on an ndarray, and every
+stored value is already a float, so contents stay bit-identical);
+:meth:`SharedMemory.snapshot` converts back to arrays.  Scalars live in
+a dict.  Fortran programs index from 1, so array buffers get one padding
+slot and a base offset — subscripts are used as-is in both languages.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ class SharedMemory:
     def __init__(self, program: Program) -> None:
         self.language = program.language
         self.base = 1 if program.language == "Fortran" else 0
-        self.arrays: dict[str, np.ndarray] = {}
+        self.arrays: dict[str, list[float]] = {}
         for decl in program.arrays:
             buf = np.zeros(decl.size + self.base, dtype=np.float64)
             # Deterministic non-trivial init so value-bearing bugs show up.
@@ -30,7 +33,7 @@ class SharedMemory:
                 buf[self.base:] = self.base + (idx % 5)
             else:
                 buf[self.base:] = (idx % 7) * 0.5 + 1.0
-            self.arrays[decl.name] = buf
+            self.arrays[decl.name] = buf.tolist()
         self.scalars: dict[str, float] = {s.name: 0.0 for s in program.scalars}
 
     # -- array access --------------------------------------------------------
@@ -44,7 +47,7 @@ class SharedMemory:
         # `size + 1` with slot 0 as padding that lo = 1 keeps
         # unaddressable.
         lo = self.base
-        hi = buf.shape[0] - 1
+        hi = len(buf) - 1
         if index < lo or index > hi:
             raise IndexError(
                 f"array {name!r} index {index} out of bounds [{lo}, {hi}]"
@@ -52,10 +55,10 @@ class SharedMemory:
         return index
 
     def read_array(self, name: str, index: int) -> float:
-        return float(self.arrays[name][self.check_index(name, index)])
+        return self.arrays[name][self.check_index(name, index)]
 
     def write_array(self, name: str, index: int, value: float) -> None:
-        self.arrays[name][self.check_index(name, index)] = value
+        self.arrays[name][self.check_index(name, index)] = float(value)
 
     # -- scalar access ----------------------------------------------------------
 
@@ -70,5 +73,6 @@ class SharedMemory:
         self.scalars[name] = value
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        """Copy of all arrays (tests compare end states across schedules)."""
-        return {k: v.copy() for k, v in self.arrays.items()}
+        """All arrays as float64 ndarrays (tests compare end states
+        across schedules)."""
+        return {k: np.array(v, dtype=np.float64) for k, v in self.arrays.items()}

@@ -22,7 +22,12 @@ pluggable pickers the scheduler consults at every scheduling point:
     — the schedules most likely to manifest value-dependent races.
 
 A strategy instance lives for one execution; ``pick`` sees the ready
-threads plus each thread's pending (not yet performed) action.
+threads, each carrying its ``tid`` and its pending (not yet performed)
+``action`` — ``None`` for a thread about to resume after a block.
+
+Every random draw goes through :func:`lemire_draws`, a buffered
+emulation of NumPy's bounded integer sampling: the same values as one
+``rng.integers(n)`` call per draw, at a fraction of the per-call cost.
 """
 
 from __future__ import annotations
@@ -42,15 +47,51 @@ def _pending_access(action) -> tuple | None:
     return None
 
 
+_DRAW_BATCH = 256
+
+
+def lemire_draws(rng: np.random.Generator):
+    """``draw(n)`` returning exactly what ``int(rng.integers(n))`` would,
+    call for call, for ``1 <= n <= 2**32``.
+
+    NumPy answers a bounded draw below ``2**32`` with Lemire's method on
+    32-bit words: ``m = word * n``, reject while ``m mod 2**32`` falls
+    below ``2**32 mod n``, return ``m >> 32``; ``n == 1`` consumes
+    nothing.  Fetching the words in bulk as ``uint32`` reads the same
+    stream of ``next_uint32`` outputs, so the draws agree as long as
+    nothing else consumes ``rng``.
+    """
+    words: list[int] = []
+    pos = 0
+
+    def draw(n: int) -> int:
+        nonlocal words, pos
+        if n == 1:
+            return 0
+        if not 1 < n <= 0x100000000:
+            raise ValueError(f"draw bound {n} outside [1, 2**32]")
+        while True:
+            if pos == len(words):
+                words = rng.integers(0, 1 << 32, size=_DRAW_BATCH, dtype=np.uint32).tolist()
+                pos = 0
+            m = words[pos] * n
+            pos += 1
+            low = m & 0xFFFFFFFF
+            if low >= n or low >= (0x100000000 - n) % n:
+                return m >> 32
+
+    return draw
+
+
 class ScheduleStrategy:
     """Base picker; subclasses choose one thread from ``ready``."""
 
     name = "abstract"
 
     def __init__(self, rng: np.random.Generator) -> None:
-        self.rng = rng
+        self._draw = lemire_draws(rng)
 
-    def pick(self, ready: list, pending: dict):
+    def pick(self, ready: list):
         raise NotImplementedError
 
 
@@ -61,8 +102,8 @@ class RandomStrategy(ScheduleStrategy):
 
     name = "random"
 
-    def pick(self, ready: list, pending: dict):
-        return ready[int(self.rng.integers(len(ready)))]
+    def pick(self, ready: list):
+        return ready[self._draw(len(ready))]
 
 
 class _LruMixin(ScheduleStrategy):
@@ -74,7 +115,7 @@ class _LruMixin(ScheduleStrategy):
         self._last_run: dict = {}
         # Seed-derived bias so different schedule seeds explore
         # different rotations of the same policy.
-        self._offset = int(rng.integers(1 << 16))
+        self._offset = self._draw(1 << 16)
 
     def _lru(self, candidates: list):
         self._step += 1
@@ -95,7 +136,7 @@ class RoundRobinStrategy(_LruMixin):
 
     name = "round_robin"
 
-    def pick(self, ready: list, pending: dict):
+    def pick(self, ready: list):
         return self._lru(ready)
 
 
@@ -108,17 +149,17 @@ class ChunkedStrategy(ScheduleStrategy):
 
     def __init__(self, rng: np.random.Generator, chunk: int | None = None) -> None:
         super().__init__(rng)
-        self.chunk = int(chunk) if chunk else 4 + int(rng.integers(13))
+        self.chunk = int(chunk) if chunk else 4 + self._draw(13)
         self._current = None
         self._budget = 0
 
-    def pick(self, ready: list, pending: dict):
+    def pick(self, ready: list):
         if self._current is not None and self._budget > 0:
             for t in ready:
                 if t.tid == self._current:
                     self._budget -= 1
                     return t
-        t = ready[int(self.rng.integers(len(ready)))]
+        t = ready[self._draw(len(ready))]
         self._current = t.tid
         self._budget = self.chunk - 1
         return t
@@ -138,10 +179,10 @@ class AdversarialStrategy(_LruMixin):
 
     name = "adversarial"
 
-    def pick(self, ready: list, pending: dict):
+    def pick(self, ready: list):
         by_loc: dict = {}
         for t in ready:
-            acc = _pending_access(pending.get(t.tid))
+            acc = _pending_access(t.action)
             if acc is not None:
                 by_loc.setdefault(acc[0], []).append((t, acc[1]))
         for group in by_loc.values():

@@ -25,9 +25,10 @@ scanned kernels.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.drb.generator import KernelSpec
+from repro.openmp.ast_nodes import Program
 from repro.scan.walker import SourceFile
 from repro.utils.languages import FORTRAN
 
@@ -55,7 +56,15 @@ class ExtractedKernel:
     end_line: int
     source: str
     features: frozenset
-    parse_ok: bool     # front end accepts it -> tools can run
+    #: The program the front end built, handed on so each kernel is
+    #: parsed once; None when the text is outside the front end's
+    #: dialect or only declares things.
+    program: Program | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def parse_ok(self) -> bool:
+        """The front end accepts the kernel, so the tools can run."""
+        return self.program is not None
 
     @property
     def id(self) -> str:
@@ -70,6 +79,7 @@ class ExtractedKernel:
             label="unknown",
             source=self.source,
             features=self.features,
+            program=self.program,
         )
 
 
@@ -92,7 +102,9 @@ def _features(directives: list[tuple[int, str]]) -> frozenset:
     return frozenset(found)
 
 
-def _parses(text: str, language: str) -> bool:
+def _parse(text: str, language: str) -> Program | None:
+    """The kernel's program, or None if the front end rejects the text
+    or it only declares things (headers are not kernels)."""
     from repro.openmp import parse_c, parse_fortran
 
     try:
@@ -100,10 +112,9 @@ def _parses(text: str, language: str) -> bool:
             program = parse_fortran(text)
         else:
             program = parse_c(text)
-        # Declaration-only files (headers) are not kernels.
-        return bool(program.body.stmts)
     except Exception:  # noqa: BLE001 - any front-end rejection
-        return False
+        return None
+    return program if program.body.stmts else None
 
 
 def extract_kernels(file: SourceFile) -> list[ExtractedKernel]:
@@ -115,20 +126,15 @@ def extract_kernels(file: SourceFile) -> list[ExtractedKernel]:
     scanned as one kernel so suite trees get full coverage."""
     directives = directive_lines(file.text, file.language)
     n_lines = max(1, len(file.text.splitlines()))
-    if not directives:
-        if _parses(file.text, file.language):
-            return [ExtractedKernel(
-                file=file.relpath, language=file.language,
-                start_line=1, end_line=n_lines, source=file.text,
-                features=frozenset(), parse_ok=True,
-            )]
-        return []
-    if _parses(file.text, file.language):
+    program = _parse(file.text, file.language)
+    if program is not None:
         return [ExtractedKernel(
             file=file.relpath, language=file.language,
             start_line=1, end_line=n_lines, source=file.text,
-            features=_features(directives), parse_ok=True,
+            features=_features(directives), program=program,
         )]
+    if not directives:
+        return []
 
     spans = (_fortran_unit_spans(file.text) if file.language == FORTRAN
              else _c_function_spans(file.text))
@@ -145,7 +151,7 @@ def extract_kernels(file: SourceFile) -> list[ExtractedKernel]:
         kernels.append(ExtractedKernel(
             file=file.relpath, language=file.language,
             start_line=start, end_line=end, source=source,
-            features=_features(group), parse_ok=_parses(source, file.language),
+            features=_features(group), program=_parse(source, file.language),
         ))
     return kernels
 

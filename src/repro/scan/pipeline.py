@@ -195,6 +195,7 @@ class ScanPipeline:
             "cache_hits": sum(len(owners[key]) for key in cached_keys),
             "races": len(report.racy()),
             "disagreements": len(report.disagreements()),
+            "tool_failures": sum(len(k.details) for k in results),
         }
         report.timing = {
             "walk_s": round(t_walk - t0, 4),
@@ -233,9 +234,13 @@ class ScanPipeline:
         tool_verdicts = [
             {d.name: Verdict.UNSUPPORTED.value for d in self.detectors} for _ in items
         ]
+        # Why a tool failed on a kernel ("ExcType: message"), if it did.
+        tool_details: list[dict[str, str]] = [{} for _ in items]
         for name, column in results.items():
             for i, result in zip(parsed, column):
                 tool_verdicts[i][name] = result.verdict.value
+                if result.detail:
+                    tool_details[i][name] = result.detail
 
         llm_verdicts: list[str | None] = [None] * len(items)
         llm_margins: list[float | None] = [None] * len(items)
@@ -260,6 +265,7 @@ class ScanPipeline:
         for i, (key, kernel) in enumerate(items):
             payloads[key] = {
                 "verdicts": tool_verdicts[i],
+                "details": tool_details[i],
                 "llm_verdict": llm_verdicts[i],
                 "llm_margin": llm_margins[i],
                 "parse_ok": kernel.parse_ok,
@@ -276,6 +282,7 @@ class ScanPipeline:
             parse_ok=kernel.parse_ok,
             cached=cached,
             verdicts=dict(payload.get("verdicts", {})),
+            details=dict(payload.get("details", {})),  # absent in older entries
             llm_verdict=payload.get("llm_verdict"),
             llm_margin=payload.get("llm_margin"),
         )

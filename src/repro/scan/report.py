@@ -27,6 +27,7 @@ class KernelResult:
     parse_ok: bool
     cached: bool
     verdicts: dict[str, str] = field(default_factory=dict)  # detector -> yes/no/unsupported
+    details: dict[str, str] = field(default_factory=dict)  # detector -> why it failed
     llm_verdict: str | None = None
     llm_margin: float | None = None
 
@@ -64,6 +65,7 @@ class KernelResult:
             "start_line": self.start_line, "end_line": self.end_line,
             "parse_ok": self.parse_ok, "cached": self.cached,
             "verdicts": dict(self.verdicts),
+            "details": dict(self.details),
             "llm_verdict": self.llm_verdict, "llm_margin": self.llm_margin,
             "ensemble_verdict": self.ensemble_verdict,
             "agreement": round(self.agreement, 4),
@@ -116,7 +118,8 @@ class ScanReport:
             f"({t.get('unique_kernels', 0)} unique, "
             f"{t.get('cache_hits', 0)} served from cache)",
             f"races flagged: {t.get('races', 0)}   "
-            f"disagreements: {t.get('disagreements', 0)}",
+            f"disagreements: {t.get('disagreements', 0)}   "
+            f"tool failures: {t.get('tool_failures', 0)}",
             f"wall time: {self.timing.get('total_s', 0.0):.2f}s "
             f"({self.timing.get('kernels_per_s', 0.0):.1f} kernels/s)",
         ]

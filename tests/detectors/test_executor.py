@@ -2,6 +2,8 @@
 run the same detectors through :func:`run_detectors`, and a failure
 stays with its (detector, program) pair on both paths."""
 
+import json
+
 import pytest
 
 from repro.detectors import Detector, Verdict, build_tool_detectors, run_detectors
@@ -107,6 +109,40 @@ def test_failures_are_contained_in_harness_and_scan(expected, tmp_path):
         for k in report.kernels for tool, v in k.verdicts.items()
     }
     _check(verdicts, expected)
+
+    # The reasons reach the JSON report, next to the verdicts.
+    payload = json.loads(report.to_json())
+    details = {k["file"].removesuffix(".c"): k["details"] for k in payload["kernels"]}
+    assert details["racy"] == {"Flaky": "RuntimeError: flaky on the stencil"}
+    assert details["safe"] == {}
+    dynamic = {d.name for d in detectors if d.kind == "dynamic"}
+    assert set(details["divzero"]) == dynamic
+    for detail in details["divzero"].values():
+        assert detail == "ExecutionError: integer division by zero"
+    assert payload["totals"]["tool_failures"] == 1 + len(dynamic)
+
+
+def test_failure_reasons_survive_the_verdict_cache(tmp_path):
+    root = tmp_path / "proj"
+    root.mkdir()
+    (root / "divzero.c").write_text(DIV_ZERO_C)
+    config = ScanConfig(tools_only=True, cache_dir=tmp_path / "cache", n_schedules=2)
+    cold = ScanPipeline(config=config).scan(root)
+    warm = ScanPipeline(config=config).scan(root)
+    assert warm.totals["cache_hits"] == 1
+    assert warm.kernels[0].details == cold.kernels[0].details != {}
+    assert warm.totals["tool_failures"] == cold.totals["tool_failures"] == 3
+
+    # Entries written before reasons were cached carry no "details" key.
+    pipeline = ScanPipeline(config=config)
+    (key,) = [p.stem for p in (tmp_path / "cache").rglob("*.json")]
+    payload = pipeline.cache.get(key)
+    del payload["details"]
+    pipeline.cache.put(key, payload)
+    old = pipeline.scan(root)
+    assert old.totals["cache_hits"] == 1
+    assert old.kernels[0].details == {}
+    assert old.totals["tool_failures"] == 0
 
 
 def test_traces_generated_once_and_only_when_needed():
