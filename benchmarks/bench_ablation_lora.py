@@ -15,9 +15,9 @@ import dataclasses
 import numpy as np
 
 from repro.core import HPCGPTSystem, SMALL_PRESET
-from repro.detectors.llm_detector import yes_no_margin
 from repro.drb import DRBSuite
 from repro.finetune import SFTConfig, SFTTrainer
+from repro.llm import InferenceEngine
 from repro.nn import LoRAConfig
 
 from benchmarks._shared import write_out
@@ -38,16 +38,15 @@ def _eval_specs(n=70):
 def _accuracy(model, tok, specs, records):
     from repro.datagen.prompts import race_instruction
 
+    engine = InferenceEngine(model, tok)
     # Calibrate threshold on training data, as the system does.
-    yes_m = [yes_no_margin(model, tok, r.instruction)
-             for r in records if r.task == "datarace" and r.output == "yes"][:40]
-    no_m = [yes_no_margin(model, tok, r.instruction)
-            for r in records if r.task == "datarace" and r.output == "no"][:40]
+    yes_m = engine.yes_no_margins([r.instruction for r in records
+                                   if r.task == "datarace" and r.output == "yes"][:40])
+    no_m = engine.yes_no_margins([r.instruction for r in records
+                                  if r.task == "datarace" and r.output == "no"][:40])
     thr = (np.median(yes_m) + np.median(no_m)) / 2 if yes_m and no_m else 0.0
-    ok = 0
-    for s in specs:
-        m = yes_no_margin(model, tok, race_instruction(s.source, s.language))
-        ok += (m >= thr) == (s.label == "yes")
+    margins = engine.yes_no_margins([race_instruction(s.source, s.language) for s in specs])
+    ok = sum((m >= thr) == (s.label == "yes") for s, m in zip(specs, margins))
     return ok / len(specs)
 
 

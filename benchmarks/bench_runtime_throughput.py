@@ -10,7 +10,7 @@ Three views of the rebuilt ``repro.runtime``:
   bit-identical;
 * **race checking** — the epoch-matrix ``hb_races`` vs the seed
   ``combinations`` + dict-``VectorClock`` path (``hb_races_reference``,
-  kept verbatim in the tree), timed over (a) a *hot corpus* of
+  the test oracle in ``tests/support/hb_oracle.py``), timed over (a) a *hot corpus* of
   contention-heavy kernels — large per-location groups, the pairwise
   path's quadratic regime — and (b) every trace of the DRB evaluation
   suite.  The hot-path speedup is asserted ≥ 3x (the PR's acceptance
@@ -41,10 +41,11 @@ from repro.detectors.romp import _ordered_only_conflicts
 from repro.drb import DRBSuite
 from repro.openmp import parse_c
 from repro.runtime import Machine, MachineConfig, execute
-from repro.runtime.machine import hb_races, hb_races_reference
+from repro.runtime.machine import hb_races
 from repro.runtime.schedules import SCHEDULE_STRATEGIES
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from support.hb_oracle import hb_races_reference  # noqa: E402
 from support.reference_runtime import execute_reference  # noqa: E402
 
 N_SCHEDULES = 2  # per spec for the checking corpus
@@ -105,7 +106,7 @@ def check_all(checker, traces, max_reports: int = 10) -> int:
 
 
 def timed_check(checker, traces, repeats: int) -> tuple[float, int]:
-    found = check_all(checker, traces)  # warm (ClockView dicts, caches)
+    found = check_all(checker, traces)  # warm (imports, caches)
     start = time.perf_counter()
     for _ in range(repeats):
         check_all(checker, traces)

@@ -98,15 +98,6 @@ class _TokenBudgetMixin(Detector):
         return results
 
 
-def yes_no_margin(model: CausalLM, tokenizer: BPETokenizer, instruction: str) -> float:
-    """Log-odds style margin: logit(" yes") - logit(" no") at the answer
-    position of the chat prompt (left-truncated to the model context).
-
-    Single-item wrapper over :meth:`InferenceEngine.yes_no_margins`.
-    """
-    return InferenceEngine(model, tokenizer).yes_no_margins([instruction])[0]
-
-
 class LLMBaseModelDetector(_TokenBudgetMixin):
     """Zero-shot detection with an actual (untuned) base model.
 

@@ -11,7 +11,7 @@ routes through :class:`InferenceEngine`.  The engine owns:
 * **batched incremental decode** — one token per row per step against
   preallocated KV buffers, with per-row EOS/context-full bookkeeping;
 * **batched scoring** — next-token logits / log-probs over candidate
-  answer tokens, subsuming the sequential ``yes_no_margin``.
+  answer tokens (:meth:`InferenceEngine.yes_no_margins`).
 
 Left-padding (rather than right-padding) keeps the *last* column of the
 batch the last real token of every row, so next-token logits for the
@@ -99,15 +99,6 @@ class InferenceEngine:
 
     # -- generation ----------------------------------------------------------
 
-    def generate(
-        self,
-        prompt_ids: list[int],
-        config: "GenerationConfig | None" = None,
-        rng: np.random.Generator | None = None,
-    ) -> list[int]:
-        """Single-prompt convenience wrapper over :meth:`generate_batch`."""
-        return self.generate_batch([prompt_ids], config=config, rng=rng)[0]
-
     def generate_batch(
         self,
         prompts: list[list[int]],
@@ -117,10 +108,10 @@ class InferenceEngine:
         """Decode continuations for a batch of prompts; returns, per
         prompt, only the newly generated ids.
 
-        Greedy decoding matches per-item :func:`repro.llm.generation.generate`
+        Greedy decoding of a batch matches decoding each prompt alone,
         exactly.  With ``temperature > 0`` each alive row draws from
-        ``rng`` in row order each step, so a batch of one also matches the
-        sequential sampling stream; larger batches interleave draws.
+        ``rng`` in row order each step, so larger batches interleave
+        draws.
         """
         from repro.llm.generation import GenerationConfig, _sample_from_logits
 
@@ -237,8 +228,7 @@ class InferenceEngine:
     ) -> list[float]:
         """Batched log-odds margins ``logit(" yes") - logit(" no")`` at the
         answer position of each chat-formatted instruction (left-truncated
-        to the model context by :func:`clamp_prompt` inside the scorer) —
-        the engine form of ``yes_no_margin``."""
+        to the model context by :func:`clamp_prompt` inside the scorer)."""
         prompts = [self.chat.prompt_ids(instruction) for instruction in instructions]
         yes_id = self.tokenizer.encode(" yes")[0]
         no_id = self.tokenizer.encode(" no")[0]

@@ -1,8 +1,8 @@
-"""Single-sequence decoding API: greedy and temperature/top-k sampling.
+"""Decoding policy: greedy and temperature/top-k sampling.
 
 This module keeps the decoding *policy* (:class:`GenerationConfig`,
-:func:`_sample_from_logits`) and a thin single-item wrapper; the actual
-decode loop — batched prefill + incremental KV-cache decode — lives in
+:func:`_sample_from_logits`); the decode loop — batched prefill +
+incremental KV-cache decode — lives in
 :class:`repro.llm.engine.InferenceEngine`, the one decode path shared by
 generation, scoring, evaluation, and serving.
 """
@@ -12,9 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.llm.model import CausalLM
-from repro.tokenizer import BPETokenizer
 
 
 @dataclass(frozen=True)
@@ -48,38 +45,3 @@ def _sample_from_logits(
     if rng is None:
         raise ValueError("sampling requires an rng when temperature > 0")
     return int(rng.choice(probs.size, p=probs))
-
-
-def generate(
-    model: CausalLM,
-    tokenizer: BPETokenizer,
-    prompt_ids: list[int],
-    config: GenerationConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> list[int]:
-    """Generate a continuation for ``prompt_ids``; returns only the new ids.
-
-    Thin single-item wrapper over the batched engine: a batch of one
-    prefills in one forward, then decodes one token per step against the
-    KV cache.  Over-long prompts keep their most recent context window;
-    the HPC-GPT token-limit experiments rely on the *tokenizer-level*
-    budget instead, so that clamp is a safety net.
-    """
-    from repro.llm.engine import InferenceEngine
-
-    return InferenceEngine(model, tokenizer).generate_batch(
-        [list(prompt_ids)], config=config, rng=rng
-    )[0]
-
-
-def generate_text(
-    model: CausalLM,
-    tokenizer: BPETokenizer,
-    prompt: str,
-    config: GenerationConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> str:
-    """Convenience wrapper: string in, decoded continuation out."""
-    ids = tokenizer.encode(prompt, bos=True)
-    new_ids = generate(model, tokenizer, ids, config=config, rng=rng)
-    return tokenizer.decode(new_ids)

@@ -6,7 +6,7 @@ plus LoRA adapters for parameter-efficient fine-tuning, AdamW/SGD
 optimizers, LR schedules, and checkpoint (de)serialization.
 """
 
-from repro.nn.module import Module, Parameter, ParameterDict
+from repro.nn.module import Module, Parameter
 from repro.nn.layers import Embedding, Linear, RMSNorm
 from repro.nn.attention import (
     KVCache,
@@ -19,12 +19,11 @@ from repro.nn.transformer import SwiGLU, TransformerBlock
 from repro.nn.lora import LoRAConfig, LoRALinear, apply_lora, lora_state, merge_lora
 from repro.nn.optim import SGD, AdamW, GradClipper, Optimizer
 from repro.nn.schedule import ConstantLR, CosineLR, LinearWarmupCosine
-from repro.nn.serialization import atomic_savez, load_state, save_state, state_dict_to_bytes
+from repro.nn.serialization import atomic_savez, load_state, save_state
 
 __all__ = [
     "Module",
     "Parameter",
-    "ParameterDict",
     "Embedding",
     "Linear",
     "RMSNorm",
@@ -50,5 +49,4 @@ __all__ = [
     "atomic_savez",
     "save_state",
     "load_state",
-    "state_dict_to_bytes",
 ]

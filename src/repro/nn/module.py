@@ -129,22 +129,3 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
-
-
-class ParameterDict(Module):
-    """A module holding a dynamic mapping of parameters (used by LoRA
-    bookkeeping and tests)."""
-
-    def __init__(self, params: dict[str, Parameter] | None = None) -> None:
-        super().__init__()
-        for k, v in (params or {}).items():
-            setattr(self, k, v)
-
-    def __getitem__(self, key: str) -> Parameter:
-        return self._params[key]
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._params
-
-    def keys(self):
-        return self._params.keys()

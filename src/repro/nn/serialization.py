@@ -6,7 +6,6 @@ load (no pickle of arbitrary objects beyond arrays).
 
 from __future__ import annotations
 
-import io
 import os
 from pathlib import Path
 
@@ -56,11 +55,3 @@ def load_state(model: Module, path: str | os.PathLike, strict: bool = True) -> d
                 state[key] = npz[key]
     model.load_state_dict(state, strict=strict)
     return meta
-
-
-def state_dict_to_bytes(model: Module) -> bytes:
-    """Serialise the state dict to bytes (used by the serve API to report
-    model size and by tests for round-trip checks)."""
-    buf = io.BytesIO()
-    np.savez_compressed(buf, **model.state_dict())
-    return buf.getvalue()

@@ -2,7 +2,8 @@
 
 Executes kernel IR from :mod:`repro.openmp` with T logical threads under
 a seeded interleaving scheduler, producing memory-event traces annotated
-with vector clocks and locksets.  This substrate replaces the paper's
+with locksets and vector clocks (each event holds one row of the trace's
+epoch matrix, :class:`ClockBank`).  This substrate replaces the paper's
 real multicore runs: dynamic race detectors (ThreadSanitizer, Intel
 Inspector, ROMP stand-ins) analyse these traces exactly the way the real
 tools analyse instrumented executions.
@@ -14,10 +15,10 @@ regions, ``simd`` (vector lanes with chunk barriers honouring safelen),
 ``firstprivate``/``reduction`` data-sharing.
 """
 
-from repro.runtime.vectorclock import VectorClock
-from repro.runtime.clocks import ClockBank, ClockView, EpochClock
+from repro.runtime.clocks import ClockBank, EpochClock
 from repro.runtime.memory import SharedMemory
 from repro.runtime.interpreter import (
+    MAX_ARRAY_CELLS,
     STEP_BUDGET,
     BudgetExceeded,
     CompiledProgram,
@@ -26,25 +27,18 @@ from repro.runtime.interpreter import (
     Trace,
     execute,
 )
-from repro.runtime.machine import (
-    Machine,
-    MachineConfig,
-    RaceReport,
-    hb_races,
-    hb_races_reference,
-)
+from repro.runtime.machine import Machine, MachineConfig, RaceReport, hb_races
 from repro.runtime.schedules import SCHEDULE_STRATEGIES
 
 __all__ = [
-    "VectorClock",
     "ClockBank",
-    "ClockView",
     "EpochClock",
     "SharedMemory",
     "ExecutionError",
     "BudgetExceeded",
     "CompiledProgram",
     "STEP_BUDGET",
+    "MAX_ARRAY_CELLS",
     "MemEvent",
     "Trace",
     "execute",
@@ -52,6 +46,5 @@ __all__ = [
     "MachineConfig",
     "RaceReport",
     "hb_races",
-    "hb_races_reference",
     "SCHEDULE_STRATEGIES",
 ]

@@ -1,8 +1,8 @@
 """Epoch-matrix vector clocks.
 
-The seed runtime copied a dict-based :class:`VectorClock` for every
-shared-memory event — an O(threads) allocation on the hottest path in
-the system.  This module replaces that with FastTrack-style epochs:
+Copying a dict vector clock for every shared-memory event would be an
+O(threads) allocation on the hottest path in the system.  This module
+uses FastTrack-style epochs instead:
 
 * a per-trace :class:`ClockBank` interns every *distinct* clock snapshot
   as one row of an ``events x threads`` integer matrix (rows are shared
@@ -10,8 +10,7 @@ the system.  This module replaces that with FastTrack-style epochs:
   tight loop allocates one row per sync interval, not per access);
 * threads carry a :class:`EpochClock` — a flat ``list[int]`` indexed by
   bank column — whose tick/join are plain integer ops;
-* events store a *row index*; :class:`ClockView` lazily rebuilds a
-  dict-compatible :class:`VectorClock` only if someone asks for one.
+* events store only a *row index* into that matrix.
 
 Why epochs suffice: knowledge in this machine propagates exclusively by
 full-vector joins (thread spawn, lock release→acquire, barrier merge,
@@ -22,26 +21,25 @@ its clock escapes (release/barrier/join all tick).  Hence for events
     a happens-before b  <=>  b.clock[ta] >= a.clock[ta]
 
 so concurrency is two integer comparisons per pair — and, with the bank
-matrix, one NumPy broadcast per memory location.
+matrix, one NumPy broadcast per memory location.  The test suite checks
+this against a dict-clock oracle that rebuilds each event's full vector
+clock from its row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.runtime.vectorclock import VectorClock
-
 
 class ClockBank:
     """Per-trace store of interned clock snapshots (the epoch matrix)."""
 
-    __slots__ = ("tids", "cols", "rows", "views", "_matrix")
+    __slots__ = ("tids", "cols", "rows", "_matrix")
 
     def __init__(self) -> None:
         self.tids: list = []  # column -> thread id
         self.cols: dict = {}  # thread id -> column
-        self.rows: list[tuple] = []  # row -> clock values (len <= n_cols)
-        self.views: list[ClockView] = []  # row -> the one view all its events share
+        self.rows: list[tuple] = []  # row -> clock values (len <= len(tids))
         self._matrix: np.ndarray | None = None
 
     def col(self, tid) -> int:
@@ -53,14 +51,9 @@ class ClockBank:
             self.tids.append(tid)
         return c
 
-    @property
-    def n_cols(self) -> int:
-        return len(self.tids)
-
     def add_row(self, values: list[int]) -> int:
         row = len(self.rows)
         self.rows.append(tuple(values))
-        self.views.append(ClockView(self, row))
         return row
 
     def component(self, row: int, col: int) -> int:
@@ -68,9 +61,6 @@ class ClockBank:
         existed (absent components are zero)."""
         vals = self.rows[row]
         return vals[col] if col < len(vals) else 0
-
-    def row_dict(self, row: int) -> dict:
-        return {self.tids[i]: v for i, v in enumerate(self.rows[row]) if v}
 
     def matrix(self) -> np.ndarray:
         """The full ``rows x threads`` epoch matrix, zero-padded for
@@ -134,38 +124,3 @@ class EpochClock:
         if r is None:
             r = self._row = self.bank.add_row(self.values)
         return r
-
-    def get(self, tid) -> int:
-        col = self.bank.cols.get(tid)
-        if col is None or col >= len(self.values):
-            return 0
-        return self.values[col]
-
-
-class ClockView(VectorClock):
-    """Read-only :class:`VectorClock` facade over one bank row.
-
-    Events expose this as ``event.vc`` so existing consumers
-    (``happens_before``/``concurrent_with``/``get``/equality) keep
-    working; the dict is materialised lazily, on first use.
-    """
-
-    __slots__ = ("bank", "row", "_dict")
-
-    def __init__(self, bank: ClockBank, row: int) -> None:
-        self.bank = bank
-        self.row = row
-        self._dict = None
-
-    @property
-    def clock(self) -> dict:
-        d = self._dict
-        if d is None:
-            d = self._dict = self.bank.row_dict(self.row)
-        return d
-
-    def tick(self, tid) -> None:  # pragma: no cover - guarded misuse
-        raise TypeError("ClockView is a read-only snapshot")
-
-    def join(self, other) -> None:  # pragma: no cover - guarded misuse
-        raise TypeError("ClockView is a read-only snapshot")

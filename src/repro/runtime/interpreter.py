@@ -31,11 +31,11 @@ The output :class:`Trace` carries every shared-memory event with its
 vector clock, lockset, atomicity flag, and (for ``simd``) a lane marker —
 everything the dynamic detectors need.  Clocks live in the trace's
 :class:`~repro.runtime.clocks.ClockBank` epoch matrix: each event stores
-a row index (snapshots are interned once per synchronisation interval),
-and ``event.vc`` is the row's shared, lazy dict-compatible view.  Which
-ready thread runs at each scheduling point is delegated to a pluggable
-exploration strategy (:mod:`repro.runtime.schedules`); ``random``
-reproduces the seed scheduler exactly.
+only its row index (snapshots are interned once per synchronisation
+interval).  Which ready thread runs at each scheduling point is
+delegated to a pluggable exploration strategy
+(:mod:`repro.runtime.schedules`); ``random`` reproduces the seed
+scheduler exactly.
 
 SIMD loops execute as ``safelen`` (default 4) vector lanes with a chunk
 barrier after each vector step: dependences shorter than the vector
@@ -46,7 +46,9 @@ thread-level tools (TSan, Inspector) observe a single host thread there.
 Every execution may spend at most :data:`STEP_BUDGET` steps — loop
 iterations plus spawned threads.  A loop charges its whole trip count
 before its first iteration, so a runaway kernel fails at once with
-:class:`BudgetExceeded` instead of running for minutes.
+:class:`BudgetExceeded` instead of running for minutes.  Likewise its
+arrays may declare at most :data:`MAX_ARRAY_CELLS` cells in total,
+checked before any memory is allocated.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ from repro.openmp.pragmas import Pragma
 from repro.runtime.clocks import ClockBank, EpochClock
 from repro.runtime.memory import SharedMemory
 from repro.runtime.schedules import ScheduleStrategy, make_strategy
-from repro.runtime.vectorclock import VectorClock
 
 #: Steps (loop iterations plus spawned threads) one execution may take.
 #: Executions of the DRB evaluation suite take at most 84 steps and emit
@@ -75,13 +76,19 @@ from repro.runtime.vectorclock import VectorClock
 #: while stopping a runaway kernel before it starts.
 STEP_BUDGET = 100_000
 
+#: Array cells, summed over all declarations, one execution may allocate.
+#: DRB kernels declare at most 240, so this leaves over 4000x headroom
+#: while refusing a huge declaration before it is allocated.
+MAX_ARRAY_CELLS = 1 << 20
+
 
 class ExecutionError(RuntimeError):
     """Raised on semantic errors (unbound names, bad indices, deadlock)."""
 
 
 class BudgetExceeded(ExecutionError):
-    """The execution would take more than :data:`STEP_BUDGET` steps."""
+    """The execution would take more than :data:`STEP_BUDGET` steps or
+    allocate more than :data:`MAX_ARRAY_CELLS` array cells."""
 
 
 class MemEvent(NamedTuple):
@@ -91,12 +98,11 @@ class MemEvent(NamedTuple):
     tid: object  # worker index, ("lane", k), or ("dev", k)
     is_write: bool
     loc: tuple  # ("arr", name, index) | ("sca", name)
-    vc: VectorClock  # machine traces carry a lazy ClockView over the bank
+    clock_row: int  # the event's vector clock: a row of the trace's ClockBank
     locks: frozenset
     atomic: bool = False
     lane: bool = False  # SIMD lane event (invisible to thread-level tools)
     region: int = 0  # which parallel construct produced it
-    clock_row: int = -1  # row in the trace's epoch matrix (-1: hand-built)
 
 
 @dataclass
@@ -109,7 +115,7 @@ class Trace:
     n_threads: int = 0
     final_arrays: dict = field(default_factory=dict)
     regions: int = 0
-    clock_bank: ClockBank | None = None  # epoch matrix behind the events
+    clock_bank: ClockBank = field(default_factory=ClockBank)  # the events' clocks
 
     def shared_locations(self) -> set[tuple]:
         return {e.loc for e in self.events}
@@ -793,6 +799,12 @@ class _Execution:
 
     def __init__(self, code: CompiledProgram, n_threads: int, strategy: ScheduleStrategy) -> None:
         self.code = code
+        cells = sum(decl.size for decl in code.program.arrays)
+        if cells > MAX_ARRAY_CELLS:
+            raise BudgetExceeded(
+                f"arrays declare {cells} cells, over the array limit of "
+                f"{MAX_ARRAY_CELLS}"
+            )
         self.mem = SharedMemory(code.program)
         self.n_threads = n_threads
         self.strategy = strategy
@@ -905,7 +917,6 @@ class _Execution:
         arrays, scalars, base = mem.arrays, mem.scalars, mem.base
         events = self.trace.events
         append = events.append
-        views = self.bank.views
         pick = self.strategy.pick
         new = tuple.__new__
         lock_vcs: dict[str, list[int]] = {}
@@ -957,8 +968,8 @@ class _Execution:
                         row = vc.row()
                     is_write = kind is WRITE_ARR
                     append(new(MemEvent, (
-                        len(events), t.tid, is_write, ("arr", name, idx), views[row],
-                        t.locks, False, t.lane, region, row,
+                        len(events), t.tid, is_write, ("arr", name, idx), row,
+                        t.locks, False, t.lane, region,
                     )))
                     if is_write:
                         value = float(action[3])
@@ -978,8 +989,8 @@ class _Execution:
                         row = vc.row()
                     is_write = kind is WRITE_SCA
                     append(new(MemEvent, (
-                        len(events), t.tid, is_write, ("sca", name), views[row],
-                        t.locks, False, t.lane, region, row,
+                        len(events), t.tid, is_write, ("sca", name), row,
+                        t.locks, False, t.lane, region,
                     )))
                     if is_write:
                         mem.write_scalar(name, float(action[2]))
@@ -1063,11 +1074,9 @@ class _Execution:
             mem.write_array(name, idx, float(rhs))
 
     def _log(self, t: _Thread, is_write: bool, loc: tuple, region: int) -> None:
-        row = t.vc.row()
         events = self.trace.events
         events.append(MemEvent(
-            len(events), t.tid, is_write, loc, self.bank.views[row], t.locks,
-            True, t.lane, region, row,
+            len(events), t.tid, is_write, loc, t.vc.row(), t.locks, True, t.lane, region,
         ))
 
     def run(self) -> Trace:

@@ -1,20 +1,17 @@
 """The machine facade: run a program under several explored schedules and
 provide the happens-before race oracle that dynamic detectors build on.
 
-The race check is epoch-based (see :mod:`repro.runtime.clocks`): for
-machine-produced traces every event carries a row index into the trace's
-epoch matrix, and per-location concurrency becomes one NumPy broadcast
-(or a few integer comparisons for small groups) instead of pairwise
-dict-clock algebra.  :func:`hb_races_reference` keeps the seed
-dict-``VectorClock`` + ``combinations`` implementation alive as the
-parity oracle and benchmark baseline; hand-built traces (no clock bank)
-fall back to it transparently.
+The race check is epoch-based (see :mod:`repro.runtime.clocks`): every
+event carries a row index into the trace's epoch matrix, and
+per-location concurrency becomes one NumPy broadcast (or a few integer
+comparisons for small groups) instead of pairwise dict-clock algebra.
+A dict-clock checker in the test suite is the parity oracle: both must
+give identical reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
 import numpy as np
@@ -84,31 +81,6 @@ def _group_by_loc(trace: Trace, include_lane_events: bool) -> dict[tuple, list[M
     return by_loc
 
 
-def hb_races_reference(
-    trace: Trace,
-    include_lane_events: bool = True,
-    max_reports: int = 10,
-) -> list[RaceReport]:
-    """The seed checker: pairwise ``combinations`` over dict vector
-    clocks.  Kept verbatim as the parity oracle for the epoch-matrix
-    path (and as the benchmark baseline); also the fallback for traces
-    assembled by hand without a clock bank."""
-    by_loc = _group_by_loc(trace, include_lane_events)
-    reports: list[RaceReport] = []
-    for loc, events in by_loc.items():
-        writes_present = any(e.is_write for e in events)
-        if not writes_present or len({e.tid for e in events}) < 2:
-            continue
-        for a, b in combinations(events, 2):
-            if not events_conflict(a, b):
-                continue
-            if a.vc.concurrent_with(b.vc):
-                reports.append(RaceReport(loc, a, b))
-                if len(reports) >= max_reports:
-                    return reports
-    return reports
-
-
 # Below this group size the NumPy broadcast costs more than it saves;
 # the scalar epoch test (two integer comparisons per pair) wins.
 _VECTORIZE_MIN_EVENTS = 24
@@ -166,7 +138,7 @@ def _vector_group_races(
         & ~(atomics[:, None] & atomics[None, :])
     )
     # argwhere over the upper triangle walks pairs in combinations()
-    # order, so reports match the reference bit for bit.
+    # order, so reports match the scalar path bit for bit.
     for i, j in np.argwhere(np.triu(racy, k=1)):
         reports.append(RaceReport(loc, events[i], events[j]))
         if len(reports) >= max_reports:
@@ -185,13 +157,11 @@ def hb_races(
     Inspector) that observe SIMD lanes as a single host thread.
     Events are grouped per location; within a group conflicting pairs
     are checked for concurrency via the trace's epoch matrix (vectorised
-    for large groups).  Report contents, ordering, and ``max_reports``
-    truncation are identical to :func:`hb_races_reference`.
+    for large groups).  Reports come in ``combinations()`` order per
+    location, locations in order of first access, and stop at
+    ``max_reports``.
     """
     bank = trace.clock_bank
-    if bank is None:
-        return hb_races_reference(trace, include_lane_events, max_reports)
-
     reports: list[RaceReport] = []
     for loc, events in _group_by_loc(trace, include_lane_events).items():
         if not any(e.is_write for e in events) or len({e.tid for e in events}) < 2:

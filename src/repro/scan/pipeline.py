@@ -117,11 +117,7 @@ class ScanPipeline:
             "tools_only": self.config.tools_only,
         }
         if not self.config.tools_only:
-            try:
-                model_key = self.system.config.cache_key()
-            except AttributeError:
-                model_key = type(self.system).__name__
-            parts["model"] = model_key
+            parts["model"] = self.system.config.cache_key()
             parts["version"] = self.config.llm_version
             parts["threshold"] = self._threshold()
         return pipeline_fingerprint(parts)

@@ -5,7 +5,10 @@ a reportingDescriptor (rule), plus the ``ensemble-race`` rule that the
 emitted results reference.  Every kernel the ensemble flags becomes one
 ``result`` with a physical location (file + line region) and a message
 naming the agreeing and dissenting detectors — the shape GitHub code
-scanning and IDE SARIF viewers ingest directly.
+scanning and IDE SARIF viewers ingest directly.  Every detector that
+failed on a kernel (e.g. ``BudgetExceeded``) becomes one error-level
+``toolExecutionNotification`` of the run's invocation, located at the
+kernel and associated with that detector's rule.
 """
 
 from __future__ import annotations
@@ -39,6 +42,29 @@ def _rules(report: ScanReport) -> list[dict]:
     return rules
 
 
+def _location(kernel) -> dict:
+    return {
+        "physicalLocation": {
+            "artifactLocation": {"uri": kernel.file.replace("\\", "/")},
+            "region": {"startLine": kernel.start_line, "endLine": kernel.end_line},
+        }
+    }
+
+
+def _notifications(report: ScanReport) -> list[dict]:
+    """One notification per (kernel, detector) failure, with its reason."""
+    return [
+        {
+            "level": "error",
+            "message": {"text": f"{tool}: {reason}"},
+            "locations": [_location(kernel)],
+            "associatedRule": {"id": f"detector/{tool}"},
+        }
+        for kernel in report.kernels
+        for tool, reason in kernel.details.items()
+    ]
+
+
 def _result(kernel) -> dict:
     yes, no = kernel.votes
     agreeing = sorted(
@@ -56,12 +82,7 @@ def _result(kernel) -> dict:
         "ruleId": ENSEMBLE_RULE,
         "level": "error" if kernel.agreement >= 0.75 else "warning",
         "message": {"text": message},
-        "locations": [{
-            "physicalLocation": {
-                "artifactLocation": {"uri": kernel.file.replace("\\", "/")},
-                "region": {"startLine": kernel.start_line, "endLine": kernel.end_line},
-            }
-        }],
+        "locations": [_location(kernel)],
         "partialFingerprints": {"kernelId": kernel.id},
         "properties": {
             "language": kernel.language,
@@ -83,6 +104,10 @@ def to_sarif(report: ScanReport) -> dict:
                 "informationUri": "https://github.com/",
                 "rules": _rules(report),
             }},
+            "invocations": [{
+                "executionSuccessful": True,
+                "toolExecutionNotifications": _notifications(report),
+            }],
             "results": [_result(k) for k in report.racy()],
             "properties": {
                 "totals": report.totals,

@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Protocol
 
 from repro.llm.engine import MicroBatcher
 from repro.utils.languages import UnknownLanguageError, normalize_language
@@ -69,21 +70,35 @@ async function detect(e){e.preventDefault();
 """
 
 
+class ServingSystem(Protocol):
+    """The batched surface :class:`ServingFrontend` drives;
+    :class:`repro.core.HPCGPTSystem` implements it."""
+
+    def answer_batch(self, questions: list[str], version: str = "l2") -> list[str]: ...
+    def answer_retrieval_batch(self, questions: list[str], version: str = "l2") -> list[str]: ...
+    def detect_race_batch(self, codes: list[str], language: str = "C/C++") -> list[str]: ...
+    def index_documents(self, documents: list, max_tokens: int = 128) -> dict: ...
+    def retrieval_stats(self) -> dict: ...
+    def finetuned(self, version: str = "l2"): ...
+    def update_with(self, records: list, version: str = "l2", epochs: int | None = None): ...
+    def threshold(self, version: str = "l2") -> float: ...
+    def engine(self, version: str = "l2"): ...
+
+
 class ServingFrontend:
     """Thread-safe facade between the HTTP handlers and the system.
 
     Two micro-batching queues (one per op kind) gather concurrent
     requests for ``window_ms`` and serve each gathered batch in one
-    batched call — ``answer_batch`` / ``detect_race_batch`` when the
-    system provides them (the engine-backed :class:`HPCGPTSystem` does),
-    falling back to per-item calls otherwise (e.g. test stubs).  One
-    lock serialises *every* touch of the system — the two queue workers
-    and the ``/health`` path — so lazy first-request builds can never
-    interleave (even for systems without their own build lock) and the
-    model only ever runs one forward at a time.
+    batched call (``answer_batch``, ``answer_retrieval_batch`` or
+    ``detect_race_batch``).  One lock serialises *every* touch of the
+    system — the two queue workers and the ``/health`` path — so lazy
+    first-request builds can never interleave (even for systems without
+    their own build lock) and the model only ever runs one forward at a
+    time.
     """
 
-    def __init__(self, system, window_ms: float = 5.0, max_batch: int = 16) -> None:
+    def __init__(self, system: ServingSystem, window_ms: float = 5.0, max_batch: int = 16) -> None:
         self.system = system
         self._system_lock = threading.Lock()
         self._answer_queue = MicroBatcher(self._answer_many, window_ms, max_batch)
@@ -131,72 +146,29 @@ class ServingFrontend:
                     results[i] = out
             return results
 
-    def _run_grouped(self, items, batched, single, kwarg: str) -> list:
-        """Grouped dispatch through a ``batched(payloads, key=...)``
-        call when the system provides one, else per-item ``single``
-        calls (isolated per item)."""
-
-        def run_group(payloads, key):
-            if batched is not None:
-                return batched(payloads, **{kwarg: key})
-            outs: list = []
-            for payload in payloads:
-                try:
-                    outs.append(single(payload, **{kwarg: key}))
-                except Exception as exc:  # noqa: BLE001 - isolate per item
-                    outs.append(exc)
-            return outs
-
-        return self._dispatch_grouped(items, run_group)
-
     def _answer_many(self, items: list[tuple[str, tuple[str, bool]]]) -> list:
         """Answer a micro-batch of ``(question, (version, retrieval))``
         items: one batched call per (version, retrieval) group."""
-        return self._dispatch_grouped(
-            items, lambda questions, key: self._answer_group(questions, *key)
-        )
 
-    def _answer_group(self, questions: list[str], version: str, retrieval: bool) -> list:
-        """One homogeneous answer group: the batched system call when
-        available, else per-item calls with per-item isolation."""
-        if retrieval:
-            batched = getattr(self.system, "answer_retrieval_batch", None)
-            single = getattr(self.system, "answer_with_retrieval", None)
-            if batched is None and single is None:
-                raise RuntimeError(
-                    "system does not support retrieval-augmented answering"
-                )
-        else:
-            batched = getattr(self.system, "answer_batch", None)
-            single = self.system.answer
-        if batched is not None:
+        def run_group(questions, key):
+            version, retrieval = key
+            system = self.system
+            batched = system.answer_retrieval_batch if retrieval else system.answer_batch
             return batched(questions, version=version)
-        outs: list = []
-        for q in questions:
-            try:
-                outs.append(single(q, version=version))
-            except Exception as exc:  # noqa: BLE001 - isolate per item
-                outs.append(exc)
-        return outs
 
-    def _detect_many(self, items: list[tuple[str, str]]) -> list[str]:
-        return self._run_grouped(
-            items,
-            getattr(self.system, "detect_race_batch", None),
-            self.system.detect_race,
-            "language",
+        return self._dispatch_grouped(items, run_group)
+
+    def _detect_many(self, items: list[tuple[str, str]]) -> list:
+        """Detect over a micro-batch of ``(code, language)`` items: one
+        batched call per language."""
+        return self._dispatch_grouped(
+            items, lambda codes, language: self.system.detect_race_batch(codes, language=language)
         )
 
     # -- request API (handler threads) ---------------------------------------
 
     def answer(self, question: str, version: str = "l2", retrieval: bool = False) -> str:
         return self._answer_queue.submit((question, (version, bool(retrieval))))
-
-    def supports_retrieval(self) -> bool:
-        return any(
-            getattr(self.system, name, None) is not None
-            for name in ("answer_retrieval_batch", "answer_with_retrieval")
-        )
 
     def detect(self, code: str, language: str = "C/C++") -> str:
         return self._detect_queue.submit((code, language))
@@ -220,17 +192,11 @@ class ServingFrontend:
         """Chunk, embed, and index posted documents (the system's
         retrieval lock serialises this against concurrent
         retrieval-grounded answers)."""
-        fn = getattr(self.system, "index_documents", None)
-        if fn is None:
-            raise NotImplementedError("system has no retrieval subsystem")
         kwargs = {} if max_tokens is None else {"max_tokens": int(max_tokens)}
-        return self._call_retrieval(fn, documents, **kwargs)
+        return self._call_retrieval(self.system.index_documents, documents, **kwargs)
 
     def knowledge_stats(self) -> dict:
-        fn = getattr(self.system, "retrieval_stats", None)
-        if fn is None:
-            raise NotImplementedError("system has no retrieval subsystem")
-        return self._call_retrieval(fn)
+        return self._call_retrieval(self.system.retrieval_stats)
 
     def finetuned(self, version: str = "l2"):
         if self._system_lock.acquire(timeout=0.05):
@@ -319,10 +285,9 @@ class ServingFrontend:
         with self._maintenance_lock, self._system_lock:
             stats = self.system.update_with(records, version=version, epochs=epochs)
             threshold = self.system.threshold(version)
-            if hasattr(self.system, "engine"):
-                # Rebuild eagerly so the first post-update request does
-                # not pay the engine warm-up.
-                self.system.engine(version)
+            # Rebuild eagerly so the first post-update request does not
+            # pay the engine warm-up.
+            self.system.engine(version)
         result = {"version": version, "n_records": len(records),
                   "threshold": float(threshold)}
         if stats is not None:
@@ -465,10 +430,7 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
             else:
                 self._send(200, job.to_dict())
         elif self.path == "/api/knowledge":
-            try:
-                self._send(200, self.frontend.knowledge_stats())
-            except NotImplementedError as exc:
-                self._send(501, {"error": str(exc)})
+            self._send(200, self.frontend.knowledge_stats())
         elif self.path == "/health":
             model = self.frontend.finetuned("l2")
             self._send(
@@ -507,12 +469,6 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
             raise _BadRequest("missing 'question'")
         version = _version(payload)
         retrieval = _field(payload, "retrieval", bool, False)
-        if retrieval and not self.frontend.supports_retrieval():
-            self._send(
-                501,
-                {"error": "system does not support retrieval-augmented answering"},
-            )
-            return
         answer = self.frontend.answer(question, version=version, retrieval=retrieval)
         self._send(
             200,
@@ -548,9 +504,6 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
         max_tokens = _positive_int(payload, "max_tokens")
         try:
             result = self.frontend.ingest(documents, max_tokens=max_tokens)
-        except NotImplementedError as exc:
-            self._send(501, {"error": str(exc)})
-            return
         except ValueError as exc:
             raise _BadRequest(str(exc)) from None
         self._send(200, result)
@@ -604,7 +557,7 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
 
 
 def make_server(
-    system,
+    system: ServingSystem,
     host: str = "127.0.0.1",
     port: int = 0,
     window_ms: float = 5.0,

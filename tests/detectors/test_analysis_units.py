@@ -6,8 +6,8 @@ import pytest
 from repro.detectors.inspector import lockset_races
 from repro.detectors.llov import _affine_pair_dependence
 from repro.openmp.analysis import Affine, AccessInfo
-from repro.runtime.interpreter import MemEvent, Trace
-from repro.runtime.vectorclock import VectorClock
+
+from support.hb_oracle import build_trace
 
 
 def access(coef, const, write=True):
@@ -44,66 +44,66 @@ class TestAffineDependence:
 
 
 def ev(seq, tid, write, loc, locks=(), atomic=False, lane=False, region=0):
-    return MemEvent(
-        seq=seq, tid=tid, is_write=write, loc=loc, vc=VectorClock({tid: seq + 1}),
-        locks=frozenset(locks), atomic=atomic, lane=lane, region=region,
+    return dict(
+        seq=seq, tid=tid, is_write=write, loc=loc, clock={tid: seq + 1},
+        locks=locks, atomic=atomic, lane=lane, region=region,
     )
 
 
 class TestLockset:
     def test_unprotected_conflict_reported(self):
-        tr = Trace(events=[ev(0, 0, True, ("sca", "s")), ev(1, 1, True, ("sca", "s"))])
+        tr = build_trace([ev(0, 0, True, ("sca", "s")), ev(1, 1, True, ("sca", "s"))])
         assert lockset_races(tr) == 1
 
     def test_common_lock_suppresses(self):
-        tr = Trace(events=[
+        tr = build_trace([
             ev(0, 0, True, ("sca", "s"), locks={"L"}),
             ev(1, 1, True, ("sca", "s"), locks={"L"}),
         ])
         assert lockset_races(tr) == 0
 
     def test_disjoint_locks_reported(self):
-        tr = Trace(events=[
+        tr = build_trace([
             ev(0, 0, True, ("sca", "s"), locks={"L1"}),
             ev(1, 1, True, ("sca", "s"), locks={"L2"}),
         ])
         assert lockset_races(tr) == 1
 
     def test_all_atomic_safe(self):
-        tr = Trace(events=[
+        tr = build_trace([
             ev(0, 0, True, ("sca", "s"), atomic=True),
             ev(1, 1, True, ("sca", "s"), atomic=True),
         ])
         assert lockset_races(tr) == 0
 
     def test_mixed_atomic_plain_reported(self):
-        tr = Trace(events=[
+        tr = build_trace([
             ev(0, 0, True, ("sca", "s"), atomic=True),
             ev(1, 1, True, ("sca", "s")),
         ])
         assert lockset_races(tr) == 1
 
     def test_read_only_location_safe(self):
-        tr = Trace(events=[
+        tr = build_trace([
             ev(0, 0, False, ("arr", "a", 3)),
             ev(1, 1, False, ("arr", "a", 3)),
         ])
         assert lockset_races(tr) == 0
 
     def test_single_thread_safe(self):
-        tr = Trace(events=[ev(0, 0, True, ("sca", "s")), ev(1, 0, True, ("sca", "s"))])
+        tr = build_trace([ev(0, 0, True, ("sca", "s")), ev(1, 0, True, ("sca", "s"))])
         assert lockset_races(tr) == 0
 
     def test_regions_partition_fork_join(self):
         # Same location, different parallel regions: joined in between.
-        tr = Trace(events=[
+        tr = build_trace([
             ev(0, 0, True, ("sca", "s"), region=0),
             ev(1, 1, True, ("sca", "s"), region=1),
         ])
         assert lockset_races(tr) == 0
 
     def test_lane_events_invisible(self):
-        tr = Trace(events=[
+        tr = build_trace([
             ev(0, ("lane", 0), True, ("arr", "a", 1), lane=True),
             ev(1, ("lane", 1), False, ("arr", "a", 1), lane=True),
         ])
@@ -114,4 +114,4 @@ class TestLockset:
         for k in range(5):
             events.append(ev(2 * k, 0, True, ("arr", "a", k)))
             events.append(ev(2 * k + 1, 1, True, ("arr", "a", k)))
-        assert lockset_races(Trace(events=events), max_reports=3) == 3
+        assert lockset_races(build_trace(events), max_reports=3) == 3

@@ -12,9 +12,9 @@ from repro.detectors import (
     Verdict,
     race_prompt,
 )
-from repro.detectors.llm_detector import parse_yes_no, yes_no_margin
+from repro.detectors.llm_detector import parse_yes_no
 from repro.drb import DRBSuite
-from repro.llm import CausalLM, ModelConfig
+from repro.llm import CausalLM, InferenceEngine, ModelConfig
 from repro.llm.pretrain import PretrainConfig, build_general_corpus, train_tokenizer_on
 from repro.utils.rng import derive_rng
 
@@ -182,7 +182,7 @@ class TestBatchedVerdictParity:
 class TestHPCGPTDetector:
     def test_margin_threshold_behaviour(self, suite, tok, tiny_model):
         s = next(s for s in suite.specs if "oversize" not in s.features)
-        margin = yes_no_margin(tiny_model, tok, race_prompt(s))
+        margin = InferenceEngine(tiny_model, tok).yes_no_margins([race_prompt(s)])[0]
         low = HPCGPTDetector("hg", tiny_model, tok, threshold=margin - 1.0)
         high = HPCGPTDetector("hg", tiny_model, tok, threshold=margin + 1.0)
         assert low.run(s).verdict is Verdict.RACE
@@ -190,10 +190,10 @@ class TestHPCGPTDetector:
 
     def test_margin_is_finite_float(self, suite, tok, tiny_model):
         s = suite.specs[0]
-        m = yes_no_margin(tiny_model, tok, race_prompt(s))
+        m = InferenceEngine(tiny_model, tok).yes_no_margins([race_prompt(s)])[0]
         assert isinstance(m, float) and np.isfinite(m)
 
     def test_long_prompt_truncated_not_crashing(self, suite, tok, tiny_model):
         s = next(s for s in suite.specs if "oversize" in s.features)
-        m = yes_no_margin(tiny_model, tok, race_prompt(s))
+        m = InferenceEngine(tiny_model, tok).yes_no_margins([race_prompt(s)])[0]
         assert np.isfinite(m)

@@ -15,7 +15,9 @@ from repro.detectors.romp import ROMPDetector, _ordered_only_conflicts
 from repro.detectors.tsan import ThreadSanitizerDetector
 from repro.drb import DRBSuite
 from repro.runtime import Machine, MachineConfig
-from repro.runtime.machine import hb_races, hb_races_reference
+from repro.runtime.machine import hb_races
+
+from support.hb_oracle import hb_races_reference
 
 
 @pytest.fixture(scope="module")

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.llm import CausalLM, GenerationConfig, ModelConfig
-from repro.llm.generation import generate
+from repro.llm import CausalLM, GenerationConfig, InferenceEngine, ModelConfig
 from repro.llm.pretrain import PretrainConfig, build_general_corpus, train_tokenizer_on
 from repro.nn import load_state, save_state
 from repro.utils.rng import derive_rng
@@ -17,6 +16,10 @@ def tok():
     return train_tokenizer_on(
         build_general_corpus(PretrainConfig(n_sentences=120)), vocab_size=320
     )
+
+
+def generate(model, tok, prompt_ids, config, rng=None):
+    return InferenceEngine(model, tok).generate_batch([prompt_ids], config, rng=rng)[0]
 
 
 class TestRoundTrip:

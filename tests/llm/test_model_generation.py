@@ -7,12 +7,12 @@ from repro.llm import (
     CausalLM,
     ChatFormat,
     GenerationConfig,
+    InferenceEngine,
     ModelConfig,
     PretrainConfig,
     build_general_corpus,
     pretrain,
 )
-from repro.llm.generation import generate, generate_text
 from repro.llm.pretrain import train_tokenizer_on
 from repro.tensor import no_grad
 from repro.utils.rng import derive_rng
@@ -69,6 +69,10 @@ class TestModel:
         assert 5_000 <= model.num_parameters() < 200_000
 
 
+def generate(model, tok, prompt_ids, config=None, rng=None):
+    return InferenceEngine(model, tok).generate_batch([prompt_ids], config, rng=rng)[0]
+
+
 class TestGeneration:
     def test_greedy_is_deterministic(self, model, tok):
         ids = tok.encode("the river", bos=True)
@@ -108,8 +112,9 @@ class TestGeneration:
             generate(model, tok, [])
 
     def test_generate_text_returns_string(self, model, tok):
-        out = generate_text(model, tok, "the river", GenerationConfig(max_new_tokens=4))
-        assert isinstance(out, str)
+        prompt = tok.encode("the river", bos=True)
+        ids = generate(model, tok, prompt, GenerationConfig(max_new_tokens=4))
+        assert isinstance(tok.decode(ids), str)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,8 @@ from repro.detectors import Verdict, build_tool_detectors, run_detectors
 from repro.drb.generator import KernelSpec
 from repro.openmp import parse_c
 from repro.runtime import (
-    STEP_BUDGET, BudgetExceeded, ExecutionError, Machine, MachineConfig, execute,
+    MAX_ARRAY_CELLS, STEP_BUDGET, BudgetExceeded, ExecutionError, Machine,
+    MachineConfig, execute,
 )
 
 STENCIL = Path(__file__).resolve().parents[2] / "examples" / "kernels" / "stencil_racy.c"
@@ -86,3 +87,41 @@ def test_runaway_kernel_is_unsupported_with_reason():
             assert result.detail.startswith("BudgetExceeded: ")
         else:
             assert result.verdict is Verdict.RACE  # LLOV is static
+
+
+HUGE_ARRAY = (
+    "int i;\n"
+    "double a[100000000];\n"
+    "#pragma omp parallel for\n"
+    "for (i = 1; i < 64; i++) { a[i] = a[i-1] + 1; }\n"
+)
+
+
+def test_array_limit_headroom():
+    # The largest DRB declaration total is 240 cells; the 400k runaway
+    # stencil (800k cells) must still fail on the step budget instead.
+    assert MAX_ARRAY_CELLS >= 1000 * 240
+    assert MAX_ARRAY_CELLS > 2 * 400_000
+
+
+def test_huge_array_fails_before_allocating():
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="array limit"):
+        execute(parse_c(HUGE_ARRAY))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_huge_array_is_unsupported_with_reason():
+    spec = KernelSpec("huge", "C/C++", "Test", "yes", HUGE_ARRAY, frozenset())
+    machine = Machine(MachineConfig(n_schedules=4))
+    start = time.perf_counter()
+    results = run_detectors(
+        build_tool_detectors(), [spec], lambda s: machine.traces(s.parse())
+    )
+    assert time.perf_counter() - start < 1.0
+    for det in build_tool_detectors():
+        if det.kind == "dynamic":
+            (result,) = results[det.name]
+            assert result.verdict is Verdict.UNSUPPORTED
+            assert result.detail.startswith("BudgetExceeded: ")
+            assert "array limit" in result.detail

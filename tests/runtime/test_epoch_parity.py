@@ -1,7 +1,7 @@
 """Epoch-matrix checker vs the seed dict-clock checker: exact parity.
 
 ``hb_races`` (vectorised over the trace's ClockBank) must reproduce the
-seed implementation ``hb_races_reference`` bit for bit: same reports,
+dict-clock oracle ``hb_races_reference`` bit for bit: same reports,
 same order, same truncation — across racy and race-free programs, both
 lane modes, and both group-size code paths (scalar and NumPy)."""
 
@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from repro.drb import DRBSuite
-from repro.runtime import ClockView, VectorClock, execute
-from repro.runtime.machine import hb_races, hb_races_reference
+from repro.runtime import execute
+from repro.runtime.machine import hb_races
+
+from support.hb_oracle import build_trace, hb_races_reference
 
 
 @pytest.fixture(scope="module")
@@ -80,48 +82,10 @@ for (i = 1; i < 64; i++) { a[i] = a[i-1] + 1; }
 """
     trace = execute(parse_c(src), n_threads=2, schedule_seed=0)
     bank = trace.clock_bank
-    assert bank is not None
     assert len(trace.events) > 100
     # No synchronisation inside the loop: one clock per thread, so the
     # bank holds a handful of rows, not one per event.
     assert len(bank.rows) <= 4
-
-
-def test_clock_view_matches_dict_reconstruction():
-    from repro.openmp import parse_c
-
-    src = """
-double s;
-#pragma omp parallel
-{
-  #pragma omp critical
-  { s = s + 1; }
-}
-"""
-    trace = execute(parse_c(src), n_threads=2, schedule_seed=0)
-    bank = trace.clock_bank
-    for e in trace.events:
-        assert isinstance(e.vc, ClockView)
-        assert e.clock_row >= 0
-        rebuilt = VectorClock(bank.row_dict(e.clock_row))
-        assert e.vc == rebuilt
-        for tid in bank.tids:
-            assert e.vc.get(tid) == rebuilt.get(tid)
-
-
-def test_clock_view_is_read_only():
-    from repro.openmp import parse_c
-
-    trace = execute(parse_c("double s;\n#pragma omp parallel\n{ s = 1; }"))
-    view = trace.events[0].vc
-    with pytest.raises(TypeError):
-        view.tick(0)
-    with pytest.raises(TypeError):
-        view.join(VectorClock({0: 1}))
-    # copy() detaches into a plain mutable VectorClock.
-    detached = view.copy()
-    detached.tick(0)
-    assert detached != view
 
 
 def test_matrix_shape_and_padding():
@@ -147,18 +111,16 @@ double s;
         assert not m[e.clock_row, len(vals):].any()
 
 
-def test_hand_built_traces_fall_back_to_reference():
-    """Traces assembled without a ClockBank (unit tests, external
-    tooling) still check correctly through the dict-clock fallback."""
-    from repro.runtime.interpreter import MemEvent, Trace
+def test_hand_built_traces_check_through_their_bank():
+    """Hand-written traces get their clock rows from the builder and
+    check like machine traces, agreeing with the oracle."""
 
-    def ev(seq, tid, clock):
-        return MemEvent(
-            seq=seq, tid=tid, is_write=True, loc=("sca", "s"),
-            vc=VectorClock(clock), locks=frozenset(),
-        )
+    def ev(tid, clock):
+        return dict(tid=tid, is_write=True, loc=("sca", "s"), clock=clock)
 
-    racy = Trace(events=[ev(0, 0, {0: 1}), ev(1, 1, {1: 1})])
-    ordered = Trace(events=[ev(0, 0, {0: 1}), ev(1, 1, {0: 1, 1: 1})])
+    racy = build_trace([ev(0, {0: 1}), ev(1, {1: 1})])
+    ordered = build_trace([ev(0, {0: 1}), ev(1, {0: 1, 1: 1})])
     assert report_sig(hb_races(racy)) == [(("sca", "s"), 0, 1)]
     assert hb_races(ordered) == []
+    for trace in (racy, ordered):
+        assert report_sig(hb_races(trace)) == report_sig(hb_races_reference(trace))

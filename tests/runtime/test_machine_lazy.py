@@ -5,7 +5,9 @@ import pytest
 import repro.runtime.machine as machine_mod
 from repro.openmp import parse_c
 from repro.runtime import Machine, MachineConfig, execute
-from repro.runtime.machine import hb_races, hb_races_reference
+from repro.runtime.machine import hb_races
+
+from support.hb_oracle import hb_races_reference
 
 RACY = """
 int i;

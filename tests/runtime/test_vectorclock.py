@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import VectorClock
+from support.vectorclock import VectorClock
 
 
 class TestBasics:

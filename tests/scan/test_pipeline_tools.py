@@ -147,6 +147,38 @@ class TestReportEmitters:
         assert region == {"startLine": 1, "endLine": 4}
         # Unanimous tools -> high agreement -> error level.
         assert {r["level"] for r in results} == {"error"}
+        # No tool failed, so the invocation carries no notifications.
+        (invocation,) = run["invocations"]
+        assert invocation == {"executionSuccessful": True, "toolExecutionNotifications": []}
+
+    def test_sarif_reports_tool_failures(self, tmp_path):
+        """Each dynamic tool that gives up on a kernel (here: an array
+        over the runtime's limit) becomes one error notification with
+        its reason, the kernel's location and the tool's rule."""
+        root = tmp_path / "proj"
+        root.mkdir()
+        (root / "huge.c").write_text(RACY_C.replace("y[32]", "y[100000000]"))
+        report = pipeline(tmp_path, use_cache=False).scan(root)
+        (kernel,) = report.kernels
+        run = to_sarif(report)["runs"][0]
+        (invocation,) = run["invocations"]
+        assert invocation["executionSuccessful"] is True
+        notes = invocation["toolExecutionNotifications"]
+        dynamic = {"Intel Inspector", "ROMP", "Thread Sanitizer"}
+        assert {n["associatedRule"]["id"] for n in notes} == {
+            f"detector/{tool}" for tool in dynamic
+        }
+        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
+        for note in notes:
+            tool = note["associatedRule"]["id"].removeprefix("detector/")
+            assert note["associatedRule"]["id"] in rule_ids
+            assert note["level"] == "error"
+            assert note["message"]["text"] == f"{tool}: {kernel.details[tool]}"
+            assert note["message"]["text"].startswith(f"{tool}: BudgetExceeded: ")
+            assert "array limit" in note["message"]["text"]
+            (loc,) = note["locations"]
+            assert loc["physicalLocation"]["artifactLocation"]["uri"] == "huge.c"
+            assert loc["physicalLocation"]["region"] == {"startLine": 1, "endLine": 4}
 
     def test_sarif_written_file_is_json(self, tree, tmp_path):
         report = pipeline(tmp_path).scan(tree)

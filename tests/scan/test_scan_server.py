@@ -12,6 +12,8 @@ from repro.scan.jobs import JobQueue
 from repro.serve import HPCGPTClient
 from repro.serve.server import start_background
 
+from support.stub_system import StubSystem
+
 RACY_C = (
     "int i;\n"
     "double y[32], x[32];\n"
@@ -68,27 +70,6 @@ class TestScanJobQueue:
         q.close()
         with pytest.raises(RuntimeError):
             q.submit("/x")
-
-
-class StubSystem:
-    """The server-facing surface; scans run tools-only so no model."""
-
-    class _Model:
-        class config:  # noqa: N801 - mimics ModelConfig attribute access
-            name = "stub-model"
-
-        @staticmethod
-        def num_parameters():
-            return 1
-
-    def finetuned(self, version="l2"):
-        return self._Model()
-
-    def answer(self, question, version="l2"):
-        return "ok"
-
-    def detect_race(self, code, language="C/C++"):
-        return "no"
 
 
 @pytest.fixture()

@@ -1,5 +1,5 @@
 """Tests for the §5 knowledge-ingestion endpoint and the retrieval flag
-on /api/answer, using stub systems (no training in unit tests)."""
+on /api/answer, using a stub system (no training in unit tests)."""
 
 import json
 import urllib.error
@@ -10,70 +10,17 @@ import pytest
 from repro.serve import HPCGPTClient
 from repro.serve.server import start_background
 
-
-class RetrievalStubSystem:
-    """The retrieval surface of HPCGPTSystem, recorded for assertions."""
-
-    def __init__(self):
-        self.ingested = []
-        self.chunks = 7
-        self.retrieval_questions = []
-
-    def answer(self, question, version="l2"):
-        return f"lm[{version}]: {question}"
-
-    def answer_batch(self, questions, version="l2"):
-        return [self.answer(q, version) for q in questions]
-
-    def answer_retrieval_batch(self, questions, version="l2"):
-        self.retrieval_questions.append(list(questions))
-        return [f"rag[{version}]: {q}" for q in questions]
-
-    def index_documents(self, documents, max_tokens=128):
-        self.ingested.append((list(documents), max_tokens))
-        added = len(documents)
-        self.chunks += added
-        return {
-            "documents": len(documents),
-            "chunks": added,
-            "added": added,
-            "index_size": self.chunks,
-        }
-
-    def retrieval_stats(self):
-        return {"chunks": self.chunks, "dim": 420, "fingerprint": "fp-test"}
-
-    def detect_race(self, code, language="C/C++"):
-        return "no"
-
-
-class PlainStubSystem:
-    """A system without any retrieval subsystem."""
-
-    def answer(self, question, version="l2"):
-        return f"plain: {question}"
-
-    def detect_race(self, code, language="C/C++"):
-        return "no"
+from support.stub_system import StubSystem
 
 
 @pytest.fixture(scope="module")
 def stub():
-    return RetrievalStubSystem()
+    return StubSystem()
 
 
 @pytest.fixture(scope="module")
 def server_url(stub):
     server, _ = start_background(stub)
-    host, port = server.server_address
-    yield f"http://{host}:{port}"
-    server.frontend.close()
-    server.shutdown()
-
-
-@pytest.fixture(scope="module")
-def plain_url():
-    server, _ = start_background(PlainStubSystem())
     host, port = server.server_address
     yield f"http://{host}:{port}"
     server.frontend.close()
@@ -125,14 +72,6 @@ class TestKnowledgeEndpoint:
                 )
             assert err.value.code == 400
 
-    def test_unsupported_system_501(self, plain_url):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            _post_raw(plain_url + "/api/knowledge", {"documents": ["text"]})
-        assert err.value.code == 501
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(plain_url + "/api/knowledge")
-        assert err.value.code == 501
-
 
 class TestRetrievalFlag:
     def test_answer_with_retrieval_routes_to_rag(self, server_url, stub):
@@ -151,12 +90,3 @@ class TestRetrievalFlag:
         ) as resp:
             body = json.loads(resp.read().decode())
         assert body["retrieval"] is True
-
-    def test_unsupported_system_501(self, plain_url):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            _post_raw(
-                plain_url + "/api/answer", {"question": "q", "retrieval": True}
-            )
-        assert err.value.code == 501
-        # The plain path keeps working.
-        assert HPCGPTClient(plain_url).answer("q") == "plain: q"

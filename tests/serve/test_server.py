@@ -2,35 +2,32 @@
 so no training happens in unit tests."""
 
 import http.client
+import inspect
 import json
 import threading
 import urllib.request
 
 import pytest
 
+from repro.core import HPCGPTSystem
 from repro.serve import HPCGPTClient
-from repro.serve.server import ServingFrontend, start_background
+from repro.serve.server import ServingFrontend, ServingSystem, start_background
+
+from support.stub_system import StubSystem
 
 
-class StubSystem:
-    """Implements exactly the surface the server uses."""
-
-    class _Model:
-        class config:  # noqa: N801 - mimics ModelConfig attribute access
-            name = "stub-model"
-
-        @staticmethod
-        def num_parameters():
-            return 12345
-
-    def finetuned(self, version="l2"):
-        return self._Model()
-
-    def answer(self, question, version="l2"):
-        return f"stub answer to: {question}"
-
-    def detect_race(self, code, language="C/C++"):
-        return "yes" if "parallel" in code else "no"
+@pytest.mark.parametrize("system_cls", [HPCGPTSystem, StubSystem])
+def test_implements_serving_protocol(system_cls):
+    """The frontend calls the ``ServingSystem`` surface without probing,
+    so the production system and the test stub must both offer every
+    method with every parameter the protocol names."""
+    methods = [n for n in vars(ServingSystem) if not n.startswith("_")]
+    assert len(methods) == 9
+    for name in methods:
+        impl = getattr(system_cls, name, None)
+        assert callable(impl), name
+        wanted = inspect.signature(getattr(ServingSystem, name)).parameters
+        assert set(wanted) <= set(inspect.signature(impl).parameters), name
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +35,7 @@ def server_url():
     server, _ = start_background(StubSystem())
     host, port = server.server_address
     yield f"http://{host}:{port}"
+    server.frontend.close()
     server.shutdown()
 
 
@@ -56,7 +54,7 @@ class TestServer:
 
     def test_answer_endpoint(self, server_url):
         client = HPCGPTClient(server_url)
-        assert client.answer("what dataset?") == "stub answer to: what dataset?"
+        assert client.answer("what dataset?") == "lm[l2]: what dataset?"
 
     def test_detect_endpoint(self, server_url):
         client = HPCGPTClient(server_url)
@@ -119,39 +117,10 @@ class TestServer:
         assert err.value.code == 404
 
 
-class BatchStubSystem(StubSystem):
-    """Stub exposing the batched surface the engine-backed system has,
-    recording the batch widths the frontend forms."""
-
-    def __init__(self):
-        self.answer_batches = []
-        self.detect_batches = []
-        self.build_entries = 0
-        self.concurrent_builds = 0
-        self._in_build = threading.Semaphore(1)
-
-    def finetuned(self, version="l2"):
-        # Record whether two builds ever overlap (the seed's race).
-        if not self._in_build.acquire(blocking=False):
-            self.concurrent_builds += 1
-        else:
-            self.build_entries += 1
-            self._in_build.release()
-        return self._Model()
-
-    def answer_batch(self, questions, version="l2", max_new_tokens=40):
-        self.answer_batches.append(len(questions))
-        return [f"batched[{version}]: {q}" for q in questions]
-
-    def detect_race_batch(self, codes, language="C/C++", version="l2"):
-        self.detect_batches.append(len(codes))
-        return ["yes" if "parallel" in c else "no" for c in codes]
-
-
 class TestMicroBatchedServing:
     @pytest.fixture()
     def batch_server(self):
-        system = BatchStubSystem()
+        system = StubSystem()
         server, _ = start_background(system)
         host, port = server.server_address
         yield system, f"http://{host}:{port}", server
@@ -174,7 +143,7 @@ class TestMicroBatchedServing:
             t.start()
         for t in threads:
             t.join(timeout=10.0)
-        assert results == {i: f"batched[l2]: q{i}" for i in range(n)}
+        assert results == {i: f"lm[l2]: q{i}" for i in range(n)}
         assert sum(system.answer_batches) == n
         # At least one micro-batch gathered more than one request.
         assert max(system.answer_batches) > 1
@@ -187,22 +156,12 @@ class TestMicroBatchedServing:
         assert system.detect_batches == [1, 1]
 
 
-class TestServingFrontendFallback:
-    def test_per_item_fallback_without_batch_api(self):
-        frontend = ServingFrontend(StubSystem(), window_ms=1.0)
-        try:
-            assert frontend.answer("hi") == "stub answer to: hi"
-            assert frontend.detect("#pragma omp parallel for x") == "yes"
-        finally:
-            frontend.close()
-
-
 class TestGroupErrorIsolation:
     """A failing language group must not poison batchmates in other
     groups of the same micro-batch."""
 
     class ExplodingSystem(StubSystem):
-        def detect_race_batch(self, codes, language="C/C++", version="l2"):
+        def detect_race_batch(self, codes, language="C/C++"):
             if language == "Fortran":
                 raise RuntimeError("fortran backend down")
             return ["no" for _ in codes]

@@ -9,53 +9,7 @@ import pytest
 from repro.serve import HPCGPTClient
 from repro.serve.server import start_background
 
-
-class UpdatableStubSystem:
-    """Records update calls; mimics the system surface the server uses."""
-
-    class _Model:
-        class config:  # noqa: N801 - mimics ModelConfig attribute access
-            name = "stub-model"
-
-        @staticmethod
-        def num_parameters():
-            return 1
-
-    class _Stats:
-        steps = 3
-        skipped_steps = 0
-        seconds = 0.01
-
-        @staticmethod
-        def mean_loss():
-            return 0.5
-
-    def __init__(self, fail=False):
-        self.fail = fail
-        self.updates = []
-        self.engine_builds = []
-
-    def finetuned(self, version="l2"):
-        return self._Model()
-
-    def answer(self, question, version="l2"):
-        return "ok"
-
-    def detect_race(self, code, language="C/C++"):
-        return "no"
-
-    def update_with(self, records, version="l2", epochs=None):
-        if self.fail:
-            raise RuntimeError("update exploded")
-        self.updates.append((list(records), version, epochs))
-        return self._Stats()
-
-    def threshold(self, version="l2"):
-        return 0.125
-
-    def engine(self, version="l2"):
-        self.engine_builds.append(version)
-        return object()
+from support.stub_system import StubSystem
 
 
 RECORDS = [
@@ -67,7 +21,7 @@ RECORDS = [
 
 @pytest.fixture()
 def update_server():
-    system = UpdatableStubSystem()
+    system = StubSystem()
     server, _ = start_background(system)
     host, port = server.server_address
     yield system, f"http://{host}:{port}"
@@ -103,7 +57,7 @@ class TestUpdateEndpoint:
         assert system.engine_builds == ["l2"]
 
     def test_failed_update_reports_error(self):
-        system = UpdatableStubSystem(fail=True)
+        system = StubSystem(fail_updates=True)
         server, _ = start_background(system)
         host, port = server.server_address
         try:
@@ -159,7 +113,7 @@ class TestMaintenanceMutualExclusion:
         (tmp_path / "k.c").write_text(
             "#pragma omp parallel for\nfor (i = 0; i < 8; i++) a[i] = i;\n"
         )
-        frontend = ServingFrontend(UpdatableStubSystem())
+        frontend = ServingFrontend(StubSystem())
         try:
             with frontend._maintenance_lock:  # simulate a running update
                 job = frontend.scan_submit(
@@ -181,7 +135,7 @@ class TestMaintenanceMutualExclusion:
 
         from repro.serve.server import ServingFrontend
 
-        system = UpdatableStubSystem()
+        system = StubSystem()
         frontend = ServingFrontend(system)
         try:
             with frontend._maintenance_lock:  # simulate a running scan
@@ -205,7 +159,7 @@ class TestHealthDuringUpdate:
 
         from repro.serve.server import ServingFrontend
 
-        frontend = ServingFrontend(UpdatableStubSystem())
+        frontend = ServingFrontend(StubSystem())
         try:
             frontend.finetuned("l2")  # warm the model cache
             with frontend._system_lock:  # simulate a running update job

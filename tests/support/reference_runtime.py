@@ -24,7 +24,7 @@ from repro.openmp.ast_nodes import (
     Seq, SingleSection, Var,
 )
 from repro.openmp.pragmas import Pragma
-from repro.runtime.clocks import ClockBank, ClockView, EpochClock
+from repro.runtime.clocks import ClockBank, EpochClock
 from repro.runtime.interpreter import ExecutionError, MemEvent, Trace
 
 
@@ -499,19 +499,17 @@ class _Scheduler:
     def _log(self, t: _Thread, is_write: bool, loc: tuple, atomic: bool = False) -> None:
         # One interned row per sync interval instead of a dict copy per
         # event: vc.row() only allocates when the clock changed.
-        row = t.vc.row()
         self.trace.events.append(
             MemEvent(
                 seq=next(self.seq),
                 tid=t.tid,
                 is_write=is_write,
                 loc=loc,
-                vc=ClockView(self.bank, row),
+                clock_row=t.vc.row(),
                 locks=frozenset(t.locks),
                 atomic=atomic,
                 lane=t.lane,
                 region=self.region,
-                clock_row=row,
             )
         )
 
