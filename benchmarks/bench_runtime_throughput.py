@@ -194,7 +194,7 @@ def schedules_to_first_race(suite: DRBSuite, smoke: bool) -> dict:
         used, found = [], 0
         for spec in racy:
             n = 0
-            for trace in machine.iter_traces(spec.parse()):
+            for trace in machine.traces(spec.parse()):
                 n += 1
                 if hb_races(trace, max_reports=1):
                     found += 1

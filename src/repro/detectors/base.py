@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,9 +38,10 @@ class Detector:
     """Base class.  Subclasses define :attr:`name`, :meth:`supports`, and
     :meth:`detect`.
 
-    Dynamic detectors receive pre-computed traces from
-    :func:`run_detectors` (one Machine exploration shared across all
-    dynamic tools); static and LLM-based detectors ignore them.
+    Dynamic detectors receive a program's traces from
+    :func:`run_detectors` (one lazy Machine exploration shared across
+    all dynamic tools: a schedule runs when a tool first reads it);
+    static and LLM-based detectors ignore them.
     """
 
     name: str = "detector"
@@ -51,10 +53,10 @@ class Detector:
     def supports(self, spec: KernelSpec) -> bool:  # pragma: no cover - default
         return True
 
-    def detect(self, spec: KernelSpec, traces: list[Trace] | None = None) -> Verdict:
+    def detect(self, spec: KernelSpec, traces: Sequence[Trace] | None = None) -> Verdict:
         raise NotImplementedError
 
-    def run(self, spec: KernelSpec, traces: list[Trace] | None = None) -> ToolResult:
+    def run(self, spec: KernelSpec, traces: Sequence[Trace] | None = None) -> ToolResult:
         """Support check + detection, packaged."""
         if not self.supports(spec):
             return ToolResult(self.name, spec.id, Verdict.UNSUPPORTED)
@@ -66,7 +68,7 @@ class Detector:
     def run_many(
         self,
         specs: list[KernelSpec],
-        traces_list: "list[list[Trace] | None] | None" = None,
+        traces_list: "list[Sequence[Trace] | None] | None" = None,
     ) -> list[ToolResult]:
         """:meth:`run` once per program; a program the detector raises on
         reports ``UNSUPPORTED`` with the exception as its ``detail``.
@@ -82,7 +84,7 @@ def _failure_detail(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_contained(det: Detector, spec: KernelSpec, traces: list[Trace] | None) -> ToolResult:
+def _run_contained(det: Detector, spec: KernelSpec, traces: Sequence[Trace] | None) -> ToolResult:
     try:
         return det.run(spec, traces)
     except Exception as exc:  # noqa: BLE001 - one program must not sink the batch
@@ -92,32 +94,37 @@ def _run_contained(det: Detector, spec: KernelSpec, traces: list[Trace] | None) 
 def run_detectors(
     detectors: list[Detector],
     specs: list[KernelSpec],
-    traces_of: Callable[[KernelSpec], list[Trace]],
+    traces_of: Callable[[KernelSpec], Sequence[Trace]],
 ) -> dict[str, list[ToolResult]]:
     """Run an ensemble over ``specs``; results per detector name, in
     ``specs`` order.  The one executor behind the Table-5 harness and
     repository scans.
 
-    * Each program's traces come from ``traces_of`` at most once, and
-      only when some dynamic detector supports the program; dynamic
-      detectors share them, static and LLM detectors get ``None``.
+    * Each program's traces come from ``traces_of`` once, when the
+      ensemble has a dynamic detector; dynamic detectors share them,
+      static and LLM detectors get ``None``.  With
+      :meth:`repro.runtime.Machine.traces` nothing runs yet: a schedule
+      runs when the first tool reads it, and only once.
     * Every detector runs through :meth:`Detector.run_many`, so LLM
       detectors keep their batched path.
-    * Failures stay with their (detector, program) pair: a program
-      whose traces cannot be generated is ``UNSUPPORTED`` for the
-      dynamic detectors that support it, and a batch that raises is
-      retried program by program so only the failing programs turn
-      ``UNSUPPORTED``.  ``detail`` carries ``"ExcType: message"``.
+    * Failures stay with their (detector, program) pair: a schedule
+      that raises makes the program ``UNSUPPORTED`` for the dynamic
+      detectors that read it (one that settled its verdict on an
+      earlier schedule keeps it), a ``traces_of`` that raises (with
+      ``Machine.traces``, only a parse failure) does so for every
+      dynamic detector that supports the program, and a batch
+      that raises is retried program by program so only the failing
+      programs turn ``UNSUPPORTED``.  ``detail`` carries
+      ``"ExcType: message"``.
     """
-    dynamic = [d for d in detectors if d.kind == "dynamic"]
-    traces: list[list[Trace] | None] = [None] * len(specs)
+    dynamic = any(d.kind == "dynamic" for d in detectors)
+    traces: list[Sequence[Trace] | None] = [None] * len(specs)
     trace_errors: dict[int, str] = {}
-    for i, spec in enumerate(specs):
-        if any(d.supports(spec) for d in dynamic):
-            try:
-                traces[i] = traces_of(spec)
-            except Exception as exc:  # noqa: BLE001 - a program the runtime rejects
-                trace_errors[i] = _failure_detail(exc)
+    for i, spec in enumerate(specs if dynamic else ()):
+        try:
+            traces[i] = traces_of(spec)
+        except Exception as exc:  # noqa: BLE001 - a program that does not parse
+            trace_errors[i] = _failure_detail(exc)
 
     out: dict[str, list[ToolResult]] = {}
     for det in detectors:

@@ -23,6 +23,7 @@ The methods differ in who answers:
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -83,7 +84,7 @@ class _TokenBudgetMixin(Detector):
     def run_many(
         self,
         specs: list[KernelSpec],
-        traces_list: "list[list[Trace] | None] | None" = None,
+        traces_list: "list[Sequence[Trace] | None] | None" = None,
     ) -> list[ToolResult]:
         """Support checks, then one :meth:`detect_many` call over the
         supported programs (LLM detectors ignore traces)."""
@@ -117,7 +118,7 @@ class LLMBaseModelDetector(_TokenBudgetMixin):
         limit = self.model.config.max_seq_len - 16
         return prompt_ids[-limit:] if len(prompt_ids) > limit else prompt_ids
 
-    def detect(self, spec: KernelSpec, traces: list[Trace] | None = None) -> Verdict:
+    def detect(self, spec: KernelSpec, traces: Sequence[Trace] | None = None) -> Verdict:
         return self.detect_many([spec])[0]
 
     def detect_many(self, specs: list[KernelSpec]) -> list[Verdict]:
@@ -152,7 +153,7 @@ class HPCGPTDetector(_TokenBudgetMixin):
         self.threshold = threshold
         self.engine = InferenceEngine(model, tokenizer)
 
-    def detect(self, spec: KernelSpec, traces: list[Trace] | None = None) -> Verdict:
+    def detect(self, spec: KernelSpec, traces: Sequence[Trace] | None = None) -> Verdict:
         return self.detect_many([spec])[0]
 
     def detect_many(self, specs: list[KernelSpec]) -> list[Verdict]:
@@ -351,7 +352,7 @@ class GPTHeuristicDetector(_TokenBudgetMixin):
         h = stable_hash(f"{self.name}:{self.seed}:{spec.id}")
         return (h % 10_000) / 10_000.0 < self._ERROR_RATES[self.skill]
 
-    def detect(self, spec: KernelSpec, traces: list[Trace] | None = None) -> Verdict:
+    def detect(self, spec: KernelSpec, traces: Sequence[Trace] | None = None) -> Verdict:
         answer = (
             self._gpt4_answer(spec.source)
             if self.skill == "gpt-4"

@@ -14,6 +14,7 @@ happens-before detection (like TSan) with ROMP's documented gaps:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import combinations
 
 from repro.detectors.base import Detector, Verdict
@@ -55,7 +56,7 @@ class ROMPDetector(Detector):
     def supports(self, spec: KernelSpec) -> bool:
         return "target" not in spec.features
 
-    def detect(self, spec: KernelSpec, traces: list[Trace] | None = None) -> Verdict:
+    def detect(self, spec: KernelSpec, traces: Sequence[Trace] | None = None) -> Verdict:
         if traces is None:
             raise ValueError("ROMP needs executions (traces)")
         if not traces:

@@ -10,6 +10,7 @@ detector only.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.detectors.base import Detector, ToolResult, run_detectors
@@ -47,9 +48,9 @@ class EvaluationHarness:
     def __init__(self, suite: DRBSuite, machine: MachineConfig | None = None) -> None:
         self.suite = suite
         self.machine = Machine(machine or DEFAULT_MACHINE)
-        self._trace_cache: dict[str, list[Trace]] = {}
+        self._trace_cache: dict[str, Sequence[Trace]] = {}
 
-    def traces_for(self, spec: KernelSpec) -> list[Trace]:
+    def traces_for(self, spec: KernelSpec) -> Sequence[Trace]:
         cached = self._trace_cache.get(spec.id)
         if cached is None:
             cached = self.machine.traces(spec.parse())

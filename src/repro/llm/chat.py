@@ -30,12 +30,19 @@ class ChatFormat:
         body = instruction if not input_text else f"{instruction}\n{input_text}"
         return body.strip()
 
-    def prompt_ids(self, instruction: str, input_text: str = "") -> list[int]:
+    def prompt_ids(
+        self, instruction: str, input_text: str = "", tail: int | None = None
+    ) -> list[int]:
         """Token ids of the prompt portion, ending right where the answer
-        should begin."""
+        should begin.  With ``tail``, the body keeps only its last
+        ``tail`` ids, and only its end is tokenized
+        (:meth:`~repro.tokenizer.BPETokenizer.encode_tail`)."""
         sp = self.tokenizer.special
+        body = self.render_prompt(instruction, input_text)
         ids = [sp.bos_id, sp.inst_open_id]
-        ids.extend(self.tokenizer.encode(self.render_prompt(instruction, input_text)))
+        ids.extend(
+            self.tokenizer.encode(body) if tail is None else self.tokenizer.encode_tail(body, tail)
+        )
         ids.append(sp.inst_close_id)
         return ids
 

@@ -228,8 +228,15 @@ class InferenceEngine:
     ) -> list[float]:
         """Batched log-odds margins ``logit(" yes") - logit(" no")`` at the
         answer position of each chat-formatted instruction (left-truncated
-        to the model context by :func:`clamp_prompt` inside the scorer)."""
-        prompts = [self.chat.prompt_ids(instruction) for instruction in instructions]
+        to the model context by :func:`clamp_prompt` inside the scorer).
+
+        :func:`clamp_prompt` keeps at most ``max_seq_len - 1`` ids of a
+        prompt, so no more body ids than that can reach the model: each
+        instruction is tokenized from its tail, and the clamped prompts
+        equal those of the fully tokenized ones.
+        """
+        keep = max(1, self.model.config.max_seq_len - 1)
+        prompts = [self.chat.prompt_ids(instruction, tail=keep) for instruction in instructions]
         yes_id = self.tokenizer.encode(" yes")[0]
         no_id = self.tokenizer.encode(" no")[0]
         logits = self.next_token_logits(prompts, batch_size=batch_size)

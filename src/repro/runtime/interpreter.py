@@ -21,11 +21,12 @@ every variable reference once, turning the AST into closures: a private
 ``Var`` becomes a lookup in the thread's locals dict, a shared one an
 action the thread yields.  Statements that touch only private state
 compile to plain closures; only shared accesses and synchronisation
-points suspend the thread.  A kernel is compiled on its first execution
-and :meth:`repro.runtime.Machine.iter_traces` reuses the closures for
-every schedule.  The generator interpreter that re-walked the AST on
-every schedule survives only as the reference in the test suite, which
-checks that both produce bit-identical traces.
+points suspend the thread.  A kernel is compiled on its first
+execution, and the lazy sequence :meth:`repro.runtime.Machine.traces`
+returns reuses the closures for every schedule it runs.  The generator
+interpreter that re-walked the AST on every schedule survives only as
+the reference in the test suite, which checks that both produce
+bit-identical traces.
 
 The output :class:`Trace` carries every shared-memory event with its
 vector clock, lockset, atomicity flag, and (for ``simd``) a lane marker —

@@ -11,8 +11,8 @@ give identical reports.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -176,6 +176,53 @@ def hb_races(
     return reports
 
 
+class ScheduleTraces(Sequence[Trace]):
+    """One program's traces, in plan order, each executed on first read.
+
+    ``len`` is the number of planned schedules and costs nothing.
+    Reading schedule ``k`` runs it once, through this module's
+    :func:`execute`, and keeps the trace, so every reader of one
+    sequence shares each execution.  A schedule that raises keeps its
+    exception: every later read raises it again without re-running.
+    The program is compiled once, by the first execution, and every
+    schedule reuses the closures.
+    """
+
+    def __init__(self, code: CompiledProgram, n_threads: int, plan: list[tuple[str, int]]) -> None:
+        self._code = code
+        self._n_threads = n_threads
+        self._plan = plan
+        self._runs: list[Trace | Exception | None] = [None] * len(plan)
+
+    def __len__(self) -> int:
+        return len(self._plan)
+
+    def __getitem__(self, k: int) -> Trace:
+        k = range(len(self._plan))[k]  # negative indices; IndexError past the end
+        run = self._runs[k]
+        if run is None:
+            strategy, seed = self._plan[k]
+            try:
+                run = execute(
+                    self._code,
+                    n_threads=self._n_threads,
+                    schedule_seed=seed,
+                    strategy=strategy,
+                )
+            except Exception as exc:  # noqa: BLE001 - kept for every reader
+                run = exc
+            self._runs[k] = run
+        if isinstance(run, Exception):
+            raise run
+        return run
+
+    def __iter__(self) -> Iterator[Trace]:
+        # The Sequence mixin would stop at the first IndexError, which a
+        # schedule raises for an out-of-bounds access; let it propagate.
+        for k in range(len(self._plan)):
+            yield self[k]
+
+
 class Machine:
     """Runs programs across schedules."""
 
@@ -190,28 +237,16 @@ class Machine:
             for k in range(cfg.n_schedules)
         ]
 
-    def iter_traces(self, program: Program) -> Iterator[Trace]:
-        """Lazily execute one schedule at a time, in plan order — the
-        short-circuit substrate for :meth:`any_hb_race`.  The program is
-        compiled once, by the first execution, and every schedule reuses
-        the closures."""
-        code = CompiledProgram(program)
-        for strategy, seed in self.schedule_plan():
-            yield execute(
-                code,
-                n_threads=self.config.n_threads,
-                schedule_seed=seed,
-                strategy=strategy,
-            )
-
-    def traces(self, program: Program) -> list[Trace]:
-        return list(self.iter_traces(program))
+    def traces(self, program: Program) -> ScheduleTraces:
+        """The program's traces, one per planned schedule, run on first
+        read (see :class:`ScheduleTraces`)."""
+        return ScheduleTraces(CompiledProgram(program), self.config.n_threads, self.schedule_plan())
 
     def any_hb_race(self, program: Program, include_lane_events: bool = True) -> bool:
         """Ground-truth-style oracle: does any explored schedule exhibit a
         happens-before race (lanes counted as parallel by default)?
         Stops executing schedules at the first racy one."""
-        for trace in self.iter_traces(program):
+        for trace in self.traces(program):
             if hb_races(trace, include_lane_events=include_lane_events, max_reports=1):
                 return True
         return False

@@ -15,10 +15,17 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from collections import Counter
 from pathlib import Path
 
 from repro.tokenizer.vocab import SpecialTokens
+
+#: One whitespace character and the non-whitespace run after it, or a
+#: leading non-whitespace run.  ``\s`` and ``str.isspace`` agree on
+#: every code point, which the tests check.
+_WORD = re.compile(r"\s\S*|\S+")
+_SPACE = re.compile(r"\s")
 
 
 class BPETokenizer:
@@ -52,20 +59,9 @@ class BPETokenizer:
 
     @staticmethod
     def _words(text: str) -> list[str]:
-        """Split into words keeping the leading space attached."""
-        out: list[str] = []
-        buf: list[str] = []
-        for ch in text:
-            if ch.isspace():
-                if buf:
-                    out.append("".join(buf))
-                    buf = []
-                buf.append(ch)
-            else:
-                buf.append(ch)
-        if buf:
-            out.append("".join(buf))
-        return out
+        """Split into words keeping the leading space attached: a word
+        starts at every whitespace character (and at the start)."""
+        return _WORD.findall(text)
 
     def _word_to_base_ids(self, word: str) -> tuple[int, ...]:
         return tuple(self._byte_offset + b for b in word.encode("utf-8"))
@@ -161,6 +157,28 @@ class BPETokenizer:
         if eos:
             ids.append(self.special.eos_id)
         return ids
+
+    def encode_tail(self, text: str, keep: int) -> list[int]:
+        """The last ``keep`` ids of ``encode(text)``, encoding only a
+        suffix of ``text``.
+
+        A word starts at every whitespace character, so a suffix that
+        starts at one splits into exactly the text's last words, and its
+        ids are the tail of the full encoding.  The suffix grows until
+        it yields ``keep`` ids or reaches the start of ``text``.
+        """
+        if keep < 1:
+            raise ValueError("keep must be >= 1")
+        chars = 4 * keep  # first guess: a few characters per id, doubled while short
+        while True:
+            cut = len(text) - chars
+            if cut <= 0:
+                return self.encode(text)[-keep:]
+            at = _SPACE.search(text, cut)
+            ids = self.encode(text[at.start():]) if at else []
+            if len(ids) >= keep:
+                return ids[-keep:]
+            chars *= 2
 
     def decode(self, ids: list[int], skip_special: bool = True) -> str:
         """Invert :meth:`encode` (exact byte round-trip for ordinary text)."""

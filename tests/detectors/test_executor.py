@@ -6,11 +6,12 @@ import json
 
 import pytest
 
+import repro.runtime.machine as machine_mod
 from repro.detectors import Detector, Verdict, build_tool_detectors, run_detectors
 from repro.drb import DRBSuite
 from repro.drb.generator import KernelSpec
 from repro.eval import EvaluationHarness
-from repro.runtime import Machine, MachineConfig
+from repro.runtime import Machine, MachineConfig, execute
 from repro.scan import ScanConfig, ScanPipeline
 
 RACY_C = (
@@ -31,6 +32,13 @@ DIV_ZERO_C = (
     "double a[4];\n"
     "#pragma omp parallel for\n"
     "for (i = 0; i < 4; i++) { a[i] = 1 / (i - i); }\n"
+)
+# Parses, but indexes one past the end of ``a`` on every schedule.
+OUT_OF_BOUNDS_C = (
+    "int i;\n"
+    "double a[4];\n"
+    "#pragma omp parallel for\n"
+    "for (i = 0; i < 4; i++) { a[i + 1] = 1; }\n"
 )
 SOURCES = {"racy": RACY_C, "safe": SAFE_C, "divzero": DIV_ZERO_C}
 MACHINE = MachineConfig(n_schedules=2)
@@ -162,6 +170,88 @@ def test_traces_generated_once_and_only_when_needed():
     results = run_detectors(static, specs, traces_of)
     assert calls == []
     assert [r.program_id for r in results["LLOV"]] == ["racy", "safe"]
+
+
+class _CountingExecute:
+    """Stands in for the machine's ``execute``: records the seed of each
+    schedule run and raises on the seeds in ``failing``."""
+
+    def __init__(self, failing=()):
+        self.seeds = []
+        self.failing = set(failing)
+
+    def __call__(self, code, **kwargs):
+        seed = kwargs["schedule_seed"]
+        self.seeds.append(seed)
+        if seed in self.failing:
+            raise RuntimeError(f"schedule {seed} failed")
+        return execute(code, **kwargs)
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    def install(failing=()):
+        counter = _CountingExecute(failing)
+        monkeypatch.setattr(machine_mod, "execute", counter)
+        return counter
+
+    return install
+
+
+def _dynamic_run(specs, n_schedules=3):
+    """The three dynamic tools over ``specs`` on one lazy exploration
+    each, as scan and the harness run them."""
+    tools = [d for d in build_tool_detectors() if d.kind == "dynamic"]
+    assert {d.name for d in tools} == {"Intel Inspector", "ROMP", "Thread Sanitizer"}
+    machine = Machine(MachineConfig(n_schedules=n_schedules))
+    results = run_detectors(tools, specs, lambda spec: machine.traces(spec.parse()))
+    return {(name, r.program_id): r for name, col in results.items() for r in col}
+
+
+def test_race_free_kernel_runs_each_schedule_once(counting):
+    counter = counting()
+    results = _dynamic_run([_spec("safe")])
+    assert {r.verdict for r in results.values()} == {Verdict.NO_RACE}
+    assert sorted(counter.seeds) == [0, 1, 2]
+
+
+def test_racy_kernel_settled_on_schedule_0_runs_once(counting):
+    counter = counting()
+    results = _dynamic_run([_spec("racy")])
+    assert {r.verdict for r in results.values()} == {Verdict.RACE}
+    assert counter.seeds == [0]
+
+
+def test_failing_schedule_lands_only_on_its_readers(counting):
+    counter = counting(failing={1})
+    results = _dynamic_run([_spec("racy"), _spec("safe")])
+    reason = "RuntimeError: schedule 1 failed"
+    # Both thread-level tools read schedule 1 of the race-free kernel.
+    for tool in ("Thread Sanitizer", "Intel Inspector"):
+        assert results[tool, "safe"].verdict is Verdict.UNSUPPORTED
+        assert results[tool, "safe"].detail == reason
+        # ... but settled the racy one on schedule 0.
+        assert results[tool, "racy"].verdict is Verdict.RACE
+        assert results[tool, "racy"].detail == ""
+    # ROMP reads schedule 0 only.
+    assert results["ROMP", "safe"].verdict is Verdict.NO_RACE
+    assert results["ROMP", "racy"].verdict is Verdict.RACE
+    # The failing schedule ran once, although two tools read it.
+    seeds = counter.seeds
+    assert seeds.count(1) == 1 and seeds.count(0) == 2 and seeds.count(2) == 0
+
+
+def test_out_of_bounds_schedule_is_unsupported_for_every_reader(counting):
+    # IndexError must not read as the end of the schedule sequence.
+    counter = counting()
+    spec = KernelSpec("oob", "C/C++", "Test", "no", OUT_OF_BOUNDS_C, frozenset())
+    results = _dynamic_run([spec])
+    for tool in ("Thread Sanitizer", "Intel Inspector", "ROMP"):
+        assert results[tool, "oob"].verdict is Verdict.UNSUPPORTED
+        assert results[tool, "oob"].detail.startswith("IndexError: array 'a' index 4 out of bounds")
+    assert counter.seeds == [0]
+    with pytest.raises(IndexError, match="out of bounds"):
+        Machine(MACHINE).any_hb_race(spec.parse())
 
 
 class BatchedFlakyDetector(FlakyDetector):

@@ -126,6 +126,42 @@ class TestScoreBatchParity:
                 np.testing.assert_allclose(batched[i], direct, atol=1e-5)
 
 
+class TestTailEncodedMargins:
+    """``yes_no_margins`` encodes instructions from the tail; its margins
+    must equal, float for float, those of the fully encoded prompts."""
+
+    @staticmethod
+    def _full_prompt_margins(engine, instructions):
+        tok = engine.tokenizer
+        logits = engine.next_token_logits([engine.chat.prompt_ids(i) for i in instructions])
+        return [float(m) for m in logits[:, tok.encode(" yes")[0]] - logits[:, tok.encode(" no")[0]]]
+
+    def test_suite_kernels_match_full_encoding(self, engine):
+        from repro.datagen.prompts import race_instruction
+        from repro.drb import DRBSuite
+
+        specs = DRBSuite.evaluation().specs
+        oversize = [s for s in specs if "oversize" in s.features]
+        short = [s for s in specs if "oversize" not in s.features][::40]
+        assert len(oversize) == 14
+        instructions = [race_instruction(s.source, s.language) for s in oversize + short]
+        instructions += ["short", "", "  padded  ", "x" * 500]
+        assert engine.yes_no_margins(instructions) == self._full_prompt_margins(
+            engine, instructions
+        )
+
+    def test_context_edge_lengths_match_full_encoding(self, engine, tok):
+        """Bodies of every length around the context, where the tail
+        prompt and the full prompt first differ before clamping."""
+        words = "the river flows past the old hill ".split(" ")
+        instructions = [" ".join(words * 20)[:cut] for cut in range(40, 160, 2)]
+        lengths = {len(tok.encode(engine.chat.render_prompt(i))) for i in instructions}
+        assert min(lengths) < SMALL.max_seq_len - 1 < max(lengths)
+        assert engine.yes_no_margins(instructions) == self._full_prompt_margins(
+            engine, instructions
+        )
+
+
 class TestContextOverflowRegression:
     def test_max_new_tokens_at_context_edge(self, model, tok):
         """max_new_tokens >= max_seq_len - 1 with an over-long prompt used

@@ -48,21 +48,49 @@ class TestShortCircuit:
         assert not m.any_hb_race(parse_c(RACE_FREE))
         assert counter.calls == 6
 
-    def test_iter_traces_is_lazy(self, monkeypatch):
+    def test_traces_is_lazy(self, monkeypatch):
         counter = _CountingExecute()
         monkeypatch.setattr(machine_mod, "execute", counter)
         m = Machine(MachineConfig(n_threads=2, n_schedules=4))
-        it = m.iter_traces(parse_c(RACY))
+        it = iter(m.traces(parse_c(RACY)))
         assert counter.calls == 0
         next(it)
         assert counter.calls == 1
         next(it)
         assert counter.calls == 2
 
-    def test_traces_still_returns_full_list(self):
+    def test_traces_has_full_length_and_memoises(self, monkeypatch):
+        counter = _CountingExecute()
+        monkeypatch.setattr(machine_mod, "execute", counter)
         m = Machine(MachineConfig(n_threads=2, n_schedules=3))
         traces = m.traces(parse_c(RACY))
-        assert isinstance(traces, list) and len(traces) == 3
+        assert len(traces) == 3 and counter.calls == 0
+        assert traces[2] is traces[-1] and counter.calls == 1
+        assert len(list(traces)) == 3 and counter.calls == 3
+        assert list(traces) == list(traces) and counter.calls == 3
+        with pytest.raises(IndexError):
+            traces[3]
+        # Each schedule is the one a direct execute() gives.
+        for trace, (strategy, seed) in zip(traces, m.schedule_plan()):
+            direct = execute(parse_c(RACY), n_threads=2, schedule_seed=seed, strategy=strategy)
+            assert trace.events == direct.events
+
+    def test_failing_schedule_raises_again_without_rerunning(self, monkeypatch):
+        calls = []
+
+        def flaky(code, **kwargs):
+            calls.append(kwargs["schedule_seed"])
+            if kwargs["schedule_seed"] == 1:
+                raise RuntimeError("schedule 1 failed")
+            return execute(code, **kwargs)
+
+        monkeypatch.setattr(machine_mod, "execute", flaky)
+        traces = Machine(MachineConfig(n_threads=2, n_schedules=3)).traces(parse_c(RACE_FREE))
+        for _ in range(3):
+            with pytest.raises(RuntimeError, match="schedule 1 failed"):
+                traces[1]
+        assert traces[0] is traces[0] and traces[2] is traces[2]
+        assert sorted(calls) == [0, 1, 2]
 
 
 class TestMaxReports:

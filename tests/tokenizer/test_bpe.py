@@ -1,6 +1,8 @@
 """Tests for the byte-level BPE tokenizer, including hypothesis
 round-trip properties."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,97 @@ class TestEncodeDecode:
     @given(st.text(alphabet="abcdefgh ", min_size=1, max_size=40))
     def test_encode_deterministic_property(self, tok, text):
         assert tok.encode(text) == tok.encode(text)
+
+
+def _words_by_isspace(text: str) -> list[str]:
+    """The loop ``BPETokenizer._words`` replaced: a new word at every
+    ``str.isspace`` character."""
+    out: list[str] = []
+    buf: list[str] = []
+    for ch in text:
+        if ch.isspace() and buf:
+            out.append("".join(buf))
+            buf = []
+        buf.append(ch)
+    if buf:
+        out.append("".join(buf))
+    return out
+
+
+class TestWords:
+    def test_regex_whitespace_is_isspace_on_every_code_point(self):
+        everything = "".join(map(chr, range(0x110000)))
+        by_regex = re.findall(r"\s", everything)
+        assert by_regex == [ch for ch in everything if ch.isspace()]
+
+    @pytest.mark.parametrize("text", [
+        "", " ", "  ", "a", " lead", "trail ", "a  b", "\x1c", "a\x1cb",
+        "\u3000", "x\u3000y", "\t\n\r\x0b\x0c\x85\xa0", "for (i = 0;\n\ti++)",
+    ])
+    def test_edge_strings_split_like_isspace(self, text):
+        assert BPETokenizer._words(text) == _words_by_isspace(text)
+        assert "".join(BPETokenizer._words(text)) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=60))
+    def test_split_matches_isspace_property(self, text):
+        assert BPETokenizer._words(text) == _words_by_isspace(text)
+
+
+# Whitespace-free, all-whitespace and mixed texts, including characters
+# outside the training corpus.
+_TAIL_TEXTS = st.one_of(
+    st.text(alphabet="abcdefgh(){};=+", max_size=60),
+    st.text(alphabet=" \t\n\x1c\u3000", max_size=30),
+    st.text(alphabet="the quick fox ;\n", max_size=120),
+    st.text(max_size=80),
+)
+
+
+class TestEncodeTail:
+    @settings(max_examples=150, deadline=None)
+    @given(_TAIL_TEXTS, st.sampled_from(["1", "n-1", "n", "n+1", "huge"]))
+    def test_tail_equals_tail_of_full_encoding(self, tok, text, which):
+        full = tok.encode(text)
+        n = len(full)
+        keep = {"1": 1, "n-1": n - 1, "n": n, "n+1": n + 1, "huge": 10**9}[which]
+        if keep < 1:
+            keep = 1
+        assert tok.encode_tail(text, keep) == full[-keep:]
+
+    def test_every_keep_on_long_code(self, tok):
+        text = " ".join(CORPUS) * 20 + "x" * 300 + " tail;"
+        full = tok.encode(text)
+        for keep in range(1, len(full) + 2, 37):
+            assert tok.encode_tail(text, keep) == full[-keep:]
+
+    def test_words_longer_than_the_first_guess(self):
+        """Words that merge into one id span more characters than the
+        first suffix guess, so a cut inside a word would show up."""
+        long_words = BPETokenizer()
+        long_words.train(["supercalifragilistic expialidocious"] * 50, vocab_size=320)
+        text = " ".join(["expialidocious", "supercalifragilistic"] * 30)
+        full = long_words.encode(text)
+        assert len(full) * 8 < len(text)
+        for keep in range(1, len(full) + 2):
+            assert long_words.encode_tail(text, keep) == full[-keep:]
+
+    def test_encodes_only_a_suffix(self, tok, monkeypatch):
+        seen = []
+        encode = BPETokenizer.encode
+
+        def spy(self, text, *args, **kwargs):
+            seen.append(len(text))
+            return encode(self, text, *args, **kwargs)
+
+        monkeypatch.setattr(BPETokenizer, "encode", spy)
+        text = " ".join(CORPUS) * 200
+        assert tok.encode_tail(text, 8) == encode(tok, text)[-8:]
+        assert seen and max(seen) < len(text) // 100
+
+    def test_keep_must_be_positive(self, tok):
+        with pytest.raises(ValueError):
+            tok.encode_tail("abc", 0)
 
 
 class TestPersistence:
