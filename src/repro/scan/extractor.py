@@ -56,15 +56,13 @@ class ExtractedKernel:
     end_line: int
     source: str
     features: frozenset
+    #: The front end accepts the kernel, so the tools can run.
+    parse_ok: bool
     #: The program the front end built, handed on so each kernel is
     #: parsed once; None when the text is outside the front end's
-    #: dialect or only declares things.
+    #: dialect or only declares things, or when the kernel was rebuilt
+    #: from a cached verdict without parsing.
     program: Program | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def parse_ok(self) -> bool:
-        """The front end accepts the kernel, so the tools can run."""
-        return self.program is not None
 
     @property
     def id(self) -> str:
@@ -117,6 +115,19 @@ def _parse(text: str, language: str) -> Program | None:
     return program if program.body.stmts else None
 
 
+def whole_file_kernel(file: SourceFile, program: Program | None = None) -> ExtractedKernel:
+    """The file as one tier-1 kernel: lines 1..n, features from every
+    directive.  Only for a file known to parse — ``program`` is None
+    when that knowledge comes from a cached verdict, not a parse."""
+    return ExtractedKernel(
+        file=file.relpath, language=file.language,
+        start_line=1, end_line=max(1, len(file.text.splitlines())),
+        source=file.text,
+        features=_features(directive_lines(file.text, file.language)),
+        parse_ok=True, program=program,
+    )
+
+
 def extract_kernels(file: SourceFile) -> list[ExtractedKernel]:
     """All scannable kernels of one source file.
 
@@ -124,17 +135,13 @@ def extract_kernels(file: SourceFile) -> list[ExtractedKernel]:
     file parses in the microkernel dialect (a benchmark-style serial
     kernel, e.g. DRB's "Single thread execution" programs), which is
     scanned as one kernel so suite trees get full coverage."""
-    directives = directive_lines(file.text, file.language)
-    n_lines = max(1, len(file.text.splitlines()))
     program = _parse(file.text, file.language)
     if program is not None:
-        return [ExtractedKernel(
-            file=file.relpath, language=file.language,
-            start_line=1, end_line=n_lines, source=file.text,
-            features=_features(directives), program=program,
-        )]
+        return [whole_file_kernel(file, program)]
+    directives = directive_lines(file.text, file.language)
     if not directives:
         return []
+    n_lines = max(1, len(file.text.splitlines()))
 
     spans = (_fortran_unit_spans(file.text) if file.language == FORTRAN
              else _c_function_spans(file.text))
@@ -148,10 +155,12 @@ def extract_kernels(file: SourceFile) -> list[ExtractedKernel]:
     kernels: list[ExtractedKernel] = []
     for (start, end), group in sorted(grouped.items()):
         source = "".join(lines[start - 1 : end])
+        program = _parse(source, file.language)
         kernels.append(ExtractedKernel(
             file=file.relpath, language=file.language,
             start_line=start, end_line=end, source=source,
-            features=_features(group), program=_parse(source, file.language),
+            features=_features(group), parse_ok=program is not None,
+            program=program,
         ))
     return kernels
 

@@ -1,13 +1,20 @@
 """The scan orchestrator: tree -> kernels -> cached ensemble verdicts.
 
-Stages (each timed into the report):
+Stages (timed into the report; stages 2-3 together as ``extract_s``):
 
 1. **walk** the tree (:mod:`repro.scan.walker`);
-2. **extract** OpenMP kernels per file (:mod:`repro.scan.extractor`);
-3. **dedupe** by content hash — identical kernels (vendored copies,
-   generated variants) are detected once and fanned back out;
-4. **cache** lookup in the persistent verdict store — unchanged kernels
-   cost one file read, no model and no tools;
+2. **cache** lookup per file, before any parse: the key a file's
+   whole-file kernel would have is read from the persistent verdict
+   store, and an entry that recorded ``parse_ok`` rebuilds that kernel
+   from the text alone — an unchanged file costs one read and one hash,
+   with no extraction, no parse, no model and no tools;
+3. **extract** OpenMP kernels from every other file
+   (:mod:`repro.scan.extractor`), then look up each kernel whose key
+   was not read yet;
+4. **dedupe** by content hash — identical kernels (vendored copies,
+   generated variants) are looked up and detected once and fanned back
+   out; ``report.cache`` counts these unique kernels (hits served,
+   misses detected, entries written);
 5. for the misses: the **tool ensemble** (LLOV / Inspector / ROMP /
    TSan) runs through :func:`repro.detectors.run_detectors`, the same
    executor as the Table-5 harness (shared per-kernel traces, failures
@@ -32,7 +39,7 @@ from repro.detectors.base import Verdict, run_detectors
 from repro.detectors.registry import build_tool_detectors
 from repro.runtime import Machine, MachineConfig
 from repro.scan.cache import VerdictCache, kernel_key, pipeline_fingerprint
-from repro.scan.extractor import ExtractedKernel, extract_kernels
+from repro.scan.extractor import ExtractedKernel, extract_kernels, whole_file_kernel
 from repro.scan.report import KernelResult, ScanReport
 from repro.scan.walker import DEFAULT_MAX_BYTES, walk_tree
 from repro.utils.languages import normalize_language
@@ -132,33 +139,51 @@ class ScanPipeline:
 
     def scan(self, root: str | Path) -> ScanReport:
         t0 = time.perf_counter()
-        # Snapshot so a reused pipeline reports *this* scan's cache
-        # traffic, not the store's lifetime totals.
-        stats0 = self.cache.stats.to_dict() if self.cache is not None else None
         files, walk_stats = walk_tree(
             root, languages=self.config.languages,
             max_bytes=self.config.max_file_bytes,
         )
         t_walk = time.perf_counter()
 
-        per_file: list[tuple] = [(f, extract_kernels(f)) for f in files]
-        kernels: list[ExtractedKernel] = [k for _, ks in per_file for k in ks]
+        fingerprint = self._fingerprint()  # may calibrate: timed as detect
+        t_fingerprint = time.perf_counter()
+        # One cache read per unique key: a file's whole-file key, then
+        # the key of any kernel extracted under another key.
+        lookups: dict[str, dict | None] = {}
+
+        def lookup(key: str) -> dict | None:
+            if key not in lookups:
+                lookups[key] = self.cache.get(key) if self.cache is not None else None
+            return lookups[key]
+
+        per_file: list[tuple] = []
+        for f in files:
+            file_key = kernel_key(f.text, f.language, fingerprint)
+            hit = lookup(file_key)
+            # A stored parse_ok is this exact text parsing (same
+            # language, same fingerprint): precisely when the extractor
+            # returns the one whole-file kernel.  A tier-2 kernel that
+            # spans the whole file failed that parse, so its entry says
+            # parse_ok false and is never trusted here.
+            if hit is not None and hit.get("parse_ok") is True:
+                keyed = [(file_key, whole_file_kernel(f))]
+            else:
+                keyed = [
+                    (file_key if k.source == f.text
+                     else kernel_key(k.source, k.language, fingerprint), k)
+                    for k in extract_kernels(f)
+                ]
+            per_file.append((f, keyed))
         t_extract = time.perf_counter()
 
-        fingerprint = self._fingerprint()
         # Content-hash dedupe: one verdict per unique (source, language).
         owners: dict[str, list[ExtractedKernel]] = {}
-        for k in kernels:
-            owners.setdefault(kernel_key(k.source, k.language, fingerprint), []).append(k)
+        for _, keyed in per_file:
+            for key, k in keyed:
+                owners.setdefault(key, []).append(k)
 
-        payloads: dict[str, dict] = {}
-        cached_keys: set[str] = set()
-        if self.cache is not None:
-            for key in owners:
-                hit = self.cache.get(key)
-                if hit is not None:
-                    payloads[key] = hit
-                    cached_keys.add(key)
+        payloads = {key: hit for key in owners if (hit := lookup(key)) is not None}
+        cached_keys = set(payloads)
         misses = [key for key in owners if key not in payloads]
         for key, payload in self._detect_batch(
             [(key, owners[key][0]) for key in misses]
@@ -186,7 +211,7 @@ class ScanPipeline:
         report.totals = {
             "files_scanned": walk_stats.files_taken,
             "files_with_omp": sum(1 for _, ks in per_file if ks),
-            "kernels": len(kernels),
+            "kernels": len(results),
             "unique_kernels": len(owners),
             "cache_hits": sum(len(owners[key]) for key in cached_keys),
             "races": len(report.racy()),
@@ -195,16 +220,17 @@ class ScanPipeline:
         }
         report.timing = {
             "walk_s": round(t_walk - t0, 4),
-            "extract_s": round(t_extract - t_walk, 4),
-            "detect_s": round(t_detect - t_extract, 4),
+            "extract_s": round(t_extract - t_fingerprint, 4),
+            "detect_s": round(t_detect - t_extract + t_fingerprint - t_walk, 4),
             "total_s": round(total_s, 4),
-            "kernels_per_s": round(len(kernels) / total_s, 2) if total_s > 0 else 0.0,
+            "kernels_per_s": round(len(results) / total_s, 2) if total_s > 0 else 0.0,
         }
-        report.cache = (
-            {k: v - stats0[k] for k, v in self.cache.stats.to_dict().items()}
-            if self.cache is not None
-            else {"hits": 0, "misses": len(owners), "writes": 0}
-        )
+        # Per unique kernel: served from the cache, detected, stored.
+        report.cache = {
+            "hits": len(cached_keys),
+            "misses": len(misses),
+            "writes": len(misses) if self.cache is not None else 0,
+        }
         return report
 
     def _llm_name(self) -> str:

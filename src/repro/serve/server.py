@@ -26,6 +26,9 @@ Endpoints (JSON over HTTP, stdlib ``http.server`` — no dependencies):
   lock, so answer/detect traffic queues until it completes);
 * ``GET  /api/update/<id>`` — update job status + result when done.
 
+A POST body longer than :data:`MAX_BODY_BYTES` gets 413 without being
+read, and the connection is closed.
+
 ``ThreadingHTTPServer`` handles each request on its own thread, so
 requests are funnelled through a :class:`ServingFrontend`: first-touch
 model builds are serialised behind the system's build lock, and
@@ -327,8 +330,20 @@ class ServingFrontend:
                 self._update_queue.close()
 
 
+#: Largest request body the server reads.  Sized for a detect request
+#: carrying one file at the scanner's size cap (2 MiB,
+#: ``repro.scan.walker.DEFAULT_MAX_BYTES``) JSON-escaped at worst: six
+#: bytes (``\u00XX``) per byte, plus 1 MiB for the other fields.
+MAX_BODY_BYTES = 13 * 1024 * 1024
+
+
 class _BadRequest(Exception):
-    """A malformed request: the handler answers 400 with the message."""
+    """A malformed request: the handler answers ``status`` (400 unless
+    given) with the message."""
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 _KIND_NAMES = {str: "a string", bool: "true or false", list: "a list of strings"}
@@ -385,6 +400,8 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -398,6 +415,12 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
             # reused for another request.
             self.close_connection = True
             raise _BadRequest("invalid Content-Length header")
+        if length > MAX_BODY_BYTES:
+            # Left unread, so the connection cannot be reused either.
+            self.close_connection = True
+            raise _BadRequest(
+                f"request body of {length} bytes exceeds {MAX_BODY_BYTES}", status=413
+            )
         raw = self.rfile.read(length) if length else b"{}"
         try:
             payload = json.loads(raw.decode("utf-8"))
@@ -461,7 +484,7 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
             else:
                 route(payload)
         except _BadRequest as exc:
-            self._send(400, {"error": str(exc)})
+            self._send(exc.status, {"error": str(exc)})
 
     def _post_answer(self, payload: dict) -> None:
         question = _field(payload, "question", str, "").strip()

@@ -9,7 +9,9 @@ substrate we simulate the numerically relevant parts:
 * **loss scaling** — the loss is scaled before backward and gradients
   unscaled before the step; steps producing non-finite gradients are
   skipped and the scale halved (dynamic loss scaling), doubling back
-  after a streak of good steps.
+  after a streak of good steps.  The skip does not depend on fp16: with
+  it disabled the scale stays 1.0, but a non-finite step is still
+  skipped, so NaN never reaches the weights.
 
 This is training-wide machinery (pretraining, SFT, and continual
 updates all run through it via :class:`repro.train.Trainer`), so it
@@ -55,7 +57,8 @@ class LossScaler:
 
     def unscale_and_check(self, params: list[Parameter]) -> bool:
         """Divide grads by the scale; returns False (skip step) when any
-        gradient is non-finite."""
+        gradient is non-finite, with fp16 on or off.  Only the dynamic
+        scale depends on fp16: disabled, it stays 1.0."""
         finite = True
         inv = 1.0 / self.scale
         for p in params:
@@ -64,18 +67,18 @@ class LossScaler:
             p.grad *= inv
             if not np.isfinite(p.grad).all():
                 finite = False
-        if not self.config.enabled:
-            return True
-        if finite:
+        if not finite:
+            self.skipped += 1
+            if self.config.enabled:
+                self.scale = max(self.scale / 2.0, self.config.min_scale)
+                self._good_steps = 0
+            return False
+        if self.config.enabled:
             self._good_steps += 1
             if self._good_steps >= self.config.growth_interval:
                 self.scale = min(self.scale * 2.0, self.config.max_scale)
                 self._good_steps = 0
-            return True
-        self.scale = max(self.scale / 2.0, self.config.min_scale)
-        self._good_steps = 0
-        self.skipped += 1
-        return False
+        return True
 
     # -- resumable state ----------------------------------------------------
 

@@ -104,7 +104,7 @@ class StepInfo:
     step: int  # 0-based loop index
     loss: float
     lr: float
-    skipped: bool  # fp16 overflow: gradients discarded, no update
+    skipped: bool  # non-finite gradients: discarded, no update
 
 
 @dataclass

@@ -108,9 +108,14 @@ class TestFp16:
         scaler = LossScaler(Fp16Config(enabled=False))
         assert scaler.loss_factor() == 1.0
         p = Parameter(np.zeros(1, dtype=np.float32))
-        p.grad = np.array([np.nan], dtype=np.float32)
-        # Disabled: reports pass (no skip logic), grads already divided by 1.
+        p.grad = np.array([2.0], dtype=np.float32)
+        # Disabled: finite grads pass, divided by a scale of 1.
         assert scaler.unscale_and_check([p])
+        assert p.grad[0] == 2.0
+        # A non-finite grad is skipped with fp16 off too; the scale stays 1.
+        p.grad = np.array([np.nan], dtype=np.float32)
+        assert not scaler.unscale_and_check([p])
+        assert scaler.skipped == 1 and scaler.loss_factor() == 1.0
 
 
 class TestTrainer:

@@ -11,7 +11,13 @@ import pytest
 
 from repro.core import HPCGPTSystem
 from repro.serve import HPCGPTClient
-from repro.serve.server import ServingFrontend, ServingSystem, start_background
+from repro.scan.walker import DEFAULT_MAX_BYTES
+from repro.serve.server import (
+    MAX_BODY_BYTES,
+    ServingFrontend,
+    ServingSystem,
+    start_background,
+)
 
 from support.stub_system import StubSystem
 
@@ -102,6 +108,30 @@ class TestServer:
             assert error in json.loads(resp.read())["error"]
         finally:
             conn.close()
+
+    def test_oversize_body_413_unread(self, server_url):
+        """A claimed length over the cap is refused at once, without
+        waiting for a body that never comes, and the server still
+        answers the next request."""
+        host, port = server_url.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            conn.putrequest("POST", "/api/detect")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", str(10**12))
+            conn.endheaders()  # headers only: the body is never sent
+            resp = conn.getresponse()
+            assert resp.status == 413
+            assert resp.getheader("Connection") == "close"
+            assert "exceeds" in json.loads(resp.read())["error"]
+        finally:
+            conn.close()
+        client = HPCGPTClient(server_url)
+        assert client.detect("#pragma omp parallel for ...") == "yes"
+
+    def test_body_cap_fits_a_file_at_the_scan_size_cap(self):
+        worst = json.dumps({"code": "\x01" * DEFAULT_MAX_BYTES, "language": "C/C++"})
+        assert len(worst.encode("utf-8")) <= MAX_BODY_BYTES
 
     def test_bad_json_400(self, server_url):
         req = urllib.request.Request(

@@ -73,13 +73,17 @@ class TestLossScalerGrowth:
 
 
 class TestDisabledFp16Passthrough:
-    def test_scale_is_one_and_nonfinite_passes(self):
+    def test_scale_is_one_and_nonfinite_is_skipped(self):
         scaler = LossScaler(Fp16Config(enabled=False))
         assert scaler.loss_factor() == 1.0
         p = param_with_grad([np.inf, 2.0])
-        assert scaler.unscale_and_check([p])  # no skip logic when disabled
-        assert scaler.scale == 1.0 and scaler.skipped == 0
+        assert not scaler.unscale_and_check([p])  # skipped with fp16 off too
+        assert scaler.scale == 1.0 and scaler.skipped == 1
         assert p.grad[1] == 2.0  # divided by 1.0: unchanged
+        for _ in range(3):  # good steps never grow a disabled scale
+            assert scaler.unscale_and_check([param_with_grad([1.0])])
+        assert not scaler.unscale_and_check([param_with_grad([np.nan])])
+        assert scaler.scale == 1.0 and scaler.skipped == 2
 
     def test_state_roundtrip(self):
         scaler = LossScaler(Fp16Config(init_scale=64.0, growth_interval=5))

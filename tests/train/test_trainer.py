@@ -81,6 +81,23 @@ class TestTraining:
                 p.data, p.data.astype(np.float16).astype(np.float32)
             )
 
+    @pytest.mark.parametrize("fp16", [False, True])
+    def test_nan_gradient_step_leaves_weights_unchanged(self, fp16):
+        infos: list[StepInfo] = []
+        trainer = Trainer(make_model(), make_source(),
+                          TrainerConfig(max_steps=1, lr=1e-2,
+                                        fp16=Fp16Config(enabled=fp16)),
+                          callbacks=[infos.append])
+        before = [p.data.copy() for p in trainer.params]
+        loss = trainer._loss
+        trainer._loss = lambda batch: loss(batch) * float("nan")
+        report = trainer.train()
+        assert report.steps == 0 and report.skipped_steps == 1
+        assert [i.skipped for i in infos] == [True]
+        for p, old in zip(trainer.params, before):
+            np.testing.assert_array_equal(p.data, old)
+            assert np.isfinite(p.data).all()
+
     def test_custom_ignore_index_equivalent_to_default(self):
         # The sparse supervised-only path must honour the source's
         # ignore index, not a hardcoded -100.
