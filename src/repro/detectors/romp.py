@@ -25,10 +25,13 @@ from repro.runtime.machine import events_conflict, hb_races
 
 def _ordered_only_conflicts(trace: Trace) -> bool:
     """Conflicting accesses from different threads whose common protection
-    is only the ``$ordered`` pseudo-lock (ROMP does not model ordered)."""
+    is only the ``$ordered`` pseudo-lock (ROMP does not model ordered).
+
+    Such a pair's common lockset is exactly ``{"$ordered"}``, so both
+    events hold it: only those events are grouped and compared."""
     by_loc: dict[tuple, list] = {}
     for e in trace.events:
-        if e.lane:
+        if e.lane or "$ordered" not in e.locks:
             continue
         by_loc.setdefault(e.loc, []).append(e)
     for events in by_loc.values():
@@ -37,10 +40,7 @@ def _ordered_only_conflicts(trace: Trace) -> bool:
         if not any(e.is_write for e in events) or len({e.tid for e in events}) < 2:
             continue
         for a, b in combinations(events, 2):
-            if not events_conflict(a, b):
-                continue
-            common = a.locks & b.locks
-            if common and common <= {"$ordered"}:
+            if events_conflict(a, b) and a.locks & b.locks == {"$ordered"}:
                 return True
     return False
 

@@ -27,7 +27,9 @@ Endpoints (JSON over HTTP, stdlib ``http.server`` — no dependencies):
 * ``GET  /api/update/<id>`` — update job status + result when done.
 
 A POST body longer than :data:`MAX_BODY_BYTES` gets 413 without being
-read, and the connection is closed.
+read, and the connection is closed.  A request whose handling raises
+(for example a failed inference batch) gets 500 with
+``{"error": "ExcType: message"}``.
 
 ``ThreadingHTTPServer`` handles each request on its own thread, so
 requests are funnelled through a :class:`ServingFrontend`: first-touch
@@ -384,10 +386,26 @@ def _version(payload: dict) -> str:
 
 
 class HPCGPTRequestHandler(BaseHTTPRequestHandler):
-    """Dispatches API requests to the bound :class:`ServingFrontend`."""
+    """Dispatches API requests to the bound :class:`ServingFrontend`.
+
+    Each response leaves in one write, on a socket with Nagle's
+    algorithm off: ``wfile`` is buffered, so the status line, headers
+    and body collect until ``handle_one_request`` flushes them after
+    the route returns.  Sent as two small writes on a kept-alive
+    connection, the body would wait behind Nagle for the client's
+    delayed ACK of the headers: at least 40 ms per request on Linux.
+    (A body larger than the 8 KiB buffer still takes more than one
+    write; with Nagle off those leave at once.)
+
+    A route that raises :class:`_BadRequest` is answered with its
+    status; any other exception is answered 500 with
+    ``{"error": "ExcType: message"}``, and the connection stays usable.
+    """
 
     frontend: ServingFrontend = None  # injected by make_server
     protocol_version = "HTTP/1.1"
+    wbufsize = -1  # buffered: one write per response
+    disable_nagle_algorithm = True
 
     # -- helpers -----------------------------------------------------------
 
@@ -435,7 +453,20 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
 
     # -- routes -------------------------------------------------------------
 
+    def _dispatch(self, route) -> None:
+        """Run ``route``; answer its failure instead of dropping the
+        connection."""
+        try:
+            route()
+        except _BadRequest as exc:
+            self._send(exc.status, {"error": str(exc)})
+        except Exception as exc:  # noqa: BLE001 - every request gets an answer
+            self._send(500, {"error": f"{type(exc).__name__}: {exc}"})
+
     def do_GET(self) -> None:
+        self._dispatch(self._get)
+
+    def _get(self) -> None:
         if self.path == "/":
             self._send(200, _GUI_HTML, content_type="text/html")
         elif self.path.startswith("/api/scan/"):
@@ -469,6 +500,9 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
             self._send(404, {"error": f"unknown path {self.path}"})
 
     def do_POST(self) -> None:
+        self._dispatch(self._post)
+
+    def _post(self) -> None:
         routes = {
             "/api/answer": self._post_answer,
             "/api/detect": self._post_detect,
@@ -476,15 +510,12 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
             "/api/scan": self._post_scan,
             "/api/update": self._post_update,
         }
-        try:
-            payload = self._read_json()
-            route = routes.get(self.path)
-            if route is None:
-                self._send(404, {"error": f"unknown path {self.path}"})
-            else:
-                route(payload)
-        except _BadRequest as exc:
-            self._send(exc.status, {"error": str(exc)})
+        payload = self._read_json()
+        route = routes.get(self.path)
+        if route is None:
+            self._send(404, {"error": f"unknown path {self.path}"})
+        else:
+            route(payload)
 
     def _post_answer(self, payload: dict) -> None:
         question = _field(payload, "question", str, "").strip()

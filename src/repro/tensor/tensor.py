@@ -431,10 +431,10 @@ class Tensor:
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         a = self
-        inv = tuple(int(i) for i in np.argsort(axes))
 
         def backward(g: np.ndarray):
-            return [(a, g.transpose(inv))]
+            # The inverse permutation is only needed here, not under no_grad.
+            return [(a, g.transpose(np.argsort(axes)))]
 
         return Tensor._op(a.data.transpose(axes), (a,), backward)
 

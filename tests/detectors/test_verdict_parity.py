@@ -18,6 +18,7 @@ from repro.runtime import Machine, MachineConfig
 from repro.runtime.machine import hb_races
 
 from support.hb_oracle import hb_races_reference
+from support.romp_oracle import ordered_only_conflicts_reference
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +46,7 @@ def seed_romp_verdict(traces) -> Verdict:
     trace = traces[0]
     if hb_races_reference(trace, include_lane_events=False, max_reports=1):
         return Verdict.RACE
-    if _ordered_only_conflicts(trace):
+    if ordered_only_conflicts_reference(trace):
         return Verdict.RACE
     return Verdict.NO_RACE
 
@@ -84,3 +85,18 @@ def test_oracle_matches_reference_checker(corpus):
         assert fast == slow, spec.id
         machine = Machine(MachineConfig(n_threads=2, n_schedules=2))
         assert machine.any_hb_race(spec.parse()) == fast, spec.id
+
+
+def test_romp_ordered_pass_matches_reference_on_whole_suite():
+    """The ordered-only pass groups only events holding ``$ordered``;
+    the reference compares every conflicting pair.  Every trace of the
+    suite at the scan default of 4 schedules must agree."""
+    machine = Machine(MachineConfig(n_threads=2, n_schedules=4))
+    checked = positive = 0
+    for spec in DRBSuite.evaluation(seed=0).specs:
+        for trace in machine.traces(spec.parse()):
+            want = ordered_only_conflicts_reference(trace)
+            assert _ordered_only_conflicts(trace) == want, spec.id
+            checked += 1
+            positive += want
+    assert (checked, positive) == (1372, 44)

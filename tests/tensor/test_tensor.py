@@ -136,6 +136,14 @@ class TestBackward:
     def test_reshape_transpose_grad(self):
         check_grads(lambda a: (a.reshape(6, 4).transpose() ** 2).sum(), [randn(2, 3, 4)])
 
+    @pytest.mark.parametrize("axes", [(0, 2, 1, 3), (2, 0, 1)])
+    def test_transpose_grad_is_inverse_permuted_upstream(self, axes):
+        x = Tensor(randn(*(2, 3, 4, 5)[: len(axes)]), requires_grad=True)
+        y = x.transpose(*axes)
+        upstream = randn(*y.shape)
+        y.backward(upstream)
+        np.testing.assert_array_equal(x.grad, upstream.transpose(np.argsort(axes)))
+
     def test_getitem_grad(self):
         check_grads(lambda a: (a[1:, ::2] ** 2).sum(), [randn(4, 6)])
 
