@@ -310,11 +310,6 @@ def cmd_export(args) -> int:
     return 0
 
 
-def suite_write_sources(suite, out_dir: Path) -> int:
-    """Back-compat alias for :meth:`repro.drb.DRBSuite.write_tree`."""
-    return suite.write_tree(out_dir)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser with all subcommands."""
     parser = argparse.ArgumentParser(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,10 +53,10 @@ class Detector:
     def supports(self, spec: KernelSpec) -> bool:  # pragma: no cover - default
         return True
 
-    def detect(self, spec: KernelSpec, traces: Sequence[Trace] | None = None) -> Verdict:
+    def detect(self, spec: KernelSpec, traces: Iterable[Trace] | None = None) -> Verdict:
         raise NotImplementedError
 
-    def run(self, spec: KernelSpec, traces: Sequence[Trace] | None = None) -> ToolResult:
+    def run(self, spec: KernelSpec, traces: Iterable[Trace] | None = None) -> ToolResult:
         """Support check + detection, packaged."""
         if not self.supports(spec):
             return ToolResult(self.name, spec.id, Verdict.UNSUPPORTED)
@@ -68,7 +68,7 @@ class Detector:
     def run_many(
         self,
         specs: list[KernelSpec],
-        traces_list: "list[Sequence[Trace] | None] | None" = None,
+        traces_list: "list[Iterable[Trace] | None] | None" = None,
     ) -> list[ToolResult]:
         """:meth:`run` once per program; a program the detector raises on
         reports ``UNSUPPORTED`` with the exception as its ``detail``.
@@ -84,7 +84,7 @@ def _failure_detail(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_contained(det: Detector, spec: KernelSpec, traces: Sequence[Trace] | None) -> ToolResult:
+def _run_contained(det: Detector, spec: KernelSpec, traces: Iterable[Trace] | None) -> ToolResult:
     try:
         return det.run(spec, traces)
     except Exception as exc:  # noqa: BLE001 - one program must not sink the batch
@@ -94,7 +94,7 @@ def _run_contained(det: Detector, spec: KernelSpec, traces: Sequence[Trace] | No
 def run_detectors(
     detectors: list[Detector],
     specs: list[KernelSpec],
-    traces_of: Callable[[KernelSpec], Sequence[Trace]],
+    traces_of: Callable[[KernelSpec], Iterable[Trace]],
 ) -> dict[str, list[ToolResult]]:
     """Run an ensemble over ``specs``; results per detector name, in
     ``specs`` order.  The one executor behind the Table-5 harness and
@@ -118,7 +118,7 @@ def run_detectors(
       ``"ExcType: message"``.
     """
     dynamic = any(d.kind == "dynamic" for d in detectors)
-    traces: list[Sequence[Trace] | None] = [None] * len(specs)
+    traces: list[Iterable[Trace] | None] = [None] * len(specs)
     trace_errors: dict[int, str] = {}
     for i, spec in enumerate(specs if dynamic else ()):
         try:

@@ -19,7 +19,7 @@ recall 0.837, specificity 0.529).  Modelling notes:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable
 
 from repro.detectors.base import Detector, Verdict
 from repro.drb.generator import KernelSpec
@@ -70,7 +70,7 @@ class IntelInspectorDetector(Detector):
         # analyses every construct in the suite.
         return True
 
-    def detect(self, spec: KernelSpec, traces: Sequence[Trace] | None = None) -> Verdict:
+    def detect(self, spec: KernelSpec, traces: Iterable[Trace] | None = None) -> Verdict:
         if traces is None:
             raise ValueError("Intel Inspector needs executions (traces)")
         for trace in traces:

@@ -17,7 +17,7 @@ profile:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable
 from math import gcd
 
 from repro.detectors.base import Detector, Verdict
@@ -70,7 +70,7 @@ class LLOVDetector(Detector):
 
     # -- the analysis ------------------------------------------------------
 
-    def detect(self, spec: KernelSpec, traces: Sequence[Trace] | None = None) -> Verdict:
+    def detect(self, spec: KernelSpec, traces: Iterable[Trace] | None = None) -> Verdict:
         program = spec.parse()
         if self._any_loop_races(program):
             return Verdict.RACE

@@ -14,7 +14,7 @@ happens-before detection (like TSan) with ROMP's documented gaps:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable
 from itertools import combinations
 
 from repro.detectors.base import Detector, Verdict
@@ -56,12 +56,12 @@ class ROMPDetector(Detector):
     def supports(self, spec: KernelSpec) -> bool:
         return "target" not in spec.features
 
-    def detect(self, spec: KernelSpec, traces: Sequence[Trace] | None = None) -> Verdict:
+    def detect(self, spec: KernelSpec, traces: Iterable[Trace] | None = None) -> Verdict:
         if traces is None:
             raise ValueError("ROMP needs executions (traces)")
-        if not traces:
+        trace = next(iter(traces), None)  # single-run tool: the first schedule
+        if trace is None:
             return Verdict.NO_RACE
-        trace = traces[0]  # single-run tool
         if hb_races(trace, include_lane_events=False, max_reports=1):
             return Verdict.RACE
         if _ordered_only_conflicts(trace):

@@ -18,7 +18,7 @@ dict-clock implementation.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable
 
 from repro.detectors.base import Detector, Verdict
 from repro.drb.generator import KernelSpec
@@ -39,7 +39,7 @@ class ThreadSanitizerDetector(Detector):
             return not ({"target", "ordered"} & spec.features)
         return True
 
-    def detect(self, spec: KernelSpec, traces: Sequence[Trace] | None = None) -> Verdict:
+    def detect(self, spec: KernelSpec, traces: Iterable[Trace] | None = None) -> Verdict:
         if traces is None:
             raise ValueError("ThreadSanitizer needs executions (traces)")
         for trace in traces:

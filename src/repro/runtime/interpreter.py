@@ -22,7 +22,7 @@ every variable reference once, turning the AST into closures: a private
 action the thread yields.  Statements that touch only private state
 compile to plain closures; only shared accesses and synchronisation
 points suspend the thread.  A kernel is compiled on its first
-execution, and the lazy sequence :meth:`repro.runtime.Machine.traces`
+execution, and the lazy iterable :meth:`repro.runtime.Machine.traces`
 returns reuses the closures for every schedule it runs.  The generator
 interpreter that re-walked the AST on every schedule survives only as
 the reference in the test suite, which checks that both produce
@@ -64,7 +64,7 @@ import numpy as np
 from repro.openmp.ast_nodes import (
     Assign, AtomicStmt, Barrier, BinOp, CriticalSection, FlushStmt, Idx,
     IfStmt, Loop, MasterSection, Num, OrderedBlock, ParallelRegion, Program,
-    Seq, SingleSection, Var,
+    Seq, SingleSection, Var, walk,
 )
 from repro.openmp.pragmas import Pragma
 from repro.runtime.clocks import ClockBank, EpochClock
@@ -117,9 +117,6 @@ class Trace:
     final_arrays: dict = field(default_factory=dict)
     regions: int = 0
     clock_bank: ClockBank = field(default_factory=ClockBank)  # the events' clocks
-
-    def shared_locations(self) -> set[tuple]:
-        return {e.loc for e in self.events}
 
 
 # ---------------------------------------------------------------------------
@@ -757,13 +754,44 @@ def _lane_worker(lane, vl, n_chunks, iters, var, L, ex, body):
         yield _BARRIER_ACTION  # end of the vector step
 
 
+#: Statements whose synchronisation, if any, is fixed by the program
+#: text: fork/join, barriers, thread 0 as ``master``.  Locks (critical,
+#: ordered), atomics and ``single`` let the schedule pick who goes first.
+_DETERMINATE_STMTS = frozenset(
+    {Assign, IfStmt, Loop, Barrier, FlushStmt, MasterSection, ParallelRegion}
+)
+
+
+def _schedule_invariant(program: Program) -> bool:
+    """Whether one race-free execution of ``program`` stands for all:
+    every statement is in :data:`_DETERMINATE_STMTS`, and no directive
+    has an ``ordered`` clause or a ``schedule`` other than ``static``.
+    Then who runs which code never depends on the interleaving, so if
+    one schedule has no race (lanes counted), every read sees the same
+    write in every schedule, and the events, their happens-before order
+    and every tool's verdict are the same (the determinacy argument of
+    SP-bags, Feng & Leiserson 1997)."""
+    for node in walk(program.body):
+        if type(node) not in _DETERMINATE_STMTS:
+            return False
+        pragma = getattr(node, "pragma", None)
+        if pragma is not None and (
+            pragma.has_clause("ordered")
+            or pragma.clause_args("schedule")[:1] not in ((), ("static",))
+        ):
+            return False
+    return True
+
+
 class CompiledProgram:
     """A :class:`Program` compiled into closures, reusable across
     executions.  Compilation happens on the first execution, so the
-    cost lands where the kernel is first run."""
+    cost lands where the kernel is first run; ``schedule_invariant``
+    (see :func:`_schedule_invariant`) is classified at once."""
 
     def __init__(self, program: Program) -> None:
         self.program = program
+        self.schedule_invariant = _schedule_invariant(program)
         self._units: list | None = None
 
     def units(self) -> list:

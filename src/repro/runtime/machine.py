@@ -11,7 +11,7 @@ give identical reports.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,16 +176,21 @@ def hb_races(
     return reports
 
 
-class ScheduleTraces(Sequence[Trace]):
+class ScheduleTraces:
     """One program's traces, in plan order, each executed on first read.
 
-    ``len`` is the number of planned schedules and costs nothing.
     Reading schedule ``k`` runs it once, through this module's
-    :func:`execute`, and keeps the trace, so every reader of one
-    sequence shares each execution.  A schedule that raises keeps its
-    exception: every later read raises it again without re-running.
-    The program is compiled once, by the first execution, and every
-    schedule reuses the closures.
+    :func:`execute`, and keeps the trace, so every iteration shares
+    each execution.  A schedule that raises keeps its exception: every
+    later read raises it again without re-running.  The program is
+    compiled once, by the first execution.
+
+    Iteration may stop before the plan does, so this is an iterable,
+    not a sequence of ``n_schedules``: when a reader first asks for a
+    schedule past 0 of a schedule-invariant program
+    (:attr:`CompiledProgram.schedule_invariant`), one lane-inclusive
+    race check of schedule 0 runs; if it finds no race, no later
+    schedule can change any tool's verdict, and none is run.
     """
 
     def __init__(self, code: CompiledProgram, n_threads: int, plan: list[tuple[str, int]]) -> None:
@@ -193,12 +198,9 @@ class ScheduleTraces(Sequence[Trace]):
         self._n_threads = n_threads
         self._plan = plan
         self._runs: list[Trace | Exception | None] = [None] * len(plan)
+        self._settled: bool | None = None
 
-    def __len__(self) -> int:
-        return len(self._plan)
-
-    def __getitem__(self, k: int) -> Trace:
-        k = range(len(self._plan))[k]  # negative indices; IndexError past the end
+    def _run(self, k: int) -> Trace:
         run = self._runs[k]
         if run is None:
             strategy, seed = self._plan[k]
@@ -216,11 +218,19 @@ class ScheduleTraces(Sequence[Trace]):
             raise run
         return run
 
+    def _settled_on_first(self) -> bool:
+        """Whether schedule 0 decides every verdict (see class doc)."""
+        if self._settled is None:
+            self._settled = self._code.schedule_invariant and not hb_races(
+                self._run(0), include_lane_events=True, max_reports=1
+            )
+        return self._settled
+
     def __iter__(self) -> Iterator[Trace]:
-        # The Sequence mixin would stop at the first IndexError, which a
-        # schedule raises for an out-of-bounds access; let it propagate.
         for k in range(len(self._plan)):
-            yield self[k]
+            if k == 1 and self._settled_on_first():
+                return
+            yield self._run(k)
 
 
 class Machine:
@@ -238,14 +248,16 @@ class Machine:
         ]
 
     def traces(self, program: Program) -> ScheduleTraces:
-        """The program's traces, one per planned schedule, run on first
-        read (see :class:`ScheduleTraces`)."""
+        """The program's traces in plan order, each run on first read;
+        a schedule-invariant program whose schedule 0 is race-free
+        yields only that one (see :class:`ScheduleTraces`)."""
         return ScheduleTraces(CompiledProgram(program), self.config.n_threads, self.schedule_plan())
 
     def any_hb_race(self, program: Program, include_lane_events: bool = True) -> bool:
         """Ground-truth-style oracle: does any explored schedule exhibit a
         happens-before race (lanes counted as parallel by default)?
-        Stops executing schedules at the first racy one."""
+        Stops at the first racy schedule, and after a race-free schedule
+        0 of a schedule-invariant program (see :class:`ScheduleTraces`)."""
         for trace in self.traces(program):
             if hb_races(trace, include_lane_events=include_lane_events, max_reports=1):
                 return True

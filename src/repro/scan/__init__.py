@@ -19,7 +19,7 @@ at once — the "scan my repo" workload of real race-detection tooling:
 
 from repro.scan.cache import VerdictCache, kernel_key
 from repro.scan.extractor import ExtractedKernel, extract_kernels
-from repro.scan.jobs import Job, JobQueue
+from repro.scan.jobs import MAX_PENDING_JOBS, Job, JobQueue, QueueFull
 from repro.scan.pipeline import ScanConfig, ScanPipeline
 from repro.scan.report import KernelResult, ScanReport
 from repro.scan.sarif import to_sarif
@@ -31,6 +31,8 @@ __all__ = [
     "ScanConfig",
     "Job",
     "JobQueue",
+    "MAX_PENDING_JOBS",
+    "QueueFull",
     "ScanPipeline",
     "ScanReport",
     "SourceFile",

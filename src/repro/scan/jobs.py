@@ -5,7 +5,9 @@ handler (a repository scan or a continual-learning update can take
 minutes), and must not stampede the model: jobs run one at a time on a
 single daemon worker, while submission and status polling are O(1)
 dictionary operations.  Finished jobs keep their result until the queue
-is closed (a bounded history evicts the oldest finished jobs).
+is closed (a bounded history evicts the oldest finished jobs), and at
+most :data:`MAX_PENDING_JOBS` jobs wait to start: a submission past
+that raises :class:`QueueFull` (the server answers 429).
 
 :class:`JobQueue` is generic — a *kind* names the job-id prefix, a
 *subject_key* names how the job's subject serialises (``"path"`` for
@@ -23,6 +25,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 QUEUED, RUNNING, DONE, ERROR = "queued", "running", "done", "error"
+
+#: Jobs one queue holds submitted but not yet started.
+MAX_PENDING_JOBS = 16
+
+
+class QueueFull(RuntimeError):
+    """A submission found :data:`MAX_PENDING_JOBS` jobs waiting to start."""
 
 
 @dataclass
@@ -80,6 +89,7 @@ class JobQueue:
         self._order: list[str] = []  # submission order, for eviction
         self._counter = itertools.count(1)
         self._queue: "queue.Queue[Any]" = queue.Queue()
+        self._pending = 0  # submitted, not yet taken by the worker
         self._lock = threading.Lock()
         self._closed = False
         self._worker = threading.Thread(target=self._loop, daemon=True)
@@ -91,6 +101,11 @@ class JobQueue:
         with self._lock:
             if self._closed:
                 raise RuntimeError(f"{type(self).__name__} is closed")
+            if self._pending >= MAX_PENDING_JOBS:
+                raise QueueFull(
+                    f"{self._kind} backlog is full: {MAX_PENDING_JOBS} jobs waiting"
+                )
+            self._pending += 1
             job = Job(
                 id=f"{self._kind}-{next(self._counter):06d}",
                 subject=str(subject),
@@ -136,6 +151,7 @@ class JobQueue:
             if job_id is None:
                 return
             with self._lock:
+                self._pending -= 1
                 job = self._jobs.get(job_id)
             if job is None:  # evicted while queued (pathological backlog)
                 continue

@@ -27,9 +27,11 @@ Endpoints (JSON over HTTP, stdlib ``http.server`` — no dependencies):
 * ``GET  /api/update/<id>`` — update job status + result when done.
 
 A POST body longer than :data:`MAX_BODY_BYTES` gets 413 without being
-read, and the connection is closed.  A request whose handling raises
-(for example a failed inference batch) gets 500 with
-``{"error": "ExcType: message"}``.
+read, and the connection is closed.  A scan or update submitted while
+its queue already holds :data:`repro.scan.jobs.MAX_PENDING_JOBS` jobs
+waiting to start gets 429 with a ``Retry-After`` header.  A request
+whose handling raises (for example a failed inference batch) gets 500
+with ``{"error": "ExcType: message"}``.
 
 ``ThreadingHTTPServer`` handles each request on its own thread, so
 requests are funnelled through a :class:`ServingFrontend`: first-touch
@@ -339,13 +341,28 @@ class ServingFrontend:
 MAX_BODY_BYTES = 13 * 1024 * 1024
 
 
-class _BadRequest(Exception):
-    """A malformed request: the handler answers ``status`` (400 unless
-    given) with the message."""
+#: Seconds a client told 429 (a full job backlog) should wait.
+RETRY_AFTER_S = 5
 
-    def __init__(self, message: str, status: int = 400) -> None:
+
+class _BadRequest(Exception):
+    """A request the handler refuses: it answers ``status`` (400 unless
+    given) with the message, and any extra ``headers``."""
+
+    def __init__(self, message: str, status: int = 400, headers: dict | None = None) -> None:
         super().__init__(message)
         self.status = status
+        self.headers = headers or {}
+
+
+def _submit_job(submit, subject: str, options: dict):
+    """``submit(subject, options)``; a full backlog is a 429."""
+    from repro.scan.jobs import QueueFull
+
+    try:
+        return submit(subject, options)
+    except QueueFull as exc:
+        raise _BadRequest(str(exc), 429, {"Retry-After": str(RETRY_AFTER_S)}) from None
 
 
 _KIND_NAMES = {str: "a string", bool: "true or false", list: "a list of strings"}
@@ -409,7 +426,8 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
 
     # -- helpers -----------------------------------------------------------
 
-    def _send(self, code: int, payload, content_type: str = "application/json") -> None:
+    def _send(self, code: int, payload, content_type: str = "application/json",
+              headers: dict | None = None) -> None:
         body = (
             payload.encode("utf-8")
             if isinstance(payload, str)
@@ -418,6 +436,8 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
@@ -459,7 +479,7 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
         try:
             route()
         except _BadRequest as exc:
-            self._send(exc.status, {"error": str(exc)})
+            self._send(exc.status, {"error": str(exc)}, headers=exc.headers)
         except Exception as exc:  # noqa: BLE001 - every request gets an answer
             self._send(500, {"error": f"{type(exc).__name__}: {exc}"})
 
@@ -591,7 +611,7 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
                     f"have {sorted(SCHEDULE_STRATEGIES)}"
                 )
             options["strategies"] = strategies
-        job = self.frontend.scan_submit(path, options)
+        job = _submit_job(self.frontend.scan_submit, path, options)
         self._send(202, {"id": job.id, "status": job.status, "path": path})
 
     def _post_update(self, payload: dict) -> None:
@@ -606,7 +626,7 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
         epochs = _positive_int(payload, "epochs")
         if epochs is not None:
             options["epochs"] = epochs
-        job = self.frontend.update_submit(version, options)
+        job = _submit_job(self.frontend.update_submit, version, options)
         self._send(202, {"id": job.id, "status": job.status, "version": version})
 
 

@@ -23,10 +23,7 @@ from repro.tensor.ops import (
     dropout,
     embedding,
     fused_cross_entropy,
-    gelu,
-    log_softmax,
     masked_softmax,
-    relu,
     rms_norm,
     silu,
     softmax,
@@ -45,10 +42,7 @@ __all__ = [
     "dropout",
     "embedding",
     "fused_cross_entropy",
-    "gelu",
-    "log_softmax",
     "masked_softmax",
-    "relu",
     "rms_norm",
     "silu",
     "softmax",

@@ -14,15 +14,6 @@ import numpy as np
 from repro.tensor.tensor import Tensor, _unbroadcast
 
 
-def relu(x: Tensor) -> Tensor:
-    out_data = np.maximum(x.data, 0.0)
-
-    def backward(g: np.ndarray):
-        return [(x, g * (x.data > 0))]
-
-    return Tensor._op(out_data, (x,), backward)
-
-
 def tanh(x: Tensor) -> Tensor:
     out_data = np.tanh(x.data)
 
@@ -58,21 +49,6 @@ def silu(x: Tensor) -> Tensor:
         return [(x, g * (s * (1.0 + x.data * (1.0 - s))))]
 
     return Tensor._op(out_data, (x,), backward)
-
-
-def gelu(x: Tensor) -> Tensor:
-    """tanh-approximation GELU (used by the GPT-style comparator sims)."""
-    c = np.float32(np.sqrt(2.0 / np.pi))
-    inner = c * (x.data + 0.044715 * x.data ** 3)
-    t = np.tanh(inner)
-    out_data = 0.5 * x.data * (1.0 + t)
-
-    def backward(g: np.ndarray):
-        dinner = c * (1.0 + 3 * 0.044715 * x.data ** 2)
-        dt = (1.0 - t * t) * dinner
-        return [(x, g * (0.5 * (1.0 + t) + 0.5 * x.data * dt))]
-
-    return Tensor._op(out_data.astype(x.dtype), (x,), backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -122,18 +98,6 @@ def masked_softmax(x: Tensor, mask: np.ndarray | None, scale: float | None = Non
         return [(x, grad)]
 
     return Tensor._op(out_data.astype(x.dtype, copy=False), (x,), backward)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - lse
-
-    def backward(g: np.ndarray):
-        s = np.exp(out_data)
-        return [(x, g - s * g.sum(axis=axis, keepdims=True))]
-
-    return Tensor._op(out_data.astype(x.dtype), (x,), backward)
 
 
 def cross_entropy_logits(

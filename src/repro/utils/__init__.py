@@ -11,12 +11,10 @@ from repro.utils.languages import (
     language_for_path,
     normalize_language,
 )
-from repro.utils.rng import RngHub, derive_rng, new_rng
+from repro.utils.rng import RngHub, derive_rng
 from repro.utils.text import (
     normalize_ws,
-    sentence_case,
     tokenize_words,
-    truncate_words,
     word_count,
 )
 
@@ -27,10 +25,7 @@ __all__ = [
     "normalize_language",
     "RngHub",
     "derive_rng",
-    "new_rng",
     "normalize_ws",
-    "sentence_case",
     "tokenize_words",
-    "truncate_words",
     "word_count",
 ]

@@ -40,11 +40,6 @@ def derive_rng(seed: int, scope: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def new_rng(seed: int | None = None) -> np.random.Generator:
-    """Return a fresh Generator seeded with ``seed`` (default root seed)."""
-    return np.random.Generator(np.random.PCG64(DEFAULT_SEED if seed is None else seed))
-
-
 class RngHub:
     """A factory of scoped generators sharing one root seed.
 

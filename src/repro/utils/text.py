@@ -26,29 +26,6 @@ def word_count(text: str) -> int:
     return len(tokenize_words(text))
 
 
-def truncate_words(text: str, limit: int) -> str:
-    """Return ``text`` truncated to at most ``limit`` word tokens,
-    preserving original spacing of the kept prefix."""
-    if limit <= 0:
-        return ""
-    matches = list(_WORD_RE.finditer(text))
-    if len(matches) <= limit:
-        return text.strip()
-    end = matches[limit - 1].end()
-    return text[:end].strip()
-
-
-def sentence_case(text: str) -> str:
-    """Capitalise the first letter and guarantee a trailing period."""
-    text = normalize_ws(text)
-    if not text:
-        return text
-    out = text[0].upper() + text[1:]
-    if out[-1] not in ".!?":
-        out += "."
-    return out
-
-
 def jaccard_similarity(a: str, b: str) -> float:
     """Word-set Jaccard similarity, the near-duplicate measure used by the
     filtering stage (values in [0, 1]; 1.0 means identical word sets)."""

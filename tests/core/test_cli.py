@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main, suite_write_sources
+from repro.cli import build_parser, main
 from repro.drb import DRBSuite
 
 
@@ -103,7 +103,7 @@ class TestExport:
         # A small sub-suite keeps the test fast.
         full = DRBSuite.evaluation(seed=0)
         small = DRBSuite(full.specs[:6] + full.by_language("Fortran")[:6])
-        n = suite_write_sources(small, tmp_path)
+        n = small.write_tree(tmp_path)
         assert n == 12
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert len(manifest) == 12

@@ -40,6 +40,17 @@ OUT_OF_BOUNDS_C = (
     "#pragma omp parallel for\n"
     "for (i = 0; i < 4; i++) { a[i + 1] = 1; }\n"
 )
+# Race-free, but the lock lets the schedule pick who enters first, so
+# schedule 0 does not settle the others.
+LOCKED_C = (
+    "int i;\n"
+    "double s;\n"
+    "#pragma omp parallel for\n"
+    "for (i = 0; i < 8; i++) {\n"
+    "  #pragma omp critical\n"
+    "  { s = s + 1; }\n"
+    "}\n"
+)
 SOURCES = {"racy": RACY_C, "safe": SAFE_C, "divzero": DIV_ZERO_C}
 MACHINE = MachineConfig(n_schedules=2)
 
@@ -208,11 +219,23 @@ def _dynamic_run(specs, n_schedules=3):
     return {(name, r.program_id): r for name, col in results.items() for r in col}
 
 
+def _locked_spec() -> KernelSpec:
+    return KernelSpec("locked", "C/C++", "Test", "no", LOCKED_C, frozenset())
+
+
 def test_race_free_kernel_runs_each_schedule_once(counting):
+    counter = counting()
+    results = _dynamic_run([_locked_spec()])
+    assert {r.verdict for r in results.values()} == {Verdict.NO_RACE}
+    assert sorted(counter.seeds) == [0, 1, 2]
+
+
+def test_race_free_sync_free_kernel_runs_schedule_0_only(counting):
+    # No lock, atomic or single: schedule 0 stands for every schedule.
     counter = counting()
     results = _dynamic_run([_spec("safe")])
     assert {r.verdict for r in results.values()} == {Verdict.NO_RACE}
-    assert sorted(counter.seeds) == [0, 1, 2]
+    assert counter.seeds == [0]
 
 
 def test_racy_kernel_settled_on_schedule_0_runs_once(counting):
@@ -224,21 +247,26 @@ def test_racy_kernel_settled_on_schedule_0_runs_once(counting):
 
 def test_failing_schedule_lands_only_on_its_readers(counting):
     counter = counting(failing={1})
-    results = _dynamic_run([_spec("racy"), _spec("safe")])
+    results = _dynamic_run([_spec("racy"), _locked_spec(), _spec("safe")])
     reason = "RuntimeError: schedule 1 failed"
-    # Both thread-level tools read schedule 1 of the race-free kernel.
+    # Both thread-level tools read schedule 1 of the locked kernel.
     for tool in ("Thread Sanitizer", "Intel Inspector"):
-        assert results[tool, "safe"].verdict is Verdict.UNSUPPORTED
-        assert results[tool, "safe"].detail == reason
+        assert results[tool, "locked"].verdict is Verdict.UNSUPPORTED
+        assert results[tool, "locked"].detail == reason
         # ... but settled the racy one on schedule 0.
         assert results[tool, "racy"].verdict is Verdict.RACE
         assert results[tool, "racy"].detail == ""
     # ROMP reads schedule 0 only.
-    assert results["ROMP", "safe"].verdict is Verdict.NO_RACE
+    assert results["ROMP", "locked"].verdict is Verdict.NO_RACE
     assert results["ROMP", "racy"].verdict is Verdict.RACE
+    # Schedule 0 settles the sync-free kernel for every tool, so its
+    # failing schedule 1 is never run or read.
+    for tool in ("Thread Sanitizer", "Intel Inspector", "ROMP"):
+        assert results[tool, "safe"].verdict is Verdict.NO_RACE
+        assert results[tool, "safe"].detail == ""
     # The failing schedule ran once, although two tools read it.
     seeds = counter.seeds
-    assert seeds.count(1) == 1 and seeds.count(0) == 2 and seeds.count(2) == 0
+    assert seeds.count(1) == 1 and seeds.count(0) == 3 and seeds.count(2) == 0
 
 
 def test_out_of_bounds_schedule_is_unsupported_for_every_reader(counting):

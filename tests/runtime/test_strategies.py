@@ -18,6 +18,18 @@ double a[32];
 for (i = 0; i < 32; i++) { a[i] = i * 2; }
 """
 
+# Race-free with a lock: the schedule picks who enters first, so the
+# machine runs every planned schedule of it.
+LOCKED = """
+int i;
+double s;
+#pragma omp parallel for
+for (i = 0; i < 8; i++) {
+  #pragma omp critical
+  { s = s + 1; }
+}
+"""
+
 CONTENDED = """
 int i;
 double s;
@@ -85,7 +97,7 @@ def test_machine_cycles_strategies_over_schedule_budget():
         n_threads=2, n_schedules=5,
         strategies=("random", "round_robin", "adversarial"),
     )
-    traces = Machine(cfg).traces(parse_c(RACE_FREE))
+    traces = list(Machine(cfg).traces(parse_c(LOCKED)))
     assert [t.schedule_strategy for t in traces] == [
         "random", "round_robin", "adversarial", "random", "round_robin",
     ]

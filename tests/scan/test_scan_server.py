@@ -1,6 +1,7 @@
 """Tests for the async scan job queue and the /api/scan endpoints."""
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -8,9 +9,9 @@ import urllib.request
 
 import pytest
 
-from repro.scan.jobs import JobQueue
+from repro.scan.jobs import MAX_PENDING_JOBS, JobQueue, QueueFull
 from repro.serve import HPCGPTClient
-from repro.serve.server import start_background
+from repro.serve.server import RETRY_AFTER_S, start_background
 
 from support.stub_system import StubSystem
 
@@ -63,6 +64,52 @@ class TestScanJobQueue:
             assert bad.status == "error" and "kaput" in bad.error
             assert good.result == {"ok": True}
         finally:
+            q.close()
+
+    def test_backlog_cap_holds_under_concurrent_submits(self):
+        started, release = threading.Event(), threading.Event()
+
+        def runner(path, options):
+            started.set()
+            release.wait(10.0)
+            return {}
+
+        q = JobQueue(runner)
+        accepted, refused = [], []
+        count = threading.Lock()
+
+        def submit_many():
+            for _ in range(10):
+                try:
+                    job = q.submit("/x")
+                except QueueFull:
+                    with count:
+                        refused.append(1)
+                else:
+                    with count:
+                        accepted.append(job)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            q.submit("/first")  # taken by the worker, which blocks
+            assert started.wait(5.0)
+            threads = [threading.Thread(target=submit_many) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10.0)
+                assert not t.is_alive()
+            assert (len(accepted), len(refused)) == (MAX_PENDING_JOBS, 80 - MAX_PENDING_JOBS)
+            release.set()
+            deadline = time.monotonic() + 10.0
+            while accepted[-1].status != "done":
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            q.submit("/again")  # the drained backlog takes jobs again
+        finally:
+            sys.setswitchinterval(interval)
+            release.set()
             q.close()
 
     def test_submit_after_close_rejected(self):
@@ -216,3 +263,54 @@ class TestScanEndpoints:
             t.join(timeout=10.0)
         assert answers == ["no"] * 4
         assert client.scan_wait(job_id, timeout=30.0)["status"] == "done"
+
+
+def _post(url: str, route: str, body: dict) -> dict:
+    req = urllib.request.Request(url + route, data=json.dumps(body).encode(), method="POST")
+    with urllib.request.urlopen(req) as resp:
+        assert resp.status == 202
+        return json.loads(resp.read())
+
+
+@pytest.mark.parametrize("route", ["/api/scan", "/api/update"])
+def test_full_backlog_gets_429_until_the_worker_drains(tmp_path, route):
+    body = (
+        {"path": str(tmp_path), "tools_only": True}
+        if route == "/api/scan"
+        else {"records": [{"instruction": "is MPI a PLP?", "output": "no"}]}
+    )
+    started, release = threading.Event(), threading.Event()
+
+    def blocked(subject, options):
+        started.set()
+        release.wait(10.0)
+        return {}
+
+    server, _ = start_background(StubSystem())
+    frontend = server.frontend
+    frontend._scan_runner = frontend._update_runner = blocked
+    host, port = server.server_address
+    url = f"http://{host}:{port}"
+    try:
+        _post(url, route, body)  # taken by the worker, which blocks
+        assert started.wait(5.0)
+        ids = [_post(url, route, body)["id"] for _ in range(MAX_PENDING_JOBS)]
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(url, route, body)
+        assert err.value.code == 429
+        assert err.value.headers["Retry-After"] == str(RETRY_AFTER_S)
+        assert "backlog is full" in json.loads(err.value.read())["error"]
+
+        release.set()
+        deadline = time.monotonic() + 10.0
+        while True:
+            with urllib.request.urlopen(f"{url}{route}/{ids[-1]}") as resp:
+                if json.loads(resp.read())["status"] == "done":
+                    break
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        _post(url, route, body)
+    finally:
+        release.set()
+        frontend.close()
+        server.shutdown()
