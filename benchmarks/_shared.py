@@ -22,6 +22,9 @@ from repro.eval.metrics import MetricRow
 
 OUT_DIR = Path(__file__).parent / "out"
 OUT_DIR.mkdir(exist_ok=True)
+#: Where ``--smoke`` runs write, so they never overwrite the committed
+#: full-run results in :data:`OUT_DIR` (gitignored).
+SMOKE_OUT_DIR = Path(__file__).parent / "out-smoke"
 
 _SYSTEM: HPCGPTSystem | None = None
 _SUITE: DRBSuite | None = None
@@ -87,6 +90,6 @@ def table5_output():
     return _TABLE5
 
 
-def write_out(name: str, text: str) -> None:
-    (OUT_DIR / name).write_text(text + "\n")
+def write_out(name: str, text: str, out_dir: Path = OUT_DIR) -> None:
+    (out_dir / name).write_text(text + "\n")
     print(text)

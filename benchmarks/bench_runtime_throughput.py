@@ -23,7 +23,9 @@ checkers for TSan, ROMP, Inspector, and the HB oracle over the parity
 corpus (the full suite; one spec per category/language under
 ``--smoke``, which also skips the machine-noise-sensitive speed floor).
 
-Writes ``benchmarks/out/BENCH_runtime.json``.
+Writes ``benchmarks/out/BENCH_runtime.json``; ``--smoke`` writes to the
+gitignored ``benchmarks/out-smoke/`` instead, leaving the committed
+full-run results alone.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import sys
 import time
 from pathlib import Path
 
-from _shared import OUT_DIR, write_out
+from _shared import OUT_DIR, SMOKE_OUT_DIR, write_out
 from repro.detectors.inspector import lockset_races
 from repro.detectors.romp import _ordered_only_conflicts
 from repro.drb import DRBSuite
@@ -220,6 +222,7 @@ def main() -> None:
     smoke = args.smoke
     repeats = args.repeats or (2 if smoke else 5)
     hot_n = 120 if smoke else 400
+    out_dir = SMOKE_OUT_DIR if smoke else OUT_DIR
 
     suite = DRBSuite.evaluation(seed=0)
     specs = parity_specs(suite, smoke)
@@ -328,7 +331,8 @@ def main() -> None:
         },
         "schedules_to_first_race": exploration,
     }
-    (OUT_DIR / "BENCH_runtime.json").write_text(json.dumps(payload, indent=1) + "\n")
+    out_dir.mkdir(exist_ok=True)
+    (out_dir / "BENCH_runtime.json").write_text(json.dumps(payload, indent=1) + "\n")
 
     explore_lines = [
         f"    {name:<12} {row['manifested']}/{row['of']} racy specs, "
@@ -352,9 +356,10 @@ def main() -> None:
                 "(TSan/ROMP/oracle; Inspector clock-independent)",
                 "  schedules to first race:",
                 *explore_lines,
-                f"  artifact: {OUT_DIR / 'BENCH_runtime.json'}",
+                f"  artifact: {out_dir / 'BENCH_runtime.json'}",
             ]
         ),
+        out_dir,
     )
 
 

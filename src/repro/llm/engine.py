@@ -21,15 +21,15 @@ before softmax, which underflows to an exact zero weight in fp32, so a
 padded row computes the same attention mixture as the same row alone.
 
 :class:`MicroBatcher` is the serving glue: concurrent callers submit
-single items, a worker thread collects them for a few milliseconds, and
-one batched call serves the lot.
+single items, and one worker thread serves them in batches: each batch
+takes whatever queued while the previous one ran and starts at once,
+never waiting on a timer for more.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-import time
 from typing import Any, Callable
 
 import numpy as np
@@ -249,29 +249,23 @@ _STOP = object()
 
 
 class MicroBatcher:
-    """Collect concurrent single-item requests into short-window batches.
+    """Serve concurrent single-item requests in work-conserving batches.
 
-    Callers block in :meth:`submit`; a worker thread takes the first
-    pending item, waits up to ``window_ms`` for companions (capped at
-    ``max_batch``), runs ``run_batch`` once over the gathered items, and
-    wakes every caller with its own result.  An exception *raised* by
-    the batch runner propagates to every caller of that batch; a runner
-    that can isolate failures instead returns an ``Exception`` instance
-    in that item's slot, and only that caller sees it raised — one bad
-    request never poisons its batchmates.
+    Callers block in :meth:`submit`; one worker thread blocks for the
+    first pending item, adds whatever else is already queued (up to
+    :data:`DEFAULT_BATCH_SIZE` items), runs ``run_batch`` once over them
+    right away, and wakes every caller with its own result.  A batch never
+    waits for companions: a lone request runs immediately, and under
+    load the queue fills while a batch runs, so the next batch is wide.
+    An exception *raised* by the batch runner propagates to every
+    caller of that batch; a runner that can isolate failures instead
+    returns an ``Exception`` instance in that item's slot, and only that
+    caller sees it raised — one bad request never poisons its
+    batchmates.
     """
 
-    def __init__(
-        self,
-        run_batch: Callable[[list[Any]], list[Any]],
-        window_ms: float = 5.0,
-        max_batch: int = DEFAULT_BATCH_SIZE,
-    ) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+    def __init__(self, run_batch: Callable[[list[Any]], list[Any]]) -> None:
         self._run_batch = run_batch
-        self._window = window_ms / 1000.0
-        self._max_batch = max_batch
         self._queue: queue.Queue = queue.Queue()
         self._closed = False
         # Makes the closed-check and the enqueue atomic with respect to
@@ -322,13 +316,9 @@ class MicroBatcher:
                 return
             batch = [first]
             stop = False
-            deadline = time.monotonic() + self._window
-            while len(batch) < self._max_batch:
-                timeout = deadline - time.monotonic()
-                if timeout <= 0:
-                    break
+            while len(batch) < DEFAULT_BATCH_SIZE:
                 try:
-                    nxt = self._queue.get(timeout=timeout)
+                    nxt = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if nxt is _STOP:

@@ -42,8 +42,22 @@ _PUNCT = set("()[]{};,:")
 
 
 def _strip_c_comments(src: str) -> str:
-    src = re.sub(r"/\*.*?\*/", lambda m: " " * len(m.group()), src, flags=re.DOTALL)
-    return re.sub(r"//[^\n]*", "", src)
+    """Drop comments.  A block comment reads as one space, as in C, so a
+    directive runs on past a comment that spans lines; the newlines it
+    held go back in at the end of the line it ends on, so every later
+    line keeps its source line number."""
+    out: list[str] = []
+    pos = held = 0
+    for m in re.finditer(r"/\*.*?\*/", src, flags=re.DOTALL):
+        text = src[pos:m.start()]
+        if held and "\n" in text:
+            text, held = text.replace("\n", "\n" * (held + 1), 1), 0
+        out.append(text + " ")
+        held += m.group().count("\n")
+        pos = m.end()
+    tail = src[pos:]
+    out.append(tail.replace("\n", "\n" * (held + 1), 1) if "\n" in tail else tail + "\n" * held)
+    return re.sub(r"//[^\n]*", "", "".join(out))
 
 
 def tokenize(src: str, language: str) -> list[Token]:

@@ -35,10 +35,11 @@ with ``{"error": "ExcType: message"}``.
 
 ``ThreadingHTTPServer`` handles each request on its own thread, so
 requests are funnelled through a :class:`ServingFrontend`: first-touch
-model builds are serialised behind the system's build lock, and
-concurrent inference requests are micro-batched — collected for a few
-milliseconds and decoded together through the batched engine — instead
-of racing unsynchronised threads into a shared model.
+model builds are serialised behind the system's build lock, and answer
+and detect requests share one micro-batcher — each batch takes whatever
+requests queued while the previous one ran, never waiting on a timer,
+and decodes them together through the batched engine — instead of
+racing unsynchronised threads into a shared model.
 """
 
 from __future__ import annotations
@@ -95,21 +96,21 @@ class ServingSystem(Protocol):
 class ServingFrontend:
     """Thread-safe facade between the HTTP handlers and the system.
 
-    Two micro-batching queues (one per op kind) gather concurrent
-    requests for ``window_ms`` and serve each gathered batch in one
-    batched call (``answer_batch``, ``answer_retrieval_batch`` or
-    ``detect_race_batch``).  One lock serialises *every* touch of the
-    system — the two queue workers and the ``/health`` path — so lazy
-    first-request builds can never interleave (even for systems without
-    their own build lock) and the model only ever runs one forward at a
-    time.
+    One :class:`MicroBatcher` serves answer and detect requests alike:
+    each batch holds whatever requests queued while the previous batch
+    ran, and :meth:`_dispatch_grouped` serves it with one batched call
+    (``answer_batch``, ``answer_retrieval_batch`` or
+    ``detect_race_batch``) per group of like requests.  One lock
+    serialises *every* touch of the system — the batcher worker and the
+    ``/health`` path — so lazy first-request builds can never interleave
+    (even for systems without their own build lock) and the model only
+    ever runs one forward at a time.
     """
 
-    def __init__(self, system: ServingSystem, window_ms: float = 5.0, max_batch: int = 16) -> None:
+    def __init__(self, system: ServingSystem) -> None:
         self.system = system
         self._system_lock = threading.Lock()
-        self._answer_queue = MicroBatcher(self._answer_many, window_ms, max_batch)
-        self._detect_queue = MicroBatcher(self._detect_many, window_ms, max_batch)
+        self._batcher = MicroBatcher(self._dispatch_grouped)
         self._scan_queue = None  # lazily built on first /api/scan
         self._scan_queue_lock = threading.Lock()
         self._update_queue = None  # lazily built on first /api/update
@@ -126,23 +127,31 @@ class ServingFrontend:
         # pre-update cache key.  Answer/detect traffic is unaffected.
         self._maintenance_lock = threading.Lock()
 
-    # -- batch runners (worker threads) --------------------------------------
+    # -- batch runner (batcher thread) --------------------------------------
 
-    def _dispatch_grouped(self, items, run_group) -> list:
-        """Dispatch ``(payload, key)`` items under the system lock:
-        group by key and run ``run_group(payloads, key)`` once per group.
+    def _dispatch_grouped(self, items: list[tuple[str, tuple]]) -> list:
+        """Serve a micro-batch of ``(payload, key)`` items under the
+        system lock, with one batched call per key: ``("answer",
+        version, retrieval)`` or ``("detect", language)``.
 
         Failures are isolated per group: a slot holding an ``Exception``
         is raised only for its own caller by :class:`MicroBatcher`, so
         one bad request cannot poison the rest of its micro-batch."""
+        system = self.system
         with self._system_lock:
             results: list = [None] * len(items)
             groups: dict = {}
             for idx, (_, key) in enumerate(items):
                 groups.setdefault(key, []).append(idx)
             for key, idxs in groups.items():
+                payloads = [items[i][0] for i in idxs]
                 try:
-                    outs = run_group([items[i][0] for i in idxs], key)
+                    if key[0] == "detect":
+                        outs = system.detect_race_batch(payloads, language=key[1])
+                    else:
+                        _, version, retrieval = key
+                        batched = system.answer_retrieval_batch if retrieval else system.answer_batch
+                        outs = batched(payloads, version=version)
                     if len(outs) != len(idxs):
                         raise RuntimeError(
                             f"batched call returned {len(outs)} results for {len(idxs)} items"
@@ -153,32 +162,13 @@ class ServingFrontend:
                     results[i] = out
             return results
 
-    def _answer_many(self, items: list[tuple[str, tuple[str, bool]]]) -> list:
-        """Answer a micro-batch of ``(question, (version, retrieval))``
-        items: one batched call per (version, retrieval) group."""
-
-        def run_group(questions, key):
-            version, retrieval = key
-            system = self.system
-            batched = system.answer_retrieval_batch if retrieval else system.answer_batch
-            return batched(questions, version=version)
-
-        return self._dispatch_grouped(items, run_group)
-
-    def _detect_many(self, items: list[tuple[str, str]]) -> list:
-        """Detect over a micro-batch of ``(code, language)`` items: one
-        batched call per language."""
-        return self._dispatch_grouped(
-            items, lambda codes, language: self.system.detect_race_batch(codes, language=language)
-        )
-
     # -- request API (handler threads) ---------------------------------------
 
     def answer(self, question: str, version: str = "l2", retrieval: bool = False) -> str:
-        return self._answer_queue.submit((question, (version, bool(retrieval))))
+        return self._batcher.submit((question, ("answer", version, bool(retrieval))))
 
     def detect(self, code: str, language: str = "C/C++") -> str:
-        return self._detect_queue.submit((code, language))
+        return self._batcher.submit((code, ("detect", language)))
 
     # -- §5 knowledge ingestion (retrieval index) -----------------------------
 
@@ -324,8 +314,7 @@ class ServingFrontend:
         return self._update_queue.get(job_id)
 
     def close(self) -> None:
-        self._answer_queue.close()
-        self._detect_queue.close()
+        self._batcher.close()
         with self._scan_queue_lock:
             if self._scan_queue is not None:
                 self._scan_queue.close()
@@ -634,8 +623,6 @@ def make_server(
     system: ServingSystem,
     host: str = "127.0.0.1",
     port: int = 0,
-    window_ms: float = 5.0,
-    max_batch: int = 16,
 ) -> ThreadingHTTPServer:
     """Build (but do not start) the HTTP server bound to ``system``.
 
@@ -643,7 +630,7 @@ def make_server(
     The returned server exposes the micro-batching facade as
     ``server.frontend`` (``server.frontend.close()`` drains it).
     """
-    frontend = ServingFrontend(system, window_ms=window_ms, max_batch=max_batch)
+    frontend = ServingFrontend(system)
     handler = type("BoundHandler", (HPCGPTRequestHandler,), {"frontend": frontend})
     server = ThreadingHTTPServer((host, port), handler)
     server.frontend = frontend

@@ -1,12 +1,10 @@
 """Tests for the batched inference engine: batched-vs-sequential parity,
-the context-overflow regression, growable KV caches, and micro-batching."""
-
-import threading
+the context-overflow regression, and growable KV caches."""
 
 import numpy as np
 import pytest
 
-from repro.llm import CausalLM, GenerationConfig, InferenceEngine, MicroBatcher, ModelConfig
+from repro.llm import CausalLM, GenerationConfig, InferenceEngine, ModelConfig
 from repro.llm.engine import clamp_prompt
 from repro.llm.pretrain import PretrainConfig, build_general_corpus, train_tokenizer_on
 from repro.utils.rng import derive_rng
@@ -186,52 +184,3 @@ class TestContextOverflowRegression:
         assert clamp_prompt(ids, 63, 64) == ids[-1:]
         assert clamp_prompt(ids, 1000, 64) == ids[-1:]
         assert len(clamp_prompt(ids, 0, 64)) == 63
-
-
-class TestMicroBatcher:
-    def test_concurrent_submissions_are_batched(self):
-        seen_batches = []
-        gate = threading.Barrier(8 + 1, timeout=5.0)
-
-        def run_batch(items):
-            seen_batches.append(list(items))
-            return [x * 2 for x in items]
-
-        mb = MicroBatcher(run_batch, window_ms=50.0, max_batch=8)
-        results = {}
-
-        def worker(i):
-            gate.wait()
-            results[i] = mb.submit(i)
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        gate.wait()
-        for t in threads:
-            t.join(timeout=5.0)
-        mb.close()
-        assert results == {i: i * 2 for i in range(8)}
-        # The 8 concurrent submissions must have shared batches.
-        assert max(len(b) for b in seen_batches) > 1
-
-    def test_error_propagates_to_caller(self):
-        def run_batch(items):
-            raise RuntimeError("boom")
-
-        mb = MicroBatcher(run_batch, window_ms=1.0)
-        with pytest.raises(RuntimeError, match="boom"):
-            mb.submit(1)
-        mb.close()
-
-    def test_submit_after_close_rejected(self):
-        mb = MicroBatcher(lambda items: items, window_ms=1.0)
-        mb.close()
-        with pytest.raises(RuntimeError):
-            mb.submit(1)
-
-    def test_result_count_mismatch_is_error(self):
-        mb = MicroBatcher(lambda items: [], window_ms=1.0)
-        with pytest.raises(RuntimeError):
-            mb.submit(1)
-        mb.close()

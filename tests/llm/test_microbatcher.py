@@ -1,74 +1,101 @@
-"""Edge-case tests for the MicroBatcher serving queue."""
+"""Tests for the MicroBatcher serving queue.
+
+Batch composition is checked without timing: a :class:`HeldRunner`
+holds the worker inside its first batch while the test queues items
+behind it, then releases it.
+"""
 
 import threading
-import time
 
 import pytest
 
-from repro.llm.engine import MicroBatcher
+from repro.llm.engine import DEFAULT_BATCH_SIZE, MicroBatcher
+
+from support.batching import join_all, submit_in_threads, wait_queued
 
 
-def collect(batches):
-    """A runner that records batch compositions and echoes items."""
+class HeldRunner:
+    """Records batch compositions, maps each item through ``fn``, and
+    holds its first batch until :attr:`release` is set."""
 
-    def run(items):
-        batches.append(list(items))
-        return [f"out:{i}" for i in items]
+    def __init__(self, fn=lambda item: f"out:{item}"):
+        self.fn = fn
+        self.batches: list[list] = []
+        self.started = threading.Event()
+        self.release = threading.Event()
 
-    return run
+    def __call__(self, items):
+        self.batches.append(list(items))
+        if len(self.batches) == 1:
+            self.started.set()
+            self.release.wait(5.0)
+        return [self.fn(item) for item in items]
 
 
-class TestBatchOfOne:
-    def test_single_item_roundtrip(self):
-        batches = []
-        mb = MicroBatcher(collect(batches), window_ms=1.0)
+def hold(mb, runner):
+    """Start a batch of one item, ``"first"``, and wait until it runs."""
+    held = submit_in_threads(mb.submit, ["first"])
+    assert runner.started.wait(5.0)
+    return held
+
+
+class TestGreedyDrain:
+    def test_lone_item_runs_at_once(self):
+        """A lone request runs as a batch of one, with no other request
+        needed to start it."""
+        runner = HeldRunner()
+        mb = MicroBatcher(runner)
         try:
-            assert mb.submit("a") == "out:a"
-            assert batches == [["a"]]
+            results, errors, threads = hold(mb, runner)
+            assert runner.batches == [["first"]]
+            runner.release.set()
+            join_all(threads)
+            assert results == {"first": "out:first"} and not errors
         finally:
             mb.close()
 
-    def test_max_batch_one_never_groups(self):
-        batches = []
-        mb = MicroBatcher(collect(batches), window_ms=50.0, max_batch=1)
+    def test_items_queued_during_a_batch_share_the_next(self):
+        runner = HeldRunner()
+        mb = MicroBatcher(runner)
         try:
-            results = {}
-            threads = [
-                threading.Thread(target=lambda i=i: results.update({i: mb.submit(i)}))
-                for i in range(4)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=5.0)
-            assert results == {i: f"out:{i}" for i in range(4)}
-            assert all(len(b) == 1 for b in batches)
+            _, _, first = hold(mb, runner)
+            items = list(range(5))
+            results, errors, threads = submit_in_threads(mb.submit, items)
+            wait_queued(mb, len(items))
+            runner.release.set()
+            join_all(first + threads)
+            assert runner.batches[0] == ["first"]
+            assert sorted(runner.batches[1]) == items
+            assert len(runner.batches) == 2
+            assert results == {i: f"out:{i}" for i in items} and not errors
         finally:
             mb.close()
 
-
-class TestFlushOnTimeout:
-    def test_lone_item_flushes_at_window_not_max_batch(self):
-        """A single request must not wait for max_batch companions."""
-        mb = MicroBatcher(lambda items: list(items), window_ms=20.0, max_batch=64)
+    def test_queue_past_the_cap_splits_into_full_batches(self):
+        runner = HeldRunner()
+        mb = MicroBatcher(runner)
         try:
-            t0 = time.monotonic()
-            assert mb.submit("x") == "x"
-            elapsed = time.monotonic() - t0
-            assert elapsed < 5.0  # flushed by the window, not by batch fill
+            _, _, first = hold(mb, runner)
+            items = list(range(DEFAULT_BATCH_SIZE + 3))
+            results, errors, threads = submit_in_threads(mb.submit, items)
+            wait_queued(mb, len(items))
+            runner.release.set()
+            join_all(first + threads)
+            assert [len(b) for b in runner.batches] == [1, DEFAULT_BATCH_SIZE, 3]
+            assert results == {i: f"out:{i}" for i in items} and not errors
         finally:
             mb.close()
 
 
 class TestShutdown:
     def test_submit_after_close_raises(self):
-        mb = MicroBatcher(lambda items: list(items), window_ms=1.0)
+        mb = MicroBatcher(lambda items: list(items))
         mb.close()
         with pytest.raises(RuntimeError, match="closed"):
             mb.submit("late")
 
     def test_concurrent_submitters_after_shutdown_all_fail_cleanly(self):
-        mb = MicroBatcher(lambda items: list(items), window_ms=1.0)
+        mb = MicroBatcher(lambda items: list(items))
         mb.close()
         errors = []
         gate = threading.Barrier(6, timeout=5.0)
@@ -97,32 +124,17 @@ class TestErrorIsolation:
     def test_per_slot_exception_only_fails_its_caller(self):
         """A runner returning an Exception in one slot fails only that
         caller; batchmates still get their results."""
-
-        def run(items):
-            return [
-                ValueError(f"bad:{i}") if i == "poison" else f"ok:{i}"
-                for i in items
-            ]
-
-        mb = MicroBatcher(run, window_ms=50.0, max_batch=8)
+        runner = HeldRunner(lambda i: ValueError(f"bad:{i}") if i == "poison" else f"ok:{i}")
+        mb = MicroBatcher(runner)
         try:
-            results, errors = {}, {}
-            gate = threading.Barrier(4, timeout=5.0)
-
-            def submit(i):
-                gate.wait()
-                try:
-                    results[i] = mb.submit(i)
-                except ValueError as exc:
-                    errors[i] = str(exc)
-
+            _, _, first = hold(mb, runner)
             items = ["a", "poison", "b", "c"]
-            threads = [threading.Thread(target=submit, args=(i,)) for i in items]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=5.0)
-            assert errors == {"poison": "bad:poison"}
+            results, errors, threads = submit_in_threads(mb.submit, items)
+            wait_queued(mb, len(items))
+            runner.release.set()
+            join_all(first + threads)
+            assert sorted(runner.batches[1]) == sorted(items)
+            assert {k: str(e) for k, e in errors.items()} == {"poison": "bad:poison"}
             assert results == {"a": "ok:a", "b": "ok:b", "c": "ok:c"}
         finally:
             mb.close()
@@ -131,7 +143,7 @@ class TestErrorIsolation:
         def run(items):
             raise RuntimeError("runner died")
 
-        mb = MicroBatcher(run, window_ms=1.0)
+        mb = MicroBatcher(run)
         try:
             with pytest.raises(RuntimeError, match="runner died"):
                 mb.submit("x")
@@ -147,10 +159,18 @@ class TestErrorIsolation:
                 raise RuntimeError("first batch dies")
             return [f"ok:{i}" for i in items]
 
-        mb = MicroBatcher(run, window_ms=1.0)
+        mb = MicroBatcher(run)
         try:
             with pytest.raises(RuntimeError):
                 mb.submit("a")
             assert mb.submit("b") == "ok:b"
+        finally:
+            mb.close()
+
+    def test_result_count_mismatch_is_error(self):
+        mb = MicroBatcher(lambda items: [])
+        try:
+            with pytest.raises(RuntimeError):
+                mb.submit(1)
         finally:
             mb.close()

@@ -8,6 +8,7 @@ from repro.openmp import (
     Var, collect_accesses, loop_nest_info, parse_c, parse_fortran,
 )
 from repro.openmp.analysis import Affine, affine_of
+from repro.openmp.lexer import tokenize
 
 
 C_RACE = """
@@ -161,6 +162,25 @@ for (i = 0; i < 4; i++) { a[i] = i; }
 """
         prog = parse_c(src)
         assert isinstance(prog.body.stmts[0], Loop)
+
+    def test_lines_after_multiline_comment(self):
+        """Lines after a multi-line block comment keep their numbers, so
+        tokens and parse errors name their real source lines."""
+        tokens = tokenize("/* a\n b\n c */\nint x;", "C/C++")
+        assert [(t.text, t.line) for t in tokens] == [("int", 4), ("x", 4), (";", 4)]
+        with pytest.raises(CParseError, match="^line 5: expected identifier"):
+            parse_c("/* a\n b\n c */\nint i;\nint ;")
+
+    def test_directive_runs_past_multiline_comment(self):
+        """A block comment reads as one space, as in C, so a directive
+        continues past a comment that spans lines."""
+        src = (
+            "int i;\ndouble a[8];\n#pragma omp parallel /* a\n b */ for\n"
+            "for (i = 0; i < 8; i++) { a[i] = i; }\n"
+        )
+        loop = parse_c(src).body.stmts[0]
+        assert loop.pragma.kind == "parallel for"
+        assert tokenize(src, "C/C++")[-1].line == 5
 
     def test_errors(self):
         with pytest.raises(CParseError):

@@ -19,6 +19,7 @@ from repro.serve.server import (
     start_background,
 )
 
+from support.batching import join_all, submit_in_threads, wait_queued
 from support.stub_system import StubSystem
 
 
@@ -150,7 +151,7 @@ class TestServer:
 class TestMicroBatchedServing:
     @pytest.fixture()
     def batch_server(self):
-        system = StubSystem()
+        system = HeldSystem()
         server, _ = start_background(system)
         host, port = server.server_address
         yield system, f"http://{host}:{port}", server
@@ -158,25 +159,17 @@ class TestMicroBatchedServing:
         server.shutdown()
 
     def test_concurrent_requests_share_batches(self, batch_server):
-        system, url, _ = batch_server
+        system, url, server = batch_server
         client = HPCGPTClient(url)
+        _, _, first = submit_in_threads(client.detect, ["hold"])
+        assert system.started.wait(5.0)
         n = 8
-        results = {}
-        gate = threading.Barrier(n, timeout=5.0)
-
-        def ask(i):
-            gate.wait()
-            results[i] = client.answer(f"q{i}")
-
-        threads = [threading.Thread(target=ask, args=(i,)) for i in range(n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10.0)
-        assert results == {i: f"lm[l2]: q{i}" for i in range(n)}
-        assert sum(system.answer_batches) == n
-        # At least one micro-batch gathered more than one request.
-        assert max(system.answer_batches) > 1
+        results, errors, threads = submit_in_threads(client.answer, [f"q{i}" for i in range(n)])
+        wait_queued(server.frontend._batcher, n)
+        system.release.set()
+        join_all(first + threads)
+        assert results == {f"q{i}": f"lm[l2]: q{i}" for i in range(n)} and not errors
+        assert system.answer_batches == [n]
 
     def test_detect_routes_through_batched_path(self, batch_server):
         system, url, _ = batch_server
@@ -186,38 +179,71 @@ class TestMicroBatchedServing:
         assert system.detect_batches == [1, 1]
 
 
-class TestGroupErrorIsolation:
-    """A failing language group must not poison batchmates in other
-    groups of the same micro-batch."""
+class HeldSystem(StubSystem):
+    """Holds a detect of ``"hold"`` until :attr:`release` is set, and
+    fails every Fortran detect."""
 
-    class ExplodingSystem(StubSystem):
-        def detect_race_batch(self, codes, language="C/C++"):
-            if language == "Fortran":
-                raise RuntimeError("fortran backend down")
-            return ["no" for _ in codes]
+    def __init__(self):
+        super().__init__()
+        self.started = threading.Event()
+        self.release = threading.Event()
 
-    def test_one_groups_failure_spares_the_other(self):
-        frontend = ServingFrontend(self.ExplodingSystem(), window_ms=30.0, max_batch=8)
+    def detect_race_batch(self, codes, language="C/C++"):
+        if "hold" in codes:
+            self.started.set()
+            self.release.wait(5.0)
+        if language == "Fortran":
+            raise RuntimeError("fortran backend down")
+        return super().detect_race_batch(codes, language=language)
+
+
+class TestOneBatcher:
+    """Answer and detect requests share one micro-batcher; each batch is
+    served with one batched call per request key."""
+
+    class RecordingFrontend(ServingFrontend):
+        def __init__(self, system):
+            self.dispatched: list[list] = []
+            super().__init__(system)
+
+        def _dispatch_grouped(self, items):
+            self.dispatched.append(list(items))
+            return super()._dispatch_grouped(items)
+
+    def test_one_batcher_thread(self):
+        before = set(threading.enumerate())
+        frontend = ServingFrontend(StubSystem())
         try:
-            results, errors = {}, {}
-            gate = threading.Barrier(2, timeout=5.0)
-
-            def call(code, language):
-                gate.wait()
-                try:
-                    results[language] = frontend.detect(code, language=language)
-                except RuntimeError as exc:
-                    errors[language] = str(exc)
-
-            threads = [
-                threading.Thread(target=call, args=("x = 1;", "C/C++")),
-                threading.Thread(target=call, args=("x = 1", "Fortran")),
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=5.0)
-            assert results == {"C/C++": "no"}
-            assert errors == {"Fortran": "fortran backend down"}
+            assert len(set(threading.enumerate()) - before) == 1
         finally:
+            frontend.close()
+
+    def test_answer_and_detect_share_a_batch_and_fail_per_group(self):
+        system = HeldSystem()
+        frontend = self.RecordingFrontend(system)
+        try:
+            _, _, first = submit_in_threads(frontend.detect, ["hold"])
+            assert system.started.wait(5.0)
+
+            def request(item):
+                if item.startswith("q"):
+                    return frontend.answer(item)
+                return frontend.detect(item, language="Fortran")
+
+            results, errors, threads = submit_in_threads(request, ["q1", "q2", "x = 1", "y = 2"])
+            wait_queued(frontend._batcher, 4)
+            system.release.set()
+            join_all(first + threads)
+            assert len(frontend.dispatched) == 2
+            assert sorted(key for _, key in frontend.dispatched[1]) == [
+                ("answer", "l2", False), ("answer", "l2", False),
+                ("detect", "Fortran"), ("detect", "Fortran"),
+            ]
+            assert system.answer_batches == [2]
+            assert results == {"q1": "lm[l2]: q1", "q2": "lm[l2]: q2"}
+            assert {k: str(e) for k, e in errors.items()} == {
+                "x = 1": "fortran backend down", "y = 2": "fortran backend down",
+            }
+        finally:
+            system.release.set()
             frontend.close()
