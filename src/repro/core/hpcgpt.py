@@ -415,23 +415,26 @@ class HPCGPTSystem:
 
     def _retrieval_extend(self, texts: list[str], metadata: list[dict]) -> int:
         """Append new chunks to the live index (deduplicated by exact
-        text, so re-posting the same document is idempotent), persisting
-        the updated index.  Returns how many chunks were actually new."""
+        text against the store's text set, so re-posting the same
+        document is idempotent) and persist them: one journal record
+        beside the compressed index, which is rewritten only when it
+        does not exist yet or the journal has grown as large as it
+        (``VectorStore.append``).  Returns how many chunks were new."""
         store = self._retrieval.store
-        seen = {t for t, _ in store.all()}
         fresh_texts: list[str] = []
         fresh_meta: list[dict] = []
+        batch: set[str] = set()
         for text, meta in zip(texts, metadata):
-            if not text.strip() or text in seen:
+            if not text.strip() or text in store or text in batch:
                 continue
-            seen.add(text)
+            batch.add(text)
             fresh_texts.append(text)
             fresh_meta.append(meta)
-        if fresh_texts:
+        path = self._retrieval_index_path()
+        if path is None:
             store.add(fresh_texts, fresh_meta)
-            path = self._retrieval_index_path()
-            if path is not None:
-                store.save(path)
+        else:
+            store.append(fresh_texts, fresh_meta, path)
         return len(fresh_texts)
 
     def index_documents(self, documents, max_tokens: int = 128) -> dict:

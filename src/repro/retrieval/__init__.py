@@ -16,7 +16,8 @@ subsystem on the reproduction's substrate:
 * :mod:`repro.retrieval.store` — incremental persistent vector index:
   preallocated growable matrix (amortised O(1) ``add``), batched
   ``search_batch`` scoring every query in one matmul, atomic
-  ``save``/``load`` that self-invalidates when stale;
+  ``save``/``load`` that self-invalidates when stale, and ingests
+  persisted as journal appends beside the compressed base;
 * :mod:`repro.retrieval.rag` — chunking plus the hybrid
   (lexical-anchor + cosine) retrieval-augmented answerer, letting the
   system absorb *new* knowledge without retraining.

@@ -85,9 +85,7 @@ class RetrievalAugmentedAnswerer:
     def __init__(self, store: VectorStore, k: int = 3) -> None:
         self.store = store
         self.k = k
-        # Parsed chunk fields, keyed on the store's mutation counter so
-        # the lexical-anchor pass re-parses only when the index grows.
-        self._fields_cache: tuple[int | None, list[tuple[str, dict]]] | None = None
+        self._fields: list[tuple[str, dict]] = []
 
     # -- extraction --------------------------------------------------------
 
@@ -112,17 +110,16 @@ class RetrievalAugmentedAnswerer:
         return fields
 
     def _store_fields(self) -> list[tuple[str, dict]]:
-        """``(text, parsed fields)`` for every indexed chunk, cached per
-        store version (re-parsing the whole store per question would
-        dominate batched answering)."""
-        version = getattr(self.store, "version", None)
-        if self._fields_cache is None or self._fields_cache[0] != version:
-            parsed = [
-                (text, self._chunk_fields(text, metadata))
-                for text, metadata in self.store.all()
-            ]
-            self._fields_cache = (version, parsed)
-        return self._fields_cache[1]
+        """``(text, parsed fields)`` for every indexed chunk, each chunk
+        parsed once: the store only appends (a rebuild makes a new store
+        and a new answerer), so a call parses just the rows added since
+        the last one."""
+        fields = self._fields
+        fields.extend(
+            (text, self._chunk_fields(text, metadata))
+            for text, metadata in self.store.all(len(fields))
+        )
+        return fields
 
     def answer(self, question: str) -> str | None:
         """The §5 loop: embed -> match -> extract from the best chunk."""

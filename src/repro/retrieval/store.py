@@ -20,6 +20,20 @@ grows, and the index itself must survive restarts:
   are keyed outside the file: the system names index files by its
   config cache key + ``DATA_VERSION``, the same discipline model
   checkpoints use, so a changed corpus lands in a different file.)
+* **ingests cost what they add** — ``append`` persists new chunks as
+  one JSON line in a journal beside the compressed base
+  (``<index>.npz.journal``: ``{"at", "texts", "metadata"}``) instead of
+  rewriting the base.  The base is rewritten, and the journal emptied,
+  only when this store has no base at that path yet or the journal
+  holds as many rows as the base, so each chunk is rewritten O(1) times
+  amortised (the log-structured discipline of Bitcask and LSM-trees).
+  ``load`` replays the journal through ``add`` — the same calls the
+  live process made, so rows come back bit-identical — applying a
+  record only at ``at == len(store)``, skipping one already in the base
+  (a crash between a base rewrite and the journal reset) and stopping
+  at a torn line or a gap.  The journal's first line names its base's
+  id (also stored in the ``.npz``), fingerprint and row count; a
+  journal beside any other base is ignored.
 """
 
 from __future__ import annotations
@@ -27,13 +41,20 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from repro.retrieval.embedding import TfidfEmbedder, tokenizer_fingerprint
 
 #: Bump when the on-disk layout changes; old files then self-invalidate.
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
+
+
+def journal_path(path: str | os.PathLike) -> Path:
+    """Where the journal of the base index at ``path`` lives."""
+    path = Path(path)
+    return path.with_name(path.name + ".journal")
 
 
 class StaleIndexError(RuntimeError):
@@ -47,6 +68,31 @@ class Hit:
     text: str
     score: float
     metadata: dict
+
+
+@dataclass
+class _Base:
+    """The persisted base this store last wrote or read, and how much
+    of the journal beside it is this store's."""
+
+    path: Path
+    id: str
+    fingerprint: str
+    rows: int
+    #: Rows persisted in base + journal: the next record's ``at``.
+    persisted: int
+    #: Bytes of the journal that hold this base's header and records;
+    #: ``None`` when no journal of this base exists yet.
+    journal_end: int | None = None
+
+    def header(self) -> bytes:
+        return _json_line({"base": self.id, "fingerprint": self.fingerprint,
+                           "rows": self.rows})
+
+
+def _json_line(obj) -> bytes:
+    # json.dumps escapes every newline, so one record is one line.
+    return (json.dumps(obj) + "\n").encode()
 
 
 class VectorStore:
@@ -63,14 +109,17 @@ class VectorStore:
         self.embedder = embedder
         self._texts: list[str] = []
         self._metadata: list[dict] = []
+        self._text_set: set[str] = set()
         self._matrix = np.zeros((0, embedder.dim), dtype=np.float64)
         self._n = 0
-        #: Bumped on every mutation; consumers (e.g. the RAG answerer's
-        #: parsed-fields cache) key derived state on it.
-        self.version = 0
+        self._base: _Base | None = None
 
     def __len__(self) -> int:
         return self._n
+
+    def __contains__(self, text: str) -> bool:
+        """Whether a chunk with exactly this text is indexed."""
+        return text in self._text_set
 
     @property
     def matrix(self) -> np.ndarray:
@@ -105,12 +154,39 @@ class VectorStore:
         self._n += len(texts)
         self._texts.extend(texts)
         self._metadata.extend(metadata)
-        self.version += 1
+        self._text_set.update(texts)
 
-    def all(self) -> list[tuple[str, dict]]:
-        """Every indexed (text, metadata) pair — used by lexical anchor
-        scans in hybrid retrieval."""
-        return list(zip(self._texts, self._metadata))
+    def append(self, texts: list[str], metadata: list[dict], path: str | os.PathLike) -> None:
+        """``add`` the chunks and persist them at ``path``: one journal
+        record, or a rewrite of the base when this store has no base at
+        ``path`` yet or the journal would hold as many rows as the base
+        (see the module docstring)."""
+        if not texts:
+            return
+        at = self._n
+        self.add(texts, metadata)
+        path, base = Path(path), self._base
+        if (base is None or base.path != path or base.persisted != at
+                or self._n - base.rows >= base.rows):
+            self.save(path)
+            return
+        record = _json_line({"at": at, "texts": texts, "metadata": metadata})
+        if base.journal_end is None:  # replaces any other base's journal
+            journal = base.header() + record
+            journal_path(path).write_bytes(journal)
+            base.journal_end = len(journal)
+        else:
+            with open(journal_path(path), "r+b") as f:
+                f.seek(base.journal_end)
+                f.truncate()  # a torn tail that load stopped at
+                f.write(record)
+            base.journal_end += len(record)
+        base.persisted = self._n
+
+    def all(self, start: int = 0) -> list[tuple[str, dict]]:
+        """Every indexed (text, metadata) pair from row ``start`` on —
+        used by lexical anchor scans in hybrid retrieval."""
+        return list(zip(self._texts[start:], self._metadata[start:]))
 
     # -- search ------------------------------------------------------------
 
@@ -171,24 +247,32 @@ class VectorStore:
         return self.embedder.fingerprint()
 
     def save(self, path: str | os.PathLike) -> None:
-        """Atomically persist the index (exact matrix + IDF bytes, so a
-        reload returns bit-identical search results)."""
+        """Atomically persist the index as a new base (exact matrix +
+        IDF bytes, so a reload returns bit-identical search results)
+        and empty the journal beside it."""
         from repro.nn.serialization import atomic_savez
 
+        path, fingerprint, base_id = Path(path), self.fingerprint(), os.urandom(16).hex()
         atomic_savez(
             path,
             format_version=np.asarray(INDEX_FORMAT_VERSION, dtype=np.int64),
-            fingerprint=np.asarray(self.fingerprint()),
+            base_id=np.asarray(base_id),
+            fingerprint=np.asarray(fingerprint),
             tokenizer_fp=np.asarray(tokenizer_fingerprint(self.embedder.tokenizer)),
             idf=self.embedder.idf,
             matrix=np.ascontiguousarray(self.matrix),
             texts_json=np.asarray(json.dumps(self._texts)),
             metadata_json=np.asarray(json.dumps(self._metadata)),
         )
+        # A crash before this unlink leaves a journal that names the old
+        # base's id, which load ignores.
+        journal_path(path).unlink(missing_ok=True)
+        self._base = _Base(path, base_id, fingerprint, self._n, self._n)
 
     @classmethod
     def load(cls, path: str | os.PathLike, tokenizer) -> "VectorStore":
-        """Reload a persisted index against ``tokenizer``.
+        """Reload a persisted index against ``tokenizer``, replaying the
+        journal beside it.
 
         Raises :class:`StaleIndexError` when the file was written under
         a different tokenizer (or on-disk format) — the caller should
@@ -206,6 +290,7 @@ class VectorStore:
             texts = json.loads(str(npz["texts_json"][()]))
             metadata = json.loads(str(npz["metadata_json"][()]))
             stored_fp = str(npz["fingerprint"][()])
+            base_id = str(npz["base_id"][()])
         try:
             embedder = TfidfEmbedder.from_idf(tokenizer, idf)
         except ValueError as exc:  # vocab size drifted
@@ -221,6 +306,35 @@ class VectorStore:
         store = cls(embedder)
         store._texts = list(texts)
         store._metadata = list(metadata)
+        store._text_set = set(texts)
         store._matrix = matrix
         store._n = len(texts)
+        store._base = _Base(Path(path), base_id, stored_fp, store._n, store._n)
+        store._replay_journal()
         return store
+
+    def _replay_journal(self) -> None:
+        """Apply the journal records of the base just loaded (see the
+        module docstring for which records count)."""
+        base = self._base
+        try:
+            lines = journal_path(base.path).read_bytes().split(b"\n")
+        except FileNotFoundError:
+            return
+        # The piece after the last newline is empty or a torn write.
+        if len(lines) < 2 or lines[0] + b"\n" != base.header():
+            return
+        end = len(lines[0]) + 1
+        for line in lines[1:-1]:
+            try:
+                record = json.loads(line)
+                at = record["at"]
+                if at > self._n:
+                    break  # a gap: the rows before it are gone
+                if at == self._n:
+                    self.add(record["texts"], record["metadata"])
+            except (ValueError, KeyError, TypeError):
+                break
+            end += len(line) + 1
+        base.journal_end = end
+        base.persisted = self._n

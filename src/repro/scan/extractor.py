@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.drb.generator import KernelSpec
 from repro.openmp.ast_nodes import Program
+from repro.openmp.lexer import BLOCK_COMMENT_RE
 from repro.scan.walker import SourceFile
 from repro.utils.languages import FORTRAN
 
@@ -165,16 +166,26 @@ def extract_kernels(file: SourceFile) -> list[ExtractedKernel]:
     return kernels
 
 
-def _c_function_spans(text: str) -> list[tuple[int, int]]:
-    """(start, end) line spans of top-level ``{...}`` blocks, extended
-    upward to the block's header line (the function signature)."""
-    blank = lambda m: re.sub(r"[^\n]", " ", m.group())  # noqa: E731
-    comment_free = re.sub(r"/\*.*?\*/", blank, text, flags=re.DOTALL)
+def _blank(m: re.Match) -> str:
+    """The match with every character but ``\n`` turned into a space."""
+    return "\n".join(" " * len(line) for line in m.group().split("\n"))
+
+
+def _c_comment_free(text: str) -> str:
+    """``text`` with block comments and string/char literals blanked in
+    place, keeping every line and position, and ``//`` comments dropped."""
+    comment_free = BLOCK_COMMENT_RE.sub(_blank, text)
     comment_free = re.sub(r"//[^\n]*", "", comment_free)
     # Blank string/char literals too: a brace inside "..." or '...'
     # must not perturb the depth tracking (positions are preserved).
-    comment_free = re.sub(r"\"(?:\\.|[^\"\\\n])*\"", blank, comment_free)
-    comment_free = re.sub(r"'(?:\\.|[^'\\\n])*'", blank, comment_free)
+    comment_free = re.sub(r"\"(?:\\.|[^\"\\\n])*\"", _blank, comment_free)
+    return re.sub(r"'(?:\\.|[^'\\\n])*'", _blank, comment_free)
+
+
+def _c_function_spans(text: str) -> list[tuple[int, int]]:
+    """(start, end) line spans of top-level ``{...}`` blocks, extended
+    upward to the block's header line (the function signature)."""
+    comment_free = _c_comment_free(text)
     line_of = _line_index(comment_free)
     spans: list[tuple[int, int]] = []
     depth = 0

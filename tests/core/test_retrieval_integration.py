@@ -7,10 +7,13 @@ so they stay fast.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.core import HPCGPTSystem, SMALL_PRESET
 from repro.knowledge.corpus import KnowledgeChunk
+from repro.retrieval import RetrievalAugmentedAnswerer
+from repro.retrieval.store import journal_path
 
 NEW_FACT_DOC = {
     "text": ("An MLPerf Training v5.0 submission. Submitter: TestVendor. "
@@ -141,3 +144,50 @@ class TestPersistence:
         path.write_bytes(b"not an npz archive")
         rag = system.retrieval_answerer()
         assert len(rag.store) == len(system.knowledge_base)
+
+    def test_journal_replay_matches_live_index(self, tmp_path, monkeypatch):
+        """Interleaved ingests — a duplicate and a multi-chunk document
+        among them — reload in a fresh process exactly as they live."""
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        live = HPCGPTSystem(SMALL_PRESET)
+        path = live._retrieval_index_path()
+        assert live.index_documents([NEW_FACT_DOC])["added"] >= 1
+        base = path.read_bytes()
+        assert live.index_documents([NEW_FACT_DOC])["added"] == 0
+        long_doc = " ".join(
+            f"Rack {i} in hall B was recabled during window {i}." for i in range(12)
+        )
+        stats = live.index_documents([{"text": long_doc, "source": "ops"}], max_tokens=24)
+        assert stats["added"] == stats["chunks"] > 1
+        live.index_documents(["A plain paragraph. Dataset Name: FreshCorpus-9."])
+        assert path.read_bytes() == base  # every ingest went to the journal
+        assert journal_path(path).exists()
+
+        store = live.retrieval_answerer().store
+        fresh = HPCGPTSystem(SMALL_PRESET).retrieval_answerer()
+        assert np.array_equal(fresh.store.matrix, store.matrix)
+        assert fresh.store.all() == store.all()
+        queries = [QUESTION, "Which rack was recabled in hall B?"]
+        assert fresh.store.search_batch(queries, k=5) == store.search_batch(queries, k=5)
+        assert "quantumrack_q4" in fresh.answer(QUESTION)
+
+    def test_rebuild_discards_the_journal(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        system = HPCGPTSystem(SMALL_PRESET)
+        system.index_documents([NEW_FACT_DOC])
+        system.index_documents(["A plain paragraph. Dataset Name: FreshCorpus-9."])
+        system.retrieval_answerer(rebuild=True)
+        fresh = HPCGPTSystem(SMALL_PRESET).retrieval_answerer()
+        assert len(fresh.store) == len(system.knowledge_base)
+
+    def test_store_fields_equal_full_reparse_after_ingests(self, system):
+        rag = system.retrieval_answerer(rebuild=True)
+        rag.answer(QUESTION)
+        system.index_documents([NEW_FACT_DOC])
+        rag.answer(QUESTION)
+        system.index_documents(["A plain paragraph. Dataset Name: FreshCorpus-9."])
+        full = [
+            (text, RetrievalAugmentedAnswerer._chunk_fields(text, metadata))
+            for text, metadata in rag.store.all()
+        ]
+        assert rag._store_fields() == full

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.openmp import CParseError, FortranParseError, parse_c, parse_fortran
-from repro.openmp.lexer import LexError
+from repro.openmp.lexer import BLOCK_COMMENT_RE, LexError
 from repro.openmp.pragmas import PragmaError
+
+from support.c_blanking_oracle import LAZY_BLOCK_COMMENT
 
 C_OK = (CParseError, LexError, PragmaError)
 F_OK = (FortranParseError, LexError, PragmaError)
@@ -68,3 +70,15 @@ class TestFuzzFortran:
             parse_fortran(text)
         except F_OK:
             pass
+
+
+class TestBlockCommentPattern:
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=["/", "*", "a", " ", "\n"], max_size=40))
+    def test_unrolled_pattern_matches_lazy_pattern(self, text):
+        """Friedl's unrolled pattern finds the same comments as the lazy
+        DOTALL one on strings made of the characters that matter."""
+        def spans(pattern):
+            return [m.span() for m in pattern.finditer(text)]
+
+        assert spans(BLOCK_COMMENT_RE) == spans(LAZY_BLOCK_COMMENT)

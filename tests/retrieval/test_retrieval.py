@@ -1,5 +1,8 @@
 """Tests for the §5 retrieval layer: embeddings, vector store, RAG."""
 
+import json
+import shutil
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from repro.retrieval import (
     VectorStore,
     split_into_chunks,
 )
+from repro.retrieval.store import journal_path
 
 
 def reference_embed(embedder, text):
@@ -241,6 +245,144 @@ class TestStore:
         assert loaded.search("brand new chunk Devign", k=1)
 
 
+def assert_same_store(loaded, live):
+    assert len(loaded) == len(live)
+    assert np.array_equal(loaded.matrix, live.matrix)
+    assert loaded.all() == live.all()
+    queries = ["code translation dataset", "which accelerator and software",
+               "journal chunk number 3"]
+    assert loaded.search_batch(queries, k=6) == live.search_batch(queries, k=6)
+
+
+def chunk_batch(tag, n):
+    texts = [f"Journal chunk {tag}.{i}. System: sys_{tag}_{i}." for i in range(n)]
+    return texts, [{"facts": {"System": f"sys_{tag}_{i}"}} for i in range(n)]
+
+
+class TestJournal:
+    """Ingests append to a journal beside the base ``.npz``; ``load``
+    replays it."""
+
+    @pytest.fixture()
+    def based(self, embedder, kb, tmp_path):
+        """A store with a 12-row base at ``path``."""
+        live = VectorStore(embedder)
+        live.add([c.text for c in kb[:12]], [{"facts": c.facts} for c in kb[:12]])
+        path = tmp_path / "index.npz"
+        live.save(path)
+        return live, path
+
+    def test_replay_equals_live_store(self, based, tok):
+        live, path = based
+        for tag, n in [("a", 1), ("b", 3), ("c", 1), ("d", 2)]:
+            live.append(*chunk_batch(tag, n), path)
+        assert len(live) == 19  # 7 journal rows < 12 base rows: no compaction
+        assert_same_store(VectorStore.load(path, tok), live)
+
+    def test_ingest_leaves_base_untouched_and_appends_one_record(self, based):
+        live, path = based
+        live.append(*chunk_batch("a", 2), path)
+        base, journal = path.read_bytes(), journal_path(path).read_bytes()
+        texts, metadata = chunk_batch("b", 3)
+        live.append(texts, metadata, path)
+        record = json.dumps({"at": 14, "texts": texts, "metadata": metadata}) + "\n"
+        assert path.read_bytes() == base
+        assert journal_path(path).read_bytes() == journal + record.encode()
+
+    def test_compacts_when_journal_holds_as_many_rows_as_base(self, based, tok):
+        live, path = based
+        live.append(*chunk_batch("a", 11), path)
+        base = path.read_bytes()
+        assert journal_path(path).exists()
+        live.append(*chunk_batch("b", 1), path)  # 12 journal rows: compact
+        assert path.read_bytes() != base and not journal_path(path).exists()
+        live.append(*chunk_batch("c", 1), path)  # the new base holds 24 rows
+        assert_same_store(VectorStore.load(path, tok), live)
+
+    def test_first_append_at_a_new_path_writes_a_base(self, based, tmp_path):
+        live, _ = based
+        other = tmp_path / "other.npz"
+        live.append(*chunk_batch("a", 1), other)
+        assert other.exists() and not journal_path(other).exists()
+
+    def test_torn_last_line_dropped_and_overwritten(self, based, tok):
+        live, path = based
+        live.append(*chunk_batch("a", 1), path)
+        live.append(*chunk_batch("b", 3), path)
+        journal = journal_path(path)
+        journal.write_bytes(journal.read_bytes()[:-7])  # a crash mid-write
+        loaded = VectorStore.load(path, tok)
+        assert len(loaded) == 13 and loaded.all()[-1][0] == "Journal chunk a.0. System: sys_a_0."
+        # The next append replaces the torn tail, so it replays too.
+        texts, metadata = chunk_batch("c", 1)
+        loaded.append(texts, metadata, path)
+        record = json.dumps({"at": 13, "texts": texts, "metadata": metadata}) + "\n"
+        assert journal.read_bytes().endswith(b"\n" + record.encode())
+        assert_same_store(VectorStore.load(path, tok), loaded)
+
+    def test_replay_stops_at_a_gap(self, based, tok):
+        live, path = based
+        live.append(*chunk_batch("a", 1), path)
+        with open(journal_path(path), "a") as f:
+            f.write(json.dumps({"at": 20, "texts": ["orphan"], "metadata": [{}]}) + "\n")
+            f.write(json.dumps({"at": 13, "texts": ["after the gap"], "metadata": [{}]}) + "\n")
+        assert_same_store(VectorStore.load(path, tok), live)
+
+    def test_crash_before_journal_reset_duplicates_nothing(self, based, tok, tmp_path):
+        live, path = based
+        live.append(*chunk_batch("a", 6), path)
+        live.append(*chunk_batch("b", 5), path)
+        stale = tmp_path / "stale.journal"
+        shutil.copy(journal_path(path), stale)
+        live.append(*chunk_batch("c", 1), path)  # compacts: base now 24 rows
+        shutil.copy(stale, journal_path(path))  # as if the reset never ran
+        loaded = VectorStore.load(path, tok)
+        assert len({text for text, _ in loaded.all()}) == len(loaded) == 24
+        assert_same_store(loaded, live)
+
+    def test_record_already_in_base_is_skipped(self, based, tok):
+        live, path = based
+        live.append(*chunk_batch("a", 2), path)
+        with open(journal_path(path), "a") as f:
+            f.write(json.dumps({"at": 12, "texts": ["again"], "metadata": [{}]}) + "\n")
+        assert_same_store(VectorStore.load(path, tok), live)
+
+    def test_journal_beside_rebuilt_or_foreign_base_ignored(self, based, embedder, kb, tok,
+                                                            tmp_path):
+        live, path = based
+        live.append(*chunk_batch("a", 2), path)
+        old_journal = tmp_path / "old.journal"
+        shutil.copy(journal_path(path), old_journal)
+        # A rebuild at the same path: same rows, a new base.
+        rebuilt = VectorStore(embedder)
+        rebuilt.add([c.text for c in kb[:12]], [{"facts": c.facts} for c in kb[:12]])
+        rebuilt.save(path)
+        shutil.copy(old_journal, journal_path(path))
+        assert_same_store(VectorStore.load(path, tok), rebuilt)
+        # A different base at another path.
+        foreign = VectorStore(embedder)
+        foreign.add([c.text for c in kb[12:20]])
+        other = tmp_path / "other.npz"
+        foreign.save(other)
+        shutil.copy(old_journal, journal_path(other))
+        assert_same_store(VectorStore.load(other, tok), foreign)
+
+    def test_unpersisted_add_forces_a_base_rewrite(self, based, tok):
+        live, path = based
+        live.add(*chunk_batch("a", 1))
+        live.append(*chunk_batch("b", 1), path)
+        assert not journal_path(path).exists()
+        assert_same_store(VectorStore.load(path, tok), live)
+
+    def test_text_membership_tracks_adds(self, based, kb, tok):
+        live, path = based
+        live.append(*chunk_batch("a", 1), path)
+        assert kb[0].text in live and "Journal chunk a.0. System: sys_a_0." in live
+        assert "never indexed" not in live
+        loaded = VectorStore.load(path, tok)
+        assert kb[0].text in loaded and "Journal chunk a.0. System: sys_a_0." in loaded
+
+
 class TestChunking:
     def test_split_respects_budget(self, tok):
         text = " ".join(f"Sentence number {i} talks about datasets." for i in range(40))
@@ -369,3 +511,14 @@ class TestRAG:
         assert len(rag._store_fields()) == 20
         s.add(["System: newsys_x1. Accelerator: TPU-v9."], [{}])
         assert len(rag._store_fields()) == 21
+
+    def test_fields_parsed_incrementally_equal_full_reparse(self, embedder, kb):
+        s = VectorStore(embedder)
+        s.add([c.text for c in kb[:20]], [{"facts": c.facts} for c in kb[:20]])
+        rag = RetrievalAugmentedAnswerer(s)
+        rag._store_fields()
+        for tag, n in [("a", 1), ("b", 3)]:
+            s.add(*chunk_batch(tag, n))
+            rag._store_fields()
+        full = [(t, RetrievalAugmentedAnswerer._chunk_fields(t, m)) for t, m in s.all()]
+        assert rag._store_fields() == full

@@ -2,8 +2,16 @@
 
 import pytest
 
-from repro.scan.extractor import directive_lines, extract_kernels
+from repro.drb import DRBSuite
+from repro.scan.extractor import (
+    _c_comment_free,
+    _c_function_spans,
+    directive_lines,
+    extract_kernels,
+)
 from repro.scan.walker import SourceFile, walk_tree
+
+from support.c_blanking_oracle import reference_c_function_spans
 
 RACY_C = (
     "int i;\n"
@@ -32,6 +40,27 @@ double dot(int n, double *x, double *y) {
   return s;
 }
 """
+
+BRACES_IN_STRINGS_C = (
+    '#include <stdio.h>\n'
+    'void log_open(void) {\n'
+    '  printf("{\\n");\n'
+    '}\n'
+    '\n'
+    'void work(double *y) {\n'
+    '  #pragma omp parallel for\n'
+    '  for (int i = 1; i < 8; i++) y[i] = y[i-1];\n'
+    '}\n'
+)
+
+#: Comments and literals that nest inside each other, span lines or
+#: never close.
+BLANKING_EDGES_C = [
+    "/* { */ void f(void) {\n  /* a\n } */ int x; // }\n}\n",
+    'void g(void) {\n  char *s = "/* {";\n  char c = \'}\';\n}\n/* */ */\n',
+    "/*/ { */ int h(void) { return 1; /*** } **/ }\n/* never closed {\n",
+    "// /* {\nvoid k(void) {\n  int a = 1 /* 2 */ + '\\'';\n}\n",
+]
 
 F_MODULE = """\
 subroutine update(a, n)
@@ -146,18 +175,8 @@ class TestExtractor:
         assert "target" in k.features
 
     def test_braces_in_string_literals_ignored(self):
-        text = (
-            '#include <stdio.h>\n'
-            'void log_open(void) {\n'
-            '  printf("{\\n");\n'
-            '}\n'
-            '\n'
-            'void work(double *y) {\n'
-            '  #pragma omp parallel for\n'
-            '  for (int i = 1; i < 8; i++) y[i] = y[i-1];\n'
-            '}\n'
-        )
-        sf = SourceFile(path=None, relpath="s.c", language="C/C++", text=text)
+        sf = SourceFile(path=None, relpath="s.c", language="C/C++",
+                        text=BRACES_IN_STRINGS_C)
         (k,) = extract_kernels(sf)
         assert k.source.startswith("void work")
         assert "log_open" not in k.source
@@ -195,3 +214,17 @@ class TestExtractor:
         spec = k.to_spec()
         assert spec.id == "k.c:1" and spec.language == "C/C++"
         assert spec.parse().body is not None
+
+
+class TestCBlankingParity:
+    def test_matches_character_at_a_time_oracle(self):
+        """Line-by-line blanking with the unrolled comment pattern gives
+        the old text and spans on every suite C file and fixture."""
+        suite = DRBSuite.evaluation(seed=0)
+        texts = [spec.source for spec in suite.specs if spec.language == "C/C++"]
+        assert len(texts) == 177
+        texts += [RACY_C, REAL_WORLD_C, BRACES_IN_STRINGS_C, *BLANKING_EDGES_C]
+        for text in texts:
+            comment_free, spans = reference_c_function_spans(text)
+            assert _c_comment_free(text) == comment_free
+            assert _c_function_spans(text) == spans
