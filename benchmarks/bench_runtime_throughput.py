@@ -1,6 +1,6 @@
 """Runtime throughput: the epoch-matrix execution engine, measured.
 
-Three views of the rebuilt ``repro.runtime``:
+Two views of the rebuilt ``repro.runtime``:
 
 * **trace generation** — events/s executing the corpus with the
   compiled runtime (each kernel compiled once into closures, reused
@@ -14,9 +14,7 @@ Three views of the rebuilt ``repro.runtime``:
   contention-heavy kernels — large per-location groups, the pairwise
   path's quadratic regime — and (b) every trace of the DRB evaluation
   suite.  The hot-path speedup is asserted ≥ 3x (the PR's acceptance
-  floor);
-* **schedule exploration** — schedules-to-first-race per strategy over
-  the racy half of the suite: diversity, quantified.
+  floor).
 
 Every run also asserts **bit-identical verdict parity** between the two
 checkers for TSan, ROMP, Inspector, and the HB oracle over the parity
@@ -44,7 +42,6 @@ from repro.drb import DRBSuite
 from repro.openmp import parse_c
 from repro.runtime import Machine, MachineConfig, execute
 from repro.runtime.machine import hb_races
-from repro.runtime.schedules import SCHEDULE_STRATEGIES
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from support.every_schedule import EverySchedule  # noqa: E402
@@ -52,7 +49,6 @@ from support.hb_oracle import hb_races_reference  # noqa: E402
 from support.reference_runtime import execute_reference  # noqa: E402
 
 N_SCHEDULES = 2  # per spec for the checking corpus
-FIRST_RACE_BUDGET = 8  # schedule budget for the exploration metric
 SPEEDUP_FLOOR = 3.0
 
 # Contention-heavy kernels: many events per location, so the pairwise
@@ -181,38 +177,6 @@ def verdict_signature(traces) -> tuple:
     return sig(hb_races), sig(hb_races_reference)
 
 
-def schedules_to_first_race(suite: DRBSuite, smoke: bool) -> dict:
-    racy = [s for s in suite.specs if s.label == "yes"]
-    if smoke:
-        racy = racy[:20]
-    out = {}
-    for strategy in sorted(SCHEDULE_STRATEGIES):
-        machine = Machine(
-            MachineConfig(
-                n_threads=2,
-                n_schedules=FIRST_RACE_BUDGET,
-                strategies=(strategy,),
-            )
-        )
-        used, found = [], 0
-        for spec in racy:
-            n = 0
-            for trace in machine.traces(spec.parse()):
-                n += 1
-                if hb_races(trace, max_reports=1):
-                    found += 1
-                    used.append(n)
-                    break
-        out[strategy] = {
-            "manifested": found,
-            "of": len(racy),
-            "mean_schedules_to_first_race": (
-                round(sum(used) / len(used), 3) if used else None
-            ),
-        }
-    return out
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
@@ -238,7 +202,7 @@ def main() -> None:
         return list(EverySchedule(program, machine))
 
     def reference_traces(program):
-        return [execute_reference(program, 2, seed, strategy) for strategy, seed in plan]
+        return [execute_reference(program, 2, seed) for seed in plan]
 
     # Alternate the two runtimes pass by pass so host drift hits both.
     suite_traces, compiled_times, ref_traces, ref_times = None, [], None, []
@@ -283,10 +247,6 @@ def main() -> None:
             f"below the {SPEEDUP_FLOOR}x floor"
         )
 
-    # -- exploration diversity -------------------------------------------------
-
-    exploration = schedules_to_first_race(suite, smoke)
-
     payload = {
         "mode": "smoke" if smoke else "full",
         "corpus": {
@@ -329,16 +289,10 @@ def main() -> None:
             "tools": ["Thread Sanitizer", "ROMP", "HB oracle"],
             "clock_independent": ["Intel Inspector"],
         },
-        "schedules_to_first_race": exploration,
     }
     out_dir.mkdir(exist_ok=True)
     (out_dir / "BENCH_runtime.json").write_text(json.dumps(payload, indent=1) + "\n")
 
-    explore_lines = [
-        f"    {name:<12} {row['manifested']}/{row['of']} racy specs, "
-        f"mean {row['mean_schedules_to_first_race']} schedules to first race"
-        for name, row in exploration.items()
-    ]
     write_out(
         "bench_runtime_throughput.txt",
         "\n".join(
@@ -354,9 +308,7 @@ def main() -> None:
                 f"({speedup_suite:.1f}x)",
                 f"  verdict parity    {len(specs)} specs bit-identical "
                 "(TSan/ROMP/oracle; Inspector clock-independent)",
-                "  schedules to first race:",
-                *explore_lines,
-                f"  artifact: {out_dir / 'BENCH_runtime.json'}",
+                f"  artifact: benchmarks/{out_dir.name}/BENCH_runtime.json",
             ]
         ),
         out_dir,

@@ -254,7 +254,6 @@ def cmd_scan(args) -> int:
         tools_only=args.tools_only,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
-        strategies=tuple(args.strategy) if args.strategy else ("random",),
     )
     system = None if args.tools_only else _make_system(args.preset)
     pipeline = ScanPipeline(system=system, config=config)
@@ -396,12 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ignore and don't update the verdict cache")
     p.add_argument("--cache-dir", help="verdict cache location "
                    "(default: $REPRO_CACHE/scan or .repro_cache/scan)")
-    from repro.runtime.schedules import SCHEDULE_STRATEGIES
-
-    p.add_argument("--strategy", action="append",
-                   choices=sorted(SCHEDULE_STRATEGIES),
-                   help="schedule exploration strategies, cycled over the "
-                        "schedule budget (repeatable; default: random)")
     p.add_argument("--fail-on-race", action="store_true",
                    help="exit 1 when the ensemble flags any race (CI mode)")
     p.set_defaults(func=cmd_scan)

@@ -23,8 +23,8 @@ from repro.runtime.interpreter import Trace
 #: Four explored schedules give the dynamic tools' schedule-dependent
 #: behaviours (e.g. Inspector's lockset false positives on
 #: barrier-separated phases, which need a non-master single winner) a
-#: realistic chance to manifest.  Table-5 rows are defined against the
-#: seed ``random`` exploration policy.
+#: realistic chance to manifest: seeds 0-3 of the uniform-random
+#: scheduler, the exploration every Table-5 row is defined against.
 DEFAULT_MACHINE = MachineConfig(n_schedules=4)
 
 

@@ -3,10 +3,13 @@
 Executes kernel IR from :mod:`repro.openmp` with T logical threads under
 a seeded interleaving scheduler, producing memory-event traces annotated
 with locksets and vector clocks (each event holds one row of the trace's
-epoch matrix, :class:`ClockBank`).  This substrate replaces the paper's
-real multicore runs: dynamic race detectors (ThreadSanitizer, Intel
-Inspector, ROMP stand-ins) analyse these traces exactly the way the real
-tools analyse instrumented executions.
+epoch matrix, :class:`ClockBank`).  The scheduler runs a uniformly
+random ready thread at every step; a seed fixes the interleaving, and a
+:class:`Machine` explores ``n_schedules`` consecutive seeds.  This
+substrate replaces the paper's real multicore runs: dynamic race
+detectors (ThreadSanitizer, Intel Inspector, ROMP stand-ins) analyse
+these traces exactly the way the real tools analyse instrumented
+executions.
 
 Semantics covered: ``parallel for`` (static chunking), ``parallel``
 regions, ``simd`` (vector lanes with chunk barriers honouring safelen),
@@ -28,7 +31,6 @@ from repro.runtime.interpreter import (
     execute,
 )
 from repro.runtime.machine import Machine, MachineConfig, RaceReport, hb_races
-from repro.runtime.schedules import SCHEDULE_STRATEGIES
 
 __all__ = [
     "ClockBank",
@@ -46,5 +48,4 @@ __all__ = [
     "MachineConfig",
     "RaceReport",
     "hb_races",
-    "SCHEDULE_STRATEGIES",
 ]

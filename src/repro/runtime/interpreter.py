@@ -33,10 +33,9 @@ vector clock, lockset, atomicity flag, and (for ``simd``) a lane marker —
 everything the dynamic detectors need.  Clocks live in the trace's
 :class:`~repro.runtime.clocks.ClockBank` epoch matrix: each event stores
 only its row index (snapshots are interned once per synchronisation
-interval).  Which ready thread runs at each scheduling point is
-delegated to a pluggable exploration strategy
-(:mod:`repro.runtime.schedules`); ``random`` reproduces the seed
-scheduler exactly.
+interval).  At each scheduling point the scheduler runs a uniformly
+random ready thread, drawn from the execution's seeded stream
+(:func:`lemire_draws`), so a seed fixes the whole interleaving.
 
 SIMD loops execute as ``safelen`` (default 4) vector lanes with a chunk
 barrier after each vector step: dependences shorter than the vector
@@ -69,7 +68,6 @@ from repro.openmp.ast_nodes import (
 from repro.openmp.pragmas import Pragma
 from repro.runtime.clocks import ClockBank, EpochClock
 from repro.runtime.memory import SharedMemory
-from repro.runtime.schedules import ScheduleStrategy, make_strategy
 
 #: Steps (loop iterations plus spawned threads) one execution may take.
 #: Executions of the DRB evaluation suite take at most 84 steps and emit
@@ -112,11 +110,46 @@ class Trace:
 
     events: list[MemEvent] = field(default_factory=list)
     schedule_seed: int = 0
-    schedule_strategy: str = "random"
     n_threads: int = 0
     final_arrays: dict = field(default_factory=dict)
     regions: int = 0
     clock_bank: ClockBank = field(default_factory=ClockBank)  # the events' clocks
+
+
+_DRAW_BATCH = 256
+
+
+def lemire_draws(rng: np.random.Generator):
+    """``draw(n)`` returning exactly what ``int(rng.integers(n))`` would,
+    call for call, for ``1 <= n <= 2**32``.
+
+    NumPy answers a bounded draw below ``2**32`` with Lemire's method on
+    32-bit words: ``m = word * n``, reject while ``m mod 2**32`` falls
+    below ``2**32 mod n``, return ``m >> 32``; ``n == 1`` consumes
+    nothing.  Fetching the words in bulk as ``uint32`` reads the same
+    stream of ``next_uint32`` outputs, so the draws agree as long as
+    nothing else consumes ``rng``.
+    """
+    words: list[int] = []
+    pos = 0
+
+    def draw(n: int) -> int:
+        nonlocal words, pos
+        if n == 1:
+            return 0
+        if not 1 < n <= 0x100000000:
+            raise ValueError(f"draw bound {n} outside [1, 2**32]")
+        while True:
+            if pos == len(words):
+                words = rng.integers(0, 1 << 32, size=_DRAW_BATCH, dtype=np.uint32).tolist()
+                pos = 0
+            m = words[pos] * n
+            pos += 1
+            low = m & 0xFFFFFFFF
+            if low >= n or low >= (0x100000000 - n) % n:
+                return m >> 32
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -824,9 +857,9 @@ class _Thread:
 
 
 class _Execution:
-    """State of one run of a compiled program under one strategy."""
+    """State of one run of a compiled program under one schedule seed."""
 
-    def __init__(self, code: CompiledProgram, n_threads: int, strategy: ScheduleStrategy) -> None:
+    def __init__(self, code: CompiledProgram, n_threads: int, draw) -> None:
         self.code = code
         cells = sum(decl.size for decl in code.program.arrays)
         if cells > MAX_ARRAY_CELLS:
@@ -836,7 +869,7 @@ class _Execution:
             )
         self.mem = SharedMemory(code.program)
         self.n_threads = n_threads
-        self.strategy = strategy
+        self.draw = draw  # the schedule's seeded lemire_draws stream
         self.bank = ClockBank()
         self.trace = Trace(n_threads=n_threads, clock_bank=self.bank)
         self.master_vc = EpochClock(self.bank)
@@ -946,7 +979,7 @@ class _Execution:
         arrays, scalars, base = mem.arrays, mem.scalars, mem.base
         events = self.trace.events
         append = events.append
-        pick = self.strategy.pick
+        draw = self.draw
         new = tuple.__new__
         lock_vcs: dict[str, list[int]] = {}
         lock_owner: dict[str, object] = {}
@@ -983,7 +1016,7 @@ class _Execution:
                 ready = waiting
                 continue
 
-            t = pick(ready)
+            t = ready[draw(len(ready))]
             action = t.action
             if action is None:  # resumed after a block or barrier
                 send = t.send
@@ -1119,21 +1152,17 @@ def execute(
     program: Program | CompiledProgram,
     n_threads: int = 2,
     schedule_seed: int = 0,
-    strategy: str = "random",
 ) -> Trace:
-    """Run ``program`` once under a seeded exploration strategy.
+    """Run ``program`` once under the schedule seeded by ``schedule_seed``.
 
     Pass a :class:`CompiledProgram` to reuse its closures across calls
     (as :class:`~repro.runtime.Machine` does); a plain :class:`Program`
-    is compiled for this one run.  ``strategy="random"`` reproduces the
-    seed machine bit for bit; see :mod:`repro.runtime.schedules` for the
-    other policies.
+    is compiled for this one run.
     """
     if n_threads < 1:
         raise ValueError("need at least one thread")
     code = program if isinstance(program, CompiledProgram) else CompiledProgram(program)
     rng = np.random.Generator(np.random.PCG64(schedule_seed))
-    trace = _Execution(code, n_threads, make_strategy(strategy, rng)).run()
+    trace = _Execution(code, n_threads, lemire_draws(rng)).run()
     trace.schedule_seed = schedule_seed
-    trace.schedule_strategy = strategy
     return trace

@@ -18,37 +18,20 @@ import numpy as np
 
 from repro.openmp.ast_nodes import Program
 from repro.runtime.interpreter import CompiledProgram, MemEvent, Trace, execute
-from repro.runtime.schedules import SCHEDULE_STRATEGIES
 
 
 @dataclass(frozen=True)
 class MachineConfig:
-    """Exploration parameters.
-
-    ``strategies`` cycle over the schedule budget: schedule ``k`` runs
-    strategy ``strategies[k % len(strategies)]`` with seed
-    ``base_seed + k``.  The default single ``random`` strategy is the
-    seed machine exactly.
-    """
+    """Exploration parameters: schedule ``k`` runs with seed
+    ``base_seed + k``."""
 
     n_threads: int = 2
     n_schedules: int = 2
     base_seed: int = 0
-    strategies: tuple[str, ...] = ("random",)
 
     def __post_init__(self) -> None:
         if self.n_threads < 1 or self.n_schedules < 1:
             raise ValueError("threads and schedules must be >= 1")
-        if not isinstance(self.strategies, tuple):
-            object.__setattr__(self, "strategies", tuple(self.strategies))
-        if not self.strategies:
-            raise ValueError("need at least one schedule strategy")
-        for name in self.strategies:
-            if name not in SCHEDULE_STRATEGIES:
-                known = ", ".join(sorted(SCHEDULE_STRATEGIES))
-                raise ValueError(
-                    f"unknown schedule strategy {name!r} (known: {known})"
-                )
 
 
 @dataclass(frozen=True)
@@ -193,7 +176,7 @@ class ScheduleTraces:
     schedule can change any tool's verdict, and none is run.
     """
 
-    def __init__(self, code: CompiledProgram, n_threads: int, plan: list[tuple[str, int]]) -> None:
+    def __init__(self, code: CompiledProgram, n_threads: int, plan: list[int]) -> None:
         self._code = code
         self._n_threads = n_threads
         self._plan = plan
@@ -203,13 +186,11 @@ class ScheduleTraces:
     def _run(self, k: int) -> Trace:
         run = self._runs[k]
         if run is None:
-            strategy, seed = self._plan[k]
             try:
                 run = execute(
                     self._code,
                     n_threads=self._n_threads,
-                    schedule_seed=seed,
-                    strategy=strategy,
+                    schedule_seed=self._plan[k],
                 )
             except Exception as exc:  # noqa: BLE001 - kept for every reader
                 run = exc
@@ -239,13 +220,10 @@ class Machine:
     def __init__(self, config: MachineConfig | None = None) -> None:
         self.config = config or MachineConfig()
 
-    def schedule_plan(self) -> list[tuple[str, int]]:
-        """(strategy, seed) per explored schedule, strategies cycling."""
+    def schedule_plan(self) -> list[int]:
+        """The seed of each explored schedule, in plan order."""
         cfg = self.config
-        return [
-            (cfg.strategies[k % len(cfg.strategies)], cfg.base_seed + k)
-            for k in range(cfg.n_schedules)
-        ]
+        return [cfg.base_seed + k for k in range(cfg.n_schedules)]
 
     def traces(self, program: Program) -> ScheduleTraces:
         """The program's traces in plan order, each run on first read;

@@ -25,6 +25,7 @@ scanned kernels.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.drb.generator import KernelSpec
@@ -166,20 +167,29 @@ def extract_kernels(file: SourceFile) -> list[ExtractedKernel]:
     return kernels
 
 
+#: Block comment (the unrolled ``BLOCK_COMMENT_RE``), ``//`` comment,
+#: string literal, char literal: one left-to-right scan, so whichever
+#: starts first wins and a marker inside another stays inside it.
+_C_BLANK_RE = re.compile("|".join((
+    BLOCK_COMMENT_RE.pattern,
+    r"//[^\n]*",
+    r'"(?:\\.|[^"\\\n])*"',
+    r"'(?:\\.|[^'\\\n])*'",
+)))
+_BRACE_RE = re.compile(r"[{}]")
+_NEWLINE_RE = re.compile(r"\n")
+
+
 def _blank(m: re.Match) -> str:
     """The match with every character but ``\n`` turned into a space."""
     return "\n".join(" " * len(line) for line in m.group().split("\n"))
 
 
 def _c_comment_free(text: str) -> str:
-    """``text`` with block comments and string/char literals blanked in
-    place, keeping every line and position, and ``//`` comments dropped."""
-    comment_free = BLOCK_COMMENT_RE.sub(_blank, text)
-    comment_free = re.sub(r"//[^\n]*", "", comment_free)
-    # Blank string/char literals too: a brace inside "..." or '...'
-    # must not perturb the depth tracking (positions are preserved).
-    comment_free = re.sub(r"\"(?:\\.|[^\"\\\n])*\"", _blank, comment_free)
-    return re.sub(r"'(?:\\.|[^'\\\n])*'", _blank, comment_free)
+    """``text`` with comments and string/char literals blanked in place,
+    keeping every line and position, so a brace inside one cannot
+    perturb the depth tracking."""
+    return _C_BLANK_RE.sub(_blank, text)
 
 
 def _c_function_spans(text: str) -> list[tuple[int, int]]:
@@ -190,12 +200,13 @@ def _c_function_spans(text: str) -> list[tuple[int, int]]:
     spans: list[tuple[int, int]] = []
     depth = 0
     open_pos = 0
-    for pos, ch in enumerate(comment_free):
-        if ch == "{":
+    for m in _BRACE_RE.finditer(comment_free):
+        pos = m.start()
+        if m.group() == "{":
             if depth == 0:
                 open_pos = pos
             depth += 1
-        elif ch == "}":
+        else:
             depth = max(0, depth - 1)
             if depth == 0:
                 start_line = _header_line(comment_free, open_pos, line_of)
@@ -204,22 +215,9 @@ def _c_function_spans(text: str) -> list[tuple[int, int]]:
 
 
 def _line_index(text: str):
-    starts = [0]
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            starts.append(i + 1)
-
-    def line_of(pos: int) -> int:
-        lo, hi = 0, len(starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if starts[mid] <= pos:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1
-
-    return line_of
+    """``line_of(pos)``: the 1-based line holding offset ``pos``."""
+    newlines = [m.start() for m in _NEWLINE_RE.finditer(text)]
+    return lambda pos: bisect_left(newlines, pos) + 1
 
 
 def _header_line(text: str, open_pos: int, line_of) -> int:

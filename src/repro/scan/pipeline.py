@@ -57,7 +57,6 @@ class ScanConfig:
     n_threads: int = 2
     n_schedules: int = 4
     base_seed: int = 0
-    strategies: tuple[str, ...] = ("random",)
     max_file_bytes: int = DEFAULT_MAX_BYTES
 
 
@@ -86,13 +85,12 @@ class ScanPipeline:
                 self.config,
                 languages=tuple(normalize_language(l) for l in self.config.languages),
             )
-        # Build (and thereby validate — unknown strategy names raise
-        # here, not mid-scan) the machine configuration once.
+        # Build (and thereby validate, here rather than mid-scan) the
+        # machine configuration once.
         self._machine_config = MachineConfig(
             n_threads=self.config.n_threads,
             n_schedules=self.config.n_schedules,
             base_seed=self.config.base_seed,
-            strategies=tuple(self.config.strategies),
         )
         if not self.config.tools_only and system is None:
             raise ValueError("LLM scanning needs a system; pass tools_only=True to skip it")
@@ -119,8 +117,7 @@ class ScanPipeline:
         parts = {
             "detectors": sorted(d.name for d in self.detectors),
             "machine": [self.config.n_threads, self.config.n_schedules,
-                        self.config.base_seed,
-                        list(self.config.strategies)],
+                        self.config.base_seed],
             "tools_only": self.config.tools_only,
         }
         if not self.config.tools_only:

@@ -227,8 +227,6 @@ class ServingFrontend:
             languages=tuple(options["languages"]) if options.get("languages") else None,
             tools_only=bool(options.get("tools_only", False)),
             use_cache=not options.get("no_cache", False),
-            strategies=tuple(options["strategies"])
-            if options.get("strategies") else ("random",),
         )
         pipeline = ScanPipeline(
             system=None if config.tools_only else self.system,
@@ -589,17 +587,6 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
                 options["languages"] = [normalize_language(l) for l in languages]
             except UnknownLanguageError as exc:
                 raise _BadRequest(str(exc)) from None
-        strategies = _field(payload, "strategies", list)
-        if strategies:
-            from repro.runtime.schedules import SCHEDULE_STRATEGIES
-
-            unknown = [s for s in strategies if s not in SCHEDULE_STRATEGIES]
-            if unknown:
-                raise _BadRequest(
-                    f"unknown schedule strategies {unknown!r}; "
-                    f"have {sorted(SCHEDULE_STRATEGIES)}"
-                )
-            options["strategies"] = strategies
         job = _submit_job(self.frontend.scan_submit, path, options)
         self._send(202, {"id": job.id, "status": job.status, "path": path})
 

@@ -1,13 +1,19 @@
 """Robustness fuzzing: the front ends must either parse or raise their
-own error types — never crash with foreign exceptions or hang."""
+own error types — never crash with foreign exceptions or hang — and the
+scan extractor must never raise at all."""
+
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.drb import DRBSuite
 from repro.openmp import CParseError, FortranParseError, parse_c, parse_fortran
 from repro.openmp.lexer import BLOCK_COMMENT_RE, LexError
 from repro.openmp.pragmas import PragmaError
+from repro.scan.extractor import extract_kernels
+from repro.scan.walker import SourceFile
 
 from support.c_blanking_oracle import LAZY_BLOCK_COMMENT
 
@@ -82,3 +88,45 @@ class TestBlockCommentPattern:
             return [m.span() for m in pattern.finditer(text)]
 
         assert spans(BLOCK_COMMENT_RE) == spans(LAZY_BLOCK_COMMENT)
+
+
+@lru_cache(maxsize=1)
+def _suite_sources() -> tuple[tuple[str, str], ...]:
+    return tuple((s.language, s.source) for s in DRBSuite.evaluation(seed=0).specs)
+
+
+def _assert_extracts(text: str, language: str) -> None:
+    """Extraction returns, and every kernel lies within the file."""
+    sf = SourceFile(path=None, relpath="fuzz", language=language, text=text)
+    n_lines = max(1, len(text.splitlines()))
+    for k in extract_kernels(sf):
+        assert 1 <= k.start_line <= k.end_line <= n_lines, (k.start_line, k.end_line, n_lines)
+
+
+#: Pieces that steer the extractor: directives in both dialects, braces,
+#: comment and literal markers, Fortran unit starts and ends.
+hostile_pieces = st.lists(
+    st.one_of(
+        st.sampled_from([
+            "#pragma omp parallel for", "!$omp parallel do", "{", "}", "/*", "*/", "//",
+            '"', "'", "\\", "\n", "\r", "void f(void) ", "subroutine s(a)",
+            "end subroutine s", "end", "program p", "function g(x)", "x[i] = x[i-1];",
+        ]),
+        st.text(max_size=12),
+    ),
+    max_size=24,
+)
+
+
+class TestFuzzExtractor:
+    @settings(max_examples=150, deadline=None)
+    @given(hostile_pieces, st.sampled_from(["C/C++", "Fortran"]))
+    def test_hostile_text_never_raises(self, pieces, language):
+        _assert_extracts("".join(pieces), language)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_truncated_suite_files_never_raise(self, data):
+        language, source = data.draw(st.sampled_from(_suite_sources()))
+        cut = data.draw(st.integers(0, len(source)))
+        _assert_extracts(source[:cut], language)

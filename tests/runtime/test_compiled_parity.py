@@ -1,13 +1,13 @@
 """The compiled runtime against the generator interpreter it replaced.
 
 ``support.reference_runtime`` keeps the old runtime as the oracle: an AST
-walk per schedule, strategies drawing from ``Generator.integers``
+walk per schedule, a scheduler drawing from ``Generator.integers``
 directly, NumPy-buffer memory.  The compiled runtime must reproduce it
 bit for bit — every event field, the clock values behind each event,
 the final arrays, the region count — over the whole DRB evaluation
-suite under every strategy, on hand-written kernels covering the
-constructs the suite uses sparingly, and must fail the same way (type
-and message) on the kernels the runtime rejects.
+suite at every seed a default scan explores, on hand-written kernels
+covering the constructs the suite uses sparingly, and must fail the
+same way (type and message) on the kernels the runtime rejects.
 """
 
 import numpy as np
@@ -17,10 +17,10 @@ from support.reference_runtime import execute_reference
 from repro.drb import DRBSuite
 from repro.openmp import parse_c, parse_fortran
 from repro.runtime import CompiledProgram, execute
-from repro.runtime.schedules import SCHEDULE_STRATEGIES, lemire_draws
+from repro.runtime.interpreter import lemire_draws
 
-STRATEGIES = ("random", "round_robin", "chunked", "adversarial")
-SEEDS = (0, 1)
+# The seeds of the scan and Table-5 default, MachineConfig(n_schedules=4).
+SEEDS = (0, 1, 2, 3)
 
 
 def signature(trace) -> tuple:
@@ -31,8 +31,7 @@ def signature(trace) -> tuple:
         for e in trace.events
     ]
     arrays = {name: (a.dtype.str, a.tobytes()) for name, a in trace.final_arrays.items()}
-    return (events, arrays, trace.regions, trace.n_threads,
-            trace.schedule_seed, trace.schedule_strategy)
+    return (events, arrays, trace.regions, trace.n_threads, trace.schedule_seed)
 
 
 def outcome(run) -> tuple:
@@ -43,26 +42,21 @@ def outcome(run) -> tuple:
 
 
 def assert_parity(program, n_threads: int = 2) -> int:
-    """Both runtimes over every strategy and seed; returns events seen."""
+    """Both runtimes over every seed; returns events seen."""
     code = CompiledProgram(program)  # compiled once, reused for every run
     events = 0
-    for strategy in STRATEGIES:
-        for seed in SEEDS:
-            want = outcome(lambda: execute_reference(program, n_threads, seed, strategy))
-            got = outcome(lambda: execute(code, n_threads, seed, strategy))
-            assert got == want, (strategy, seed)
-            if want[0] == "trace":
-                events += len(want[1][0])
+    for seed in SEEDS:
+        want = outcome(lambda: execute_reference(program, n_threads, seed))
+        got = outcome(lambda: execute(code, n_threads, seed))
+        assert got == want, seed
+        if want[0] == "trace":
+            events += len(want[1][0])
     return events
 
 
 @pytest.fixture(scope="module")
 def suite():
     return DRBSuite.evaluation(seed=0)
-
-
-def test_strategy_list_is_complete():
-    assert set(STRATEGIES) == set(SCHEDULE_STRATEGIES)
 
 
 def test_evaluation_suite_bit_identical(suite):
@@ -73,8 +67,8 @@ def test_evaluation_suite_bit_identical(suite):
             events += assert_parity(spec.parse())
         except AssertionError as exc:
             raise AssertionError(f"{spec.id}: {exc}") from None
-    # 343 specs x 4 strategies x 2 seeds.
-    assert events == 366_176
+    # 343 specs x 4 seeds.
+    assert events == 183_088
 
 
 CONSTRUCTS_C = {
@@ -248,12 +242,11 @@ double s;
 @pytest.mark.parametrize("name", sorted(FAILURES))
 def test_failures_identical(name):
     program = parse_c(FAILURES[name])
-    for strategy in STRATEGIES:
-        for seed in SEEDS:
-            want = outcome(lambda: execute_reference(program, 2, seed, strategy))
-            got = outcome(lambda: execute(program, 2, seed, strategy))
-            assert want[0] == "error"
-            assert got == want, (strategy, seed)
+    for seed in SEEDS:
+        want = outcome(lambda: execute_reference(program, 2, seed))
+        got = outcome(lambda: execute(program, 2, seed))
+        assert want[0] == "error"
+        assert got == want, seed
 
 
 BOUNDS = (1, 2, 3, 4, 13, 1 << 16, 3 << 30)

@@ -88,8 +88,8 @@ class TestShortCircuit:
         once, twice = list(traces), list(traces)
         assert all(a is b for a, b in zip(once, twice)) and counter.calls == 3
         # Each schedule is the one a direct execute() gives.
-        for trace, (strategy, seed) in zip(traces, m.schedule_plan()):
-            direct = execute(parse_c(RACY), n_threads=2, schedule_seed=seed, strategy=strategy)
+        for trace, seed in zip(traces, m.schedule_plan()):
+            direct = execute(parse_c(RACY), n_threads=2, schedule_seed=seed)
             assert trace.events == direct.events
 
     def test_failing_schedule_raises_again_without_rerunning(self, monkeypatch):

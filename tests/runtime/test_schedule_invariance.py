@@ -1,15 +1,22 @@
 """Settling on schedule 0: a schedule-invariant program whose first
 schedule has no race runs no other schedule, and no tool can tell.
 
-The suite-wide checks hold every dynamic tool's result (verdict and
-detail) under the early stop to its result over every planned
-schedule.  The unit checks pin which constructs the classification
-admits."""
+The suite-wide and generated-program checks hold every dynamic tool's
+result (verdict and detail) under the early stop to its result over
+every planned schedule.  The unit checks pin which constructs the
+classification admits."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.detectors import build_tool_detectors, run_detectors
-from repro.drb import DRBSuite
+from repro.drb import CATEGORY_LABELS, DRBSuite
+from repro.drb.generator import KernelSpec
+from repro.drb.params import Params
+from repro.drb.templates_c import C_TEMPLATES
+from repro.drb.templates_fortran import F_TEMPLATES
 from repro.openmp import parse_c
 from repro.runtime import CompiledProgram, Machine, MachineConfig
 from repro.runtime.machine import hb_races
@@ -26,22 +33,46 @@ def suite():
     "config",
     [
         MachineConfig(n_threads=2, n_schedules=4),
-        MachineConfig(
-            n_threads=2, n_schedules=8,
-            strategies=("random", "round_robin", "chunked", "adversarial"),
-        ),
+        MachineConfig(n_threads=2, n_schedules=8),
     ],
-    ids=["scan-default-2x4", "2x8-all-strategies"],
+    ids=["scan-default-2x4", "2x8"],
 )
 def test_early_stop_matches_every_schedule_on_suite(suite, config):
-    machine = Machine(config)
+    assert_early_stop_matches(suite.specs, Machine(config))
+
+
+def assert_early_stop_matches(specs: list[KernelSpec], machine: Machine) -> None:
     tools = [d for d in build_tool_detectors() if d.kind == "dynamic"]
-    fast = run_detectors(tools, suite.specs, lambda s: machine.traces(s.parse()))
-    full = run_detectors(tools, suite.specs, lambda s: EverySchedule(s.parse(), machine))
+    fast = run_detectors(tools, specs, lambda s: machine.traces(s.parse()))
+    full = run_detectors(tools, specs, lambda s: EverySchedule(s.parse(), machine))
     assert len(fast) == 3
     for name, results in fast.items():
         for got, want in zip(results, full[name], strict=True):
             assert got == want, (name, got.program_id)
+
+
+TEMPLATES = {"C/C++": C_TEMPLATES, "Fortran": F_TEMPLATES}
+
+
+@st.composite
+def generated_kernels(draw) -> KernelSpec:
+    """A kernel from a drawn template of a drawn category and language,
+    with parameters from a drawn seed (the evaluation split's pools)."""
+    language = draw(st.sampled_from(sorted(TEMPLATES)))
+    category = draw(st.sampled_from(sorted(TEMPLATES[language])))
+    template = draw(st.sampled_from(TEMPLATES[language][category]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    source, features = template(Params(np.random.default_rng(seed), "eval"))
+    return KernelSpec(
+        id=f"{template.__name__}@{seed}", language=language, category=category,
+        label=CATEGORY_LABELS[category], source=source, features=features,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(generated_kernels())
+def test_early_stop_matches_every_schedule_on_generated_kernels(spec):
+    assert_early_stop_matches([spec], Machine(MachineConfig(n_threads=2, n_schedules=8)))
 
 
 def test_any_hb_race_matches_every_schedule_on_suite(suite):
@@ -165,3 +196,25 @@ def test_race_free_dynamic_kernel_maps_iterations_by_schedule():
     assert any(m != mappings[0] for m in mappings[1:])
     # ... so the machine runs every planned schedule of it.
     assert len(list(machine.traces(program))) == 4
+
+
+# Whether this races depends on who wins the `single`: the master
+# writes s in both places when it does, two threads race when it does not.
+SINGLE_WINNER = """double s;
+#pragma omp parallel
+{
+  #pragma omp master
+  s = s + 1;
+  #pragma omp single nowait
+  s = s + 1;
+}
+"""
+
+
+@pytest.mark.parametrize("base_seed", range(6))
+def test_default_budget_finds_single_winner_race(base_seed):
+    """Two schedules from base seed 2 both let the master win; the
+    default four find the race from every base seed."""
+    machine = Machine(MachineConfig(n_threads=2, n_schedules=4, base_seed=base_seed))
+    assert machine.schedule_plan() == [base_seed + k for k in range(4)]
+    assert machine.any_hb_race(parse_c(SINGLE_WINNER))

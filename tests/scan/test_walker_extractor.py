@@ -1,6 +1,8 @@
 """Tests for the tree walker and the kernel extractor."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.drb import DRBSuite
 from repro.scan.extractor import (
@@ -11,7 +13,7 @@ from repro.scan.extractor import (
 )
 from repro.scan.walker import SourceFile, walk_tree
 
-from support.c_blanking_oracle import reference_c_function_spans
+from support.c_blanking_oracle import reference_c_comment_free, reference_c_function_spans
 
 RACY_C = (
     "int i;\n"
@@ -57,10 +59,23 @@ BRACES_IN_STRINGS_C = (
 #: never close.
 BLANKING_EDGES_C = [
     "/* { */ void f(void) {\n  /* a\n } */ int x; // }\n}\n",
-    'void g(void) {\n  char *s = "/* {";\n  char c = \'}\';\n}\n/* */ */\n',
     "/*/ { */ int h(void) { return 1; /*** } **/ }\n/* never closed {\n",
     "// /* {\nvoid k(void) {\n  int a = 1 /* 2 */ + '\\'';\n}\n",
 ]
+
+#: Comment markers inside literals, with the spans they must give: the
+#: literal starts first, so it holds the marker.
+MARKERS_IN_LITERALS_C = {
+    "block-open-in-string": (
+        'void g(void) {\n  char *s = "/* {";\n  char c = \'}\';\n}\n/* */ */\n',
+        [(1, 4)],
+    ),
+    "line-comment-in-string": (
+        'void f(void) {\n  char *u = "http://x"; if (u) {\n    u++;\n  }\n}\n'
+        "int h(void) {\n  return 0;\n}\n",
+        [(1, 5), (6, 8)],
+    ),
+}
 
 F_MODULE = """\
 subroutine update(a, n)
@@ -218,13 +233,28 @@ class TestExtractor:
 
 class TestCBlankingParity:
     def test_matches_character_at_a_time_oracle(self):
-        """Line-by-line blanking with the unrolled comment pattern gives
-        the old text and spans on every suite C file and fixture."""
+        """The one-pass blanking and the brace and line lookups give
+        the oracle's text and spans on every suite C file and fixture."""
         suite = DRBSuite.evaluation(seed=0)
         texts = [spec.source for spec in suite.specs if spec.language == "C/C++"]
         assert len(texts) == 177
-        texts += [RACY_C, REAL_WORLD_C, BRACES_IN_STRINGS_C, *BLANKING_EDGES_C]
+        texts += [RACY_C, REAL_WORLD_C, BRACES_IN_STRINGS_C, *BLANKING_EDGES_C,
+                  *(text for text, _ in MARKERS_IN_LITERALS_C.values())]
         for text in texts:
             comment_free, spans = reference_c_function_spans(text)
             assert _c_comment_free(text) == comment_free
             assert _c_function_spans(text) == spans
+
+    @pytest.mark.parametrize("name", sorted(MARKERS_IN_LITERALS_C))
+    def test_comment_marker_inside_literal_stays_inside(self, name):
+        text, spans = MARKERS_IN_LITERALS_C[name]
+        assert _c_function_spans(text) == spans
+        assert reference_c_function_spans(text)[1] == spans
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=["/", "*", '"', "'", "\\", "{", "}", "\n", "a", ";"], max_size=40))
+    def test_matches_oracle_on_marker_soup(self, text):
+        """Texts made of the characters that open, close or escape a
+        comment or literal, or change brace depth."""
+        assert _c_comment_free(text) == reference_c_comment_free(text)
+        assert _c_function_spans(text) == reference_c_function_spans(text)[1]

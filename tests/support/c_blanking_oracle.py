@@ -1,26 +1,83 @@
-"""The character-at-a-time C blanking the kernel extractor used before
-it blanked line by line with the unrolled comment pattern, kept as the
-parity oracle for :func:`repro.scan.extractor._c_comment_free` and
-:func:`repro.scan.extractor._c_function_spans`."""
+"""A character-at-a-time C blanker and brace walker, the parity oracle
+for :func:`repro.scan.extractor._c_comment_free` and
+:func:`repro.scan.extractor._c_function_spans`.
+
+The blanker is a state machine over normal text, block comments, ``//``
+comments, string literals and char literals.  A block comment with no
+closing ``*/``, or a literal that meets the end of its line first, is
+not one: its opening character stays as it is and the scan resumes
+right after it, as in a regex scan that finds no match there."""
 
 from __future__ import annotations
 
 import re
 
-from repro.scan.extractor import _header_line, _line_index
+from repro.scan.extractor import _header_line
 
 #: The lazy DOTALL block-comment pattern ``BLOCK_COMMENT_RE`` replaced.
 LAZY_BLOCK_COMMENT = re.compile(r"/\*.*?\*/", re.DOTALL)
 
+NORMAL, BLOCK, LINE, STRING, CHAR = range(5)
+
+
+def reference_c_comment_free(text: str) -> str:
+    """Comments and literals blanked to spaces, newlines kept."""
+    out: list[str] = []
+    state, start, i, n = NORMAL, 0, 0, len(text)
+
+    def close(end: int) -> int:
+        out.append("".join(c if c == "\n" else " " for c in text[start:end]))
+        return end
+
+    while True:
+        if i >= n:
+            if state == LINE:
+                close(n)
+            elif state != NORMAL:  # unterminated: not a comment or literal
+                out.append(text[start])
+                state, i = NORMAL, start + 1
+                continue
+            return "".join(out)
+        ch = text[i]
+        if state == NORMAL:
+            if text.startswith("/*", i):
+                state, start, i = BLOCK, i, i + 2
+            elif text.startswith("//", i):
+                state, start, i = LINE, i, i + 2
+            elif ch in "\"'":
+                state, start, i = (STRING if ch == '"' else CHAR), i, i + 1
+            else:
+                out.append(ch)
+                i += 1
+        elif state == BLOCK:
+            if text.startswith("*/", i):
+                state, i = NORMAL, close(i + 2)
+            else:
+                i += 1
+        elif state == LINE:
+            if ch == "\n":
+                state, i = NORMAL, close(i)
+            else:
+                i += 1
+        else:
+            quote = '"' if state == STRING else "'"
+            if ch == quote:
+                state, i = NORMAL, close(i + 1)
+            elif ch == "\n" or (ch == "\\" and text[i + 1 : i + 2] in ("", "\n")):
+                out.append(text[start])  # unterminated on its line
+                state, i = NORMAL, start + 1
+            else:
+                i += 2 if ch == "\\" else 1
+
 
 def reference_c_function_spans(text: str) -> tuple[str, list[tuple[int, int]]]:
-    """``(comment_free, spans)`` as the old ``_c_function_spans`` built them."""
-    blank = lambda m: re.sub(r"[^\n]", " ", m.group())  # noqa: E731
-    comment_free = LAZY_BLOCK_COMMENT.sub(blank, text)
-    comment_free = re.sub(r"//[^\n]*", "", comment_free)
-    comment_free = re.sub(r"\"(?:\\.|[^\"\\\n])*\"", blank, comment_free)
-    comment_free = re.sub(r"'(?:\\.|[^'\\\n])*'", blank, comment_free)
-    line_of = _line_index(comment_free)
+    """``(comment_free, spans)``, walking the blanked text one
+    character at a time for brace depth and line numbers."""
+    comment_free = reference_c_comment_free(text)
+
+    def line_of(pos: int) -> int:
+        return comment_free.count("\n", 0, pos) + 1
+
     spans: list[tuple[int, int]] = []
     depth = 0
     open_pos = 0

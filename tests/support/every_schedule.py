@@ -19,11 +19,10 @@ class EverySchedule:
         self.runs: list = []
 
     def __iter__(self):
-        for k, (strategy, seed) in enumerate(self.plan):
+        for k, seed in enumerate(self.plan):
             if k == len(self.runs):
                 try:
-                    run = execute(self.code, n_threads=self.n_threads,
-                                  schedule_seed=seed, strategy=strategy)
+                    run = execute(self.code, n_threads=self.n_threads, schedule_seed=seed)
                 except Exception as exc:  # noqa: BLE001 - kept like the machine does
                     run = exc
                 self.runs.append(run)

@@ -3,10 +3,9 @@
 This is the runtime as it stood before :mod:`repro.runtime.interpreter`
 compiled kernels into closures: every thread is a Python generator that
 re-walks the AST (``_eval``/``_exec``/``_exec_assign`` with ``isinstance``
-dispatch) and yields every shared access, a dict of pending actions feeds
-the exploration strategies, each strategy draws from NumPy's
-``Generator.integers`` directly, and shared memory is a set of NumPy
-buffers.  It keeps nothing from the production fast paths, so
+dispatch) and yields every shared access, a dict holds each thread's
+pending action, the scheduler draws from NumPy's ``Generator.integers``
+directly, and shared memory is a set of NumPy buffers.  It keeps nothing from the production fast paths, so
 ``tests/runtime/test_compiled_parity.py`` can demand bit-identical traces
 from them.  Only the data types (events, traces, clocks and the error
 class) are shared with production.
@@ -92,146 +91,6 @@ class SharedMemory:
     def snapshot(self) -> dict[str, np.ndarray]:
         """Copy of all arrays (tests compare end states across schedules)."""
         return {k: v.copy() for k, v in self.arrays.items()}
-
-
-# ---------------------------------------------------------------------------
-# Exploration strategies (direct Generator.integers draws)
-# ---------------------------------------------------------------------------
-
-
-def _pending_access(action) -> tuple | None:
-    """(location, is_write) the action is about to perform, else None."""
-    if action is None:
-        return None
-    kind = action[0]
-    if kind in ("read_sca", "write_sca", "atomic_rmw_sca", "atomic_write_sca"):
-        return ("sca", action[1]), kind != "read_sca"
-    if kind in ("read_arr", "write_arr", "atomic_rmw_arr", "atomic_write_arr"):
-        return ("arr", action[1], action[2]), kind != "read_arr"
-    return None
-
-
-class ScheduleStrategy:
-    """Base picker; subclasses choose one thread from ``ready``."""
-
-    name = "abstract"
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self.rng = rng
-
-    def pick(self, ready: list, pending: dict):
-        raise NotImplementedError
-
-
-class RandomStrategy(ScheduleStrategy):
-    """Uniform random ready thread — the seed scheduler, exactly
-    (same RNG draw per scheduling point, so traces are bit-identical
-    to the pre-strategy machine)."""
-
-    name = "random"
-
-    def pick(self, ready: list, pending: dict):
-        return ready[int(self.rng.integers(len(ready)))]
-
-
-class _LruMixin(ScheduleStrategy):
-    """Shared least-recently-run bookkeeping."""
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        super().__init__(rng)
-        self._step = 0
-        self._last_run: dict = {}
-        # Seed-derived bias so different schedule seeds explore
-        # different rotations of the same policy.
-        self._offset = int(rng.integers(1 << 16))
-
-    def _lru(self, candidates: list):
-        self._step += 1
-        last = self._last_run
-        chosen = min(
-            range(len(candidates)),
-            key=lambda i: (last.get(candidates[i].tid, -1),
-                           (i + self._offset) % len(candidates)),
-        )
-        t = candidates[chosen]
-        last[t.tid] = self._step
-        return t
-
-
-class RoundRobinStrategy(_LruMixin):
-    """Always run the thread that has waited longest: maximal
-    interleaving at memory-operation granularity."""
-
-    name = "round_robin"
-
-    def pick(self, ready: list, pending: dict):
-        return self._lru(ready)
-
-
-class ChunkedStrategy(ScheduleStrategy):
-    """Run the current thread for a burst (chunk) of steps before
-    picking a new one at random — coarse preemption, like an OS
-    quantum much larger than one memory access."""
-
-    name = "chunked"
-
-    def __init__(self, rng: np.random.Generator, chunk: int | None = None) -> None:
-        super().__init__(rng)
-        self.chunk = int(chunk) if chunk else 4 + int(rng.integers(13))
-        self._current = None
-        self._budget = 0
-
-    def pick(self, ready: list, pending: dict):
-        if self._current is not None and self._budget > 0:
-            for t in ready:
-                if t.tid == self._current:
-                    self._budget -= 1
-                    return t
-        t = ready[int(self.rng.integers(len(ready)))]
-        self._current = t.tid
-        self._budget = self.chunk - 1
-        return t
-
-
-class AdversarialStrategy(_LruMixin):
-    """Preempt at conflicting accesses.
-
-    When at least two ready threads have pending accesses to the same
-    location and one of those accesses is a write, restrict the pick to
-    those threads and alternate among them (least-recently-run first):
-    the conflicting accesses execute back to back, the interleaving
-    most likely to flip value-dependent control flow and manifest the
-    racy path.  With no pending conflict it degrades to round-robin,
-    itself a strong perturbation of the seed's uniform policy.
-    """
-
-    name = "adversarial"
-
-    def pick(self, ready: list, pending: dict):
-        by_loc: dict = {}
-        for t in ready:
-            acc = _pending_access(pending.get(t.tid))
-            if acc is not None:
-                by_loc.setdefault(acc[0], []).append((t, acc[1]))
-        for group in by_loc.values():
-            if len(group) >= 2 and any(w for _, w in group):
-                return self._lru([t for t, _ in group])
-        return self._lru(ready)
-
-
-SCHEDULE_STRATEGIES: dict[str, type] = {
-    cls.name: cls
-    for cls in (RandomStrategy, RoundRobinStrategy, ChunkedStrategy, AdversarialStrategy)
-}
-
-
-def make_strategy(name: str, rng: np.random.Generator) -> ScheduleStrategy:
-    try:
-        cls = SCHEDULE_STRATEGIES[name]
-    except KeyError:
-        known = ", ".join(sorted(SCHEDULE_STRATEGIES))
-        raise ValueError(f"unknown schedule strategy {name!r} (known: {known})") from None
-    return cls(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -471,20 +330,20 @@ class _Thread:
 
 
 class _Scheduler:
-    """Runs one team of threads to completion under one exploration
-    strategy (the seed behaviour is ``strategy="random"``)."""
+    """Runs one team of threads to completion, picking a uniformly
+    random ready thread at every step."""
 
     def __init__(
         self,
         mem: SharedMemory,
         trace: Trace,
-        strategy: ScheduleStrategy,
+        rng: np.random.Generator,
         region: int,
         seq_counter: itertools.count,
     ) -> None:
         self.mem = mem
         self.trace = trace
-        self.strategy = strategy
+        self.rng = rng
         self.region = region
         self.seq = seq_counter
         self.bank: ClockBank = trace.clock_bank
@@ -651,7 +510,7 @@ class _Scheduler:
                     "deadlock: no runnable thread "
                     f"(states: {[(t.tid, t.status) for t in threads]})"
                 )
-            t = self.strategy.pick(ready, pending)
+            t = ready[int(self.rng.integers(len(ready)))]
             action = pending[t.tid]
             if action is None:
                 # Thread resumed after block; pull the next action.
@@ -678,11 +537,11 @@ class _Scheduler:
 class _MasterContext:
     """Serial execution of top-level statements plus team spawning."""
 
-    def __init__(self, program: Program, n_threads: int, strategy: ScheduleStrategy) -> None:
+    def __init__(self, program: Program, n_threads: int, rng: np.random.Generator) -> None:
         self.program = program
         self.mem = SharedMemory(program)
         self.n_threads = n_threads
-        self.strategy = strategy
+        self.rng = rng
         self.bank = ClockBank()
         self.trace = Trace(n_threads=n_threads, clock_bank=self.bank)
         self.master_vc = EpochClock(self.bank)
@@ -755,7 +614,7 @@ class _MasterContext:
             vc = self.master_vc.copy()
             vc.tick(tid)
             threads.append(_Thread(tid, gen, vc, is_master=(tid == 0), lane=lane))
-        sched = _Scheduler(self.mem, self.trace, self.strategy, region, self.seq)
+        sched = _Scheduler(self.mem, self.trace, self.rng, region, self.seq)
         sched.run(threads)
         for t in threads:
             self.master_vc.join(t.vc.values)
@@ -964,18 +823,11 @@ def execute_reference(
     program: Program,
     n_threads: int = 2,
     schedule_seed: int = 0,
-    strategy: str = "random",
 ) -> Trace:
-    """Run ``program`` once under a seeded exploration strategy.
-
-    ``strategy="random"`` reproduces the seed machine bit for bit; see
-    :mod:`repro.runtime.schedules` for the other policies.
-    """
+    """Run ``program`` once under the schedule seeded by ``schedule_seed``."""
     if n_threads < 1:
         raise ValueError("need at least one thread")
     rng = np.random.Generator(np.random.PCG64(schedule_seed))
-    ctx = _MasterContext(program, n_threads, make_strategy(strategy, rng))
-    trace = ctx.run()
+    trace = _MasterContext(program, n_threads, rng).run()
     trace.schedule_seed = schedule_seed
-    trace.schedule_strategy = strategy
     return trace
