@@ -84,8 +84,8 @@ def cmd_train(args) -> int:
         print(f"error: {', '.join(misused)} does not apply to --stage {args.stage}",
               file=sys.stderr)
         return 2
-    if args.warmup_steps is not None and args.schedule != "warmup-cosine":
-        print("error: --warmup-steps requires --schedule warmup-cosine",
+    if args.warmup_steps is not None and args.schedule != "cosine":
+        print("error: --warmup-steps requires --schedule cosine",
               file=sys.stderr)
         return 2
 
@@ -321,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser(
-        "train", help="run the unified training engine (checkpoint + resume)"
+        "train",
+        help="run one training stage through the unified engine "
+             "(AdamW, one batch per step; checkpoint + resume)",
     )
     _add_preset_arg(p)
     p.add_argument("--stage", choices=["pretrain", "sft"], default="pretrain",
@@ -333,10 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="HPC-GPT variant for --stage sft (default: l2)")
     p.add_argument("--steps", type=int, help="override pretrain step count")
     p.add_argument("--epochs", type=int, help="override SFT epoch count")
-    p.add_argument("--schedule", choices=["constant", "cosine", "warmup-cosine"],
-                   help="LR schedule (default: the preset's)")
+    p.add_argument("--schedule", choices=["constant", "cosine"],
+                   help="LR schedule: constant, or cosine decay to 0 "
+                        "(default: the preset's, constant)")
     p.add_argument("--warmup-steps", type=int,
-                   help="warmup steps (only with --schedule warmup-cosine)")
+                   help="linear warmup steps before the cosine decay "
+                        "(only with --schedule cosine)")
     p.add_argument("--checkpoint", metavar="PATH",
                    help="checkpoint file (written periodically with "
                         "--checkpoint-every, else once at the end)")

@@ -6,11 +6,10 @@ mixed-precision simulation with loss scaling (:mod:`repro.train.fp16`),
 AdamW at a constant learning rate, gradient clipping, and checkpointing.
 """
 
-from repro.finetune.dataset import SFTBatch, SFTDataset
+from repro.finetune.dataset import SFTDataset
 from repro.finetune.sft import SFTConfig, SFTTrainer, TrainStats
 
 __all__ = [
-    "SFTBatch",
     "SFTDataset",
     "SFTConfig",
     "SFTTrainer",

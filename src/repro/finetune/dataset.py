@@ -1,16 +1,15 @@
-"""Instruction dataset -> padded token batches.
+"""Instruction dataset -> ``(ids, targets)`` training examples.
 
 Each record is rendered through :class:`repro.llm.chat.ChatFormat`
 (prompt tokens masked with ``ignore_index``).  Sequences longer than the
 model context are *left*-truncated — the end of the prompt (the question
 plus the tail of the code) and the supervised answer are what matter.
-Batches are right-padded; pad positions carry ``ignore_index`` targets,
-so no attention mask is needed in a causal model.
+:class:`repro.train.PaddedExampleSource` batches the examples by length
+and right-pads them; pad positions carry ``ignore_index`` targets, so no
+attention mask is needed in a causal model.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,20 +18,9 @@ from repro.llm.chat import ChatFormat
 from repro.tokenizer import BPETokenizer
 
 
-@dataclass(frozen=True)
-class SFTBatch:
-    """One training batch."""
-
-    ids: np.ndarray  # (B, T) int64
-    targets: np.ndarray  # (B, T) int64 with ignore_index masking
-
-    @property
-    def n_supervised(self) -> int:
-        return int((self.targets != -100).sum())
-
-
 class SFTDataset:
-    """Tokenised instruction dataset with deterministic batching."""
+    """Tokenised instruction dataset: one ``(ids, targets)`` example per
+    usable record."""
 
     def __init__(
         self,
@@ -71,24 +59,3 @@ class SFTDataset:
 
     def __len__(self) -> int:
         return len(self.examples)
-
-    def batches(
-        self,
-        batch_size: int,
-        rng: np.random.Generator | None = None,
-        pad_id: int = 0,
-    ):
-        """Yield :class:`SFTBatch` covering the dataset once; ``rng``
-        shuffles example order."""
-        order = np.arange(len(self.examples))
-        if rng is not None:
-            rng.shuffle(order)
-        for start in range(0, len(order), batch_size):
-            chunk = [self.examples[i] for i in order[start : start + batch_size]]
-            width = max(len(ids) for ids, _ in chunk)
-            ids = np.full((len(chunk), width), pad_id, dtype=np.int64)
-            targets = np.full((len(chunk), width), self.ignore_index, dtype=np.int64)
-            for k, (ex_ids, ex_targets) in enumerate(chunk):
-                ids[k, : len(ex_ids)] = ex_ids
-                targets[k, : len(ex_targets)] = ex_targets
-            yield SFTBatch(ids, targets)

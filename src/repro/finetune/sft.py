@@ -6,9 +6,9 @@ PEFT semantics (base frozen, adapters trained), fp16 simulation, and
 gradient clipping.
 
 The loop itself is the unified :class:`repro.train.Trainer` — this
-module owns only the SFT-specific parts: LoRA application, the chat
--formatted dataset, and length-bucketed batching (a shuffled batch no
-longer pads every row to the longest row the shuffle dealt it).
+module owns only the SFT-specific parts: LoRA application and the
+chat-formatted dataset, which :class:`repro.train.PaddedExampleSource`
+batches by length.
 """
 
 from __future__ import annotations
@@ -42,14 +42,9 @@ class SFTConfig:
     lora: LoRAConfig = field(default_factory=lambda: LoRAConfig(rank=4))
     fp16: Fp16Config = field(default_factory=Fp16Config)
     grad_clip: float = 1.0
-    grad_accum: int = 1
     weight_decay: float = 0.0
     schedule: str = "constant"  # the paper trains at a constant LR
-    warmup_steps: int = 0
-    min_lr: float = 0.0
-    #: Group batches by length (cuts padded-token waste); ``False``
-    #: reproduces the seed loop's shuffle-then-pad batching.
-    bucket_by_length: bool = True
+    warmup_steps: int = 0  # cosine only
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -128,24 +123,16 @@ class SFTTrainer:
             ignore_index=dataset.ignore_index,
             seed=cfg.seed,
             scope="sft/batches",
-            bucket_by_length=cfg.bucket_by_length,
         )
-        # ``epochs`` counts dataset passes: each optimizer step consumes
-        # ``grad_accum`` batches, so divide (min 1) or accumulation
-        # would silently multiply the passes.
-        total_batches = cfg.epochs * source.steps_per_epoch
+        # ``epochs`` counts dataset passes, one batch per optimizer step.
         tcfg = TrainerConfig(
-            max_steps=max(1, total_batches // cfg.grad_accum),
+            max_steps=cfg.epochs * source.steps_per_epoch,
             lr=cfg.lr,
-            optimizer="adamw",
             weight_decay=cfg.weight_decay,
             schedule=cfg.schedule,
             warmup_steps=cfg.warmup_steps,
-            min_lr=cfg.min_lr,
             grad_clip=cfg.grad_clip,
-            grad_accum=cfg.grad_accum,
             fp16=cfg.fp16,
-            loss_on="supervised",
             checkpoint_every=checkpoint_every,
             checkpoint_path=checkpoint_path,
         )

@@ -58,9 +58,8 @@ class PretrainConfig:
     lr: float = 3e-3
     corpus_scale: float = 1.0  # LLaMA-2 sim uses 1.4 (40% more data)
     seed: int = 0
-    schedule: str = "constant"  # constant | cosine | warmup-cosine
-    warmup_steps: int = 0
-    min_lr: float = 0.0
+    schedule: str = "constant"  # constant | cosine
+    warmup_steps: int = 0  # cosine only
 
 
 def build_general_corpus(config: PretrainConfig) -> list[str]:
@@ -140,11 +139,9 @@ def pretrain_trainer(
     tcfg = TrainerConfig(
         max_steps=pre.steps,
         lr=pre.lr,
-        optimizer="adamw",
         weight_decay=0.01,
         schedule=pre.schedule,
         warmup_steps=pre.warmup_steps,
-        min_lr=pre.min_lr,
         grad_clip=1.0,
         checkpoint_every=checkpoint_every,
         checkpoint_path=checkpoint_path,

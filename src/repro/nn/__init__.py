@@ -2,8 +2,9 @@
 
 Provides the modules a LLaMA-architecture causal LM needs (token
 embedding, RMSNorm, rotary-position multi-head attention, SwiGLU MLP),
-plus LoRA adapters for parameter-efficient fine-tuning, AdamW/SGD
-optimizers, LR schedules, and checkpoint (de)serialization.
+plus LoRA adapters for parameter-efficient fine-tuning, the AdamW
+optimizer with gradient clipping, constant and cosine LR schedules,
+and checkpoint (de)serialization.
 """
 
 from repro.nn.module import Module, Parameter
@@ -16,9 +17,9 @@ from repro.nn.attention import (
     padding_causal_mask,
 )
 from repro.nn.transformer import SwiGLU, TransformerBlock
-from repro.nn.lora import LoRAConfig, LoRALinear, apply_lora, lora_state, merge_lora
-from repro.nn.optim import SGD, AdamW, GradClipper, Optimizer
-from repro.nn.schedule import ConstantLR, CosineLR, LinearWarmupCosine
+from repro.nn.lora import LoRAConfig, LoRALinear, apply_lora, merge_lora
+from repro.nn.optim import AdamW, GradClipper
+from repro.nn.schedule import ConstantLR, CosineLR
 from repro.nn.serialization import atomic_savez, load_state, save_state
 
 __all__ = [
@@ -37,15 +38,11 @@ __all__ = [
     "LoRAConfig",
     "LoRALinear",
     "apply_lora",
-    "lora_state",
     "merge_lora",
-    "Optimizer",
-    "SGD",
     "AdamW",
     "GradClipper",
     "ConstantLR",
     "CosineLR",
-    "LinearWarmupCosine",
     "atomic_savez",
     "save_state",
     "load_state",

@@ -120,15 +120,6 @@ def apply_lora(model: Module, config: LoRAConfig, rng: np.random.Generator) -> l
     return wrapped
 
 
-def lora_state(model: Module) -> dict[str, np.ndarray]:
-    """Extract only the adapter weights (the paper ships LoRA deltas)."""
-    return {
-        name: p.data.copy()
-        for name, p in model.named_parameters()
-        if name.endswith("lora_a") or name.endswith("lora_b")
-    }
-
-
 def merge_lora(model: Module) -> int:
     """Fold every LoRALinear back into a dense Linear in place; returns the
     number of merged layers.  Used before serving to remove adapter

@@ -1,8 +1,9 @@
-"""Optimizers: SGD (momentum) and AdamW, plus global-norm grad clipping.
+"""AdamW and global-norm gradient clipping: the optimizer recipe every
+model in the repo trains with.
 
 AdamW follows Loshchilov & Hutter's decoupled weight decay, the standard
 recipe for LLM fine-tuning (and what HuggingFace `Trainer` — the paper's
-stack — uses by default).
+stack — uses by default, with its betas and eps as constants).
 """
 
 from __future__ import annotations
@@ -11,37 +12,71 @@ import numpy as np
 
 from repro.nn.module import Parameter
 
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
 
-class Optimizer:
-    """Base class; subclasses implement :meth:`step`."""
 
-    def __init__(self, params: list[Parameter], lr: float) -> None:
+class AdamW:
+    """Adam with decoupled weight decay over the trainable ``params``."""
+
+    def __init__(
+        self,
+        params: list[Parameter],
+        lr: float,
+        weight_decay: float = 0.0,
+    ) -> None:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.params = [p for p in params if p.requires_grad]
         if not self.params:
             raise ValueError("optimizer got no trainable parameters")
         self.lr = lr
+        self.weight_decay = weight_decay
+        self.t = 0
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
 
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def step(self) -> None:
+        self.t += 1
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
+        for p, m, v in zip(self.params, self._m, self._v):
+            if p.grad is None:
+                continue
+            g = p.grad
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            v += (1 - BETA2) * (g * g)
+            m_hat = m / bc1
+            v_hat = v / bc2
+            if self.weight_decay:
+                p.data -= self.lr * self.weight_decay * p.data
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
     # -- resumable state ----------------------------------------------------
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        """Flat array mapping of every slot buffer (and step counters),
-        keyed like ``"m.3"``.  Slot order follows ``self.params``, which
-        is deterministic (module definition order), so a checkpoint
-        written by one process resumes bit-exactly in another."""
-        return {}
+        """Flat array mapping of the step counter and both moment
+        buffers, keyed like ``"m.3"``.  Slot order follows
+        ``self.params``, which is deterministic (module definition
+        order), so a checkpoint written by one process resumes
+        bit-exactly in another."""
+        out: dict[str, np.ndarray] = {"t": np.asarray(self.t, dtype=np.int64)}
+        out.update({f"m.{i}": m.copy() for i, m in enumerate(self._m)})
+        out.update({f"v.{i}": v.copy() for i, v in enumerate(self._v)})
+        return out
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        if state:
-            raise KeyError(f"unexpected optimizer state: {sorted(state)}")
+        if "t" not in state:
+            raise KeyError("optimizer state missing 't'")
+        self.t = int(np.asarray(state["t"]).reshape(()))
+        self._load_slots(self._m, state, "m")
+        self._load_slots(self._v, state, "v")
 
     @staticmethod
     def _load_slots(
@@ -58,89 +93,6 @@ class Optimizer:
                     f"have {buf.shape}, got {arr.shape}"
                 )
             slots[i] = arr.copy()
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, params: list[Parameter], lr: float, momentum: float = 0.0) -> None:
-        super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
-            else:
-                p.data -= self.lr * p.grad
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {f"velocity.{i}": v.copy() for i, v in enumerate(self._velocity)}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        self._load_slots(self._velocity, state, "velocity")
-
-
-class AdamW(Optimizer):
-    """Adam with decoupled weight decay."""
-
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float = 2e-5,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr)
-        b1, b2 = betas
-        if not (0 <= b1 < 1 and 0 <= b2 < 1):
-            raise ValueError("betas must be in [0, 1)")
-        self.betas = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        self.t += 1
-        b1, b2 = self.betas
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
-                continue
-            g = p.grad
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * (g * g)
-            m_hat = m / bc1
-            v_hat = v / bc2
-            if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {"t": np.asarray(self.t, dtype=np.int64)}
-        out.update({f"m.{i}": m.copy() for i, m in enumerate(self._m)})
-        out.update({f"v.{i}": v.copy() for i, v in enumerate(self._v)})
-        return out
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        if "t" not in state:
-            raise KeyError("optimizer state missing 't'")
-        self.t = int(np.asarray(state["t"]).reshape(()))
-        self._load_slots(self._m, state, "m")
-        self._load_slots(self._v, state, "v")
 
 
 class GradClipper:

@@ -16,36 +16,18 @@ class ConstantLR:
 
 
 class CosineLR:
-    """Cosine decay from ``lr`` to ``min_lr`` over ``total_steps``."""
+    """Linear warmup to ``lr`` over ``warmup_steps`` (none by default),
+    then cosine decay to 0 at ``total_steps``."""
 
-    def __init__(self, lr: float, total_steps: int, min_lr: float = 0.0) -> None:
-        if total_steps <= 0:
-            raise ValueError("total_steps must be positive")
-        self.lr = lr
-        self.total_steps = total_steps
-        self.min_lr = min_lr
-
-    def __call__(self, step: int) -> float:
-        frac = min(max(step, 0), self.total_steps) / self.total_steps
-        return self.min_lr + 0.5 * (self.lr - self.min_lr) * (1 + math.cos(math.pi * frac))
-
-
-class LinearWarmupCosine:
-    """Linear warmup to ``lr`` then cosine decay — the standard SFT shape."""
-
-    def __init__(
-        self, lr: float, warmup_steps: int, total_steps: int, min_lr: float = 0.0
-    ) -> None:
+    def __init__(self, lr: float, total_steps: int, warmup_steps: int = 0) -> None:
         if warmup_steps < 0 or total_steps <= warmup_steps:
             raise ValueError("need 0 <= warmup_steps < total_steps")
         self.lr = lr
-        self.warmup_steps = warmup_steps
         self.total_steps = total_steps
-        self.min_lr = min_lr
+        self.warmup_steps = warmup_steps
 
     def __call__(self, step: int) -> float:
         if step < self.warmup_steps:
-            return self.lr * (step + 1) / max(self.warmup_steps, 1)
+            return self.lr * (step + 1) / self.warmup_steps
         frac = (step - self.warmup_steps) / (self.total_steps - self.warmup_steps)
-        frac = min(frac, 1.0)
-        return self.min_lr + 0.5 * (self.lr - self.min_lr) * (1 + math.cos(math.pi * frac))
+        return 0.5 * self.lr * (1 + math.cos(math.pi * min(frac, 1.0)))

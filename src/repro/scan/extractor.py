@@ -46,6 +46,10 @@ _F_UNIT_START_RE = re.compile(
 )
 _F_UNIT_END_RE = re.compile(r"^\s*end(?:\s+(?:program|subroutine|function)\b.*|\s*)$",
                             re.IGNORECASE)
+#: One line with its ``\n``: lines break at ``\n`` only, as C and
+#: Fortran compilers count them, never at ``str.splitlines``' form
+#: feeds, lone ``\r`` or Unicode breaks.
+_LINE_RE = re.compile(r"[^\n]*\n|[^\n]+")
 
 
 @dataclass(frozen=True)
@@ -83,11 +87,16 @@ class ExtractedKernel:
         )
 
 
+def _lines(text: str) -> list[str]:
+    """``text``'s lines, each with its ``\n`` (see ``_LINE_RE``)."""
+    return _LINE_RE.findall(text)
+
+
 def directive_lines(text: str, language: str) -> list[tuple[int, str]]:
     """1-based line numbers and bodies of every OpenMP directive."""
     rx = _F_DIRECTIVE_RE if language == FORTRAN else _C_DIRECTIVE_RE
     out: list[tuple[int, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         m = rx.match(line)
         if m:
             out.append((lineno, m.group(1).strip()))
@@ -123,7 +132,7 @@ def whole_file_kernel(file: SourceFile, program: Program | None = None) -> Extra
     when that knowledge comes from a cached verdict, not a parse."""
     return ExtractedKernel(
         file=file.relpath, language=file.language,
-        start_line=1, end_line=max(1, len(file.text.splitlines())),
+        start_line=1, end_line=max(1, len(_lines(file.text))),
         source=file.text,
         features=_features(directive_lines(file.text, file.language)),
         parse_ok=True, program=program,
@@ -143,11 +152,11 @@ def extract_kernels(file: SourceFile) -> list[ExtractedKernel]:
     directives = directive_lines(file.text, file.language)
     if not directives:
         return []
-    n_lines = max(1, len(file.text.splitlines()))
+    lines = _lines(file.text)
+    n_lines = max(1, len(lines))
 
     spans = (_fortran_unit_spans(file.text) if file.language == FORTRAN
              else _c_function_spans(file.text))
-    lines = file.text.splitlines(keepends=True)
     # Group directives by enclosing span; directives outside any span
     # fall back to the whole file.
     grouped: dict[tuple[int, int], list[tuple[int, str]]] = {}
@@ -194,7 +203,8 @@ def _c_comment_free(text: str) -> str:
 
 def _c_function_spans(text: str) -> list[tuple[int, int]]:
     """(start, end) line spans of top-level ``{...}`` blocks, extended
-    upward to the block's header line (the function signature)."""
+    upward to the block's header line (the function signature).  A
+    ``}`` with no open block (a stray brace at depth 0) is ignored."""
     comment_free = _c_comment_free(text)
     line_of = _line_index(comment_free)
     spans: list[tuple[int, int]] = []
@@ -206,8 +216,8 @@ def _c_function_spans(text: str) -> list[tuple[int, int]]:
             if depth == 0:
                 open_pos = pos
             depth += 1
-        else:
-            depth = max(0, depth - 1)
+        elif depth:
+            depth -= 1
             if depth == 0:
                 start_line = _header_line(comment_free, open_pos, line_of)
                 spans.append((start_line, line_of(pos)))
@@ -229,7 +239,7 @@ def _header_line(text: str, open_pos: int, line_of) -> int:
     header = text[stop + 1 : open_pos]
     offset = stop + 1
     first = brace_line
-    for line in header.splitlines(keepends=True):
+    for line in _lines(header):
         if line.strip() and not line.lstrip().startswith("#"):
             first = line_of(offset)
             break
@@ -242,7 +252,7 @@ def _fortran_unit_spans(text: str) -> list[tuple[int, int]]:
     spans: list[tuple[int, int]] = []
     start: int | None = None
     depth = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         # END must win over START: "end function foo" would otherwise
         # match the typed-function-prefix branch of the START pattern.
         if _F_UNIT_END_RE.match(line):

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.nn.module import Module
-from repro.nn.optim import Optimizer
+from repro.nn.optim import AdamW
 from repro.nn.serialization import atomic_savez
 
 CHECKPOINT_VERSION = 1
@@ -37,7 +37,7 @@ _LOSSES = "__losses__"
 def save_checkpoint(
     path: str | os.PathLike,
     model: Module,
-    optimizer: Optimizer,
+    optimizer: AdamW,
     source,
     scaler,
     step: int,
@@ -71,17 +71,10 @@ def save_checkpoint(
     return path
 
 
-def read_checkpoint_meta(path: str | os.PathLike) -> dict:
-    """The JSON document (step, source/scaler state, extra) without
-    touching any weight arrays — cheap enough for registry probing."""
-    with np.load(path, allow_pickle=False) as npz:
-        return json.loads(str(npz[_JSON][()]))
-
-
 def load_checkpoint(
     path: str | os.PathLike,
     model: Module,
-    optimizer: Optimizer,
+    optimizer: AdamW,
     source,
     scaler,
 ) -> dict:

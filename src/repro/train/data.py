@@ -10,12 +10,12 @@ Two concrete sources cover every training workload in the repo:
 * :class:`TokenStreamSource` — i.i.d. row sampling from a packed token
   stream (pretraining);
 * :class:`PaddedExampleSource` — variable-length supervised examples
-  padded into batches (SFT and §5 continual updates).  With
-  ``bucket_by_length=True`` (the default) examples are grouped into
-  batches of near-equal length *before* the epoch shuffle permutes
-  batch order, so a batch never pads short QA rows out to the longest
-  code row that a global shuffle happened to deal it — the seed loop's
-  padded-token waste, measured by ``benchmarks/bench_train_throughput``.
+  padded into batches (SFT and §5 continual updates).  Examples are
+  grouped into batches of near-equal length *before* the epoch shuffle
+  permutes batch order, so a batch never pads short QA rows out to the
+  longest code row that a global shuffle happened to deal it — the
+  padded-token waste ``benchmarks/bench_train_throughput`` measures
+  against shuffle-then-pad batching.
 """
 
 from __future__ import annotations
@@ -92,19 +92,13 @@ class TokenStreamSource:
 
 
 class PaddedExampleSource:
-    """Epoch-cycling batches over variable-length supervised examples.
+    """Epoch-cycling, length-bucketed batches over variable-length
+    supervised examples.
 
-    Parameters
-    ----------
-    examples:
-        ``(ids, targets)`` pairs of equal-length 1-D integer arrays
-        (e.g. ``SFTDataset.examples``).
-    bucket_by_length:
-        Group examples into batches by length (longest first) so each
-        batch pads only to its own maximum; the epoch shuffle then
-        permutes whole batches.  ``False`` reproduces the seed loop's
-        batching exactly: shuffle all examples, slice into batches, pad
-        each to its longest row.
+    ``examples`` are ``(ids, targets)`` pairs of equal-length 1-D
+    integer arrays (e.g. ``SFTDataset.examples``).  They are grouped
+    into batches by length (longest first), so each batch pads only to
+    its own maximum; each epoch's shuffle then permutes whole batches.
     """
 
     def __init__(
@@ -115,7 +109,6 @@ class PaddedExampleSource:
         ignore_index: int = -100,
         seed: int = 0,
         scope: str = "train/examples",
-        bucket_by_length: bool = True,
     ) -> None:
         if not examples:
             raise ValueError("empty example list")
@@ -125,43 +118,29 @@ class PaddedExampleSource:
         self.batch_size = batch_size
         self.pad_id = pad_id
         self.ignore_index = ignore_index
-        self.bucket_by_length = bucket_by_length
         self._rng = derive_rng(seed, scope)
         self.epoch = 0
         self._pos = 0
         self._order: np.ndarray | None = None
-        if bucket_by_length:
-            # Stable sort keeps equal-length ties in dataset order, so
-            # the bucket layout is a pure function of the lengths.
-            by_len = np.argsort([-len(ids) for ids, _ in examples], kind="stable")
-            self._buckets = [
-                by_len[start : start + batch_size]
-                for start in range(0, len(by_len), batch_size)
-            ]
+        # Stable sort keeps equal-length ties in dataset order, so the
+        # bucket layout is a pure function of the lengths.
+        by_len = np.argsort([-len(ids) for ids, _ in examples], kind="stable")
+        self._buckets = [
+            by_len[start : start + batch_size]
+            for start in range(0, len(by_len), batch_size)
+        ]
 
     @property
     def steps_per_epoch(self) -> int:
-        n = len(self.examples)
-        return (n + self.batch_size - 1) // self.batch_size
+        return len(self._buckets)
 
-    def _start_epoch(self) -> None:
-        if self.bucket_by_length:
+    def next_batch(self) -> Batch:
+        if self._order is None:
             # Permute whole buckets: each batch IS a bucket, so a
             # partial (short) bucket never shifts later batches across
             # bucket boundaries mid-epoch.
             self._order = self._rng.permutation(len(self._buckets))
-        else:
-            self._order = self._rng.permutation(len(self.examples))
-
-    def next_batch(self) -> Batch:
-        if self._order is None:
-            self._start_epoch()
-        if self.bucket_by_length:
-            idxs = self._buckets[self._order[self._pos]]
-        else:
-            start = self._pos * self.batch_size
-            idxs = self._order[start : start + self.batch_size]
-        chunk = [self.examples[i] for i in idxs]
+        chunk = [self.examples[i] for i in self._buckets[self._order[self._pos]]]
         self._pos += 1
         if self._pos >= self.steps_per_epoch:
             self._pos = 0

@@ -7,20 +7,17 @@ Every training workload in the repo — base-model pretraining
 same way every decode path delegates to
 :class:`repro.llm.engine.InferenceEngine`.
 
-The loop composes the pluggable pieces:
-
-* a **data source** (:mod:`repro.train.data`) with serialisable RNG
-  position;
-* an **optimizer** (``AdamW`` / ``SGD``) with ``state_dict`` moments;
-* an **LR schedule** (:mod:`repro.nn.schedule` — constant, cosine, or
-  linear-warmup cosine), evaluated every step;
-* **fp16 loss scaling** (:mod:`repro.train.fp16`), gradient
-  accumulation, and global-norm clipping;
-* the **fused cross-entropy** objective
-  (:func:`repro.tensor.fused_cross_entropy`), which never materialises
-  the full log-prob matrix;
-* periodic :mod:`repro.train.checkpoint` files, from which
-  :meth:`Trainer.train` resumes *bit-exactly*.
+There is one recipe, the paper's (§3.5/§4.1): one batch from the
+**data source** (:mod:`repro.train.data`, serialisable RNG position)
+per **AdamW** step (:mod:`repro.nn.optim`), at a constant LR or, when
+asked, a cosine one with optional linear warmup
+(:mod:`repro.nn.schedule`), under **fp16 loss scaling**
+(:mod:`repro.train.fp16`) and global-norm clipping.  The objective is
+the **fused cross-entropy** (:func:`repro.tensor.fused_cross_entropy`),
+which never materialises the full log-prob matrix, and a batch with
+masked targets projects only its supervised rows through the LM head.
+Periodic :mod:`repro.train.checkpoint` files let :meth:`Trainer.train`
+resume *bit-exactly*.
 """
 
 from __future__ import annotations
@@ -32,14 +29,13 @@ from typing import Callable
 import numpy as np
 
 from repro.nn.module import Module
-from repro.nn.optim import AdamW, GradClipper, SGD
-from repro.nn.schedule import ConstantLR, CosineLR, LinearWarmupCosine
+from repro.nn.optim import AdamW, GradClipper
+from repro.nn.schedule import ConstantLR, CosineLR
 from repro.tensor import fused_cross_entropy, take_rows
 from repro.train.checkpoint import load_checkpoint, save_checkpoint
 from repro.train.fp16 import Fp16Config, LossScaler, round_to_fp16
 
-OPTIMIZERS = ("adamw", "sgd")
-SCHEDULES = ("constant", "cosine", "warmup-cosine")
+SCHEDULES = ("constant", "cosine")
 
 
 @dataclass(frozen=True)
@@ -48,37 +44,21 @@ class TrainerConfig:
 
     max_steps: int
     lr: float
-    optimizer: str = "adamw"
     weight_decay: float = 0.0
-    betas: tuple[float, float] = (0.9, 0.999)
-    momentum: float = 0.0  # SGD only
     schedule: str = "constant"
-    warmup_steps: int = 0
-    min_lr: float = 0.0
+    warmup_steps: int = 0  # cosine only
     grad_clip: float = 1.0  # 0 disables clipping
-    grad_accum: int = 1
     fp16: Fp16Config = field(default_factory=lambda: Fp16Config(enabled=False))
-    #: ``"supervised"`` projects only non-ignored target positions
-    #: through the LM head (requires the model to expose
-    #: ``forward(..., return_hidden=True)`` + ``output_logits``); the
-    #: gradient is identical — ignored positions contribute zero — but
-    #: the head matmul shrinks to the supervised fraction, which for SFT
-    #: is the short answer span of each row.
-    loss_on: str = "all"  # all | supervised
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
     checkpoint_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.grad_accum < 1:
-            raise ValueError("grad_accum must be >= 1")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}; have {OPTIMIZERS}")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}; have {SCHEDULES}")
-        if self.loss_on not in ("all", "supervised"):
-            raise ValueError(f"unknown loss_on {self.loss_on!r}")
+        if self.warmup_steps and self.schedule != "cosine":
+            raise ValueError("warmup_steps needs schedule='cosine'")
         if self.checkpoint_every and not self.checkpoint_path:
             raise ValueError("checkpoint_every requires checkpoint_path")
 
@@ -87,13 +67,8 @@ def make_schedule(config: TrainerConfig):
     """Instantiate the :mod:`repro.nn.schedule` object for ``config``."""
     if config.schedule == "constant":
         return ConstantLR(config.lr)
-    if config.schedule == "cosine":
-        return CosineLR(config.lr, total_steps=config.max_steps, min_lr=config.min_lr)
-    return LinearWarmupCosine(
-        config.lr,
-        warmup_steps=config.warmup_steps,
-        total_steps=config.max_steps,
-        min_lr=config.min_lr,
+    return CosineLR(
+        config.lr, total_steps=config.max_steps, warmup_steps=config.warmup_steps
     )
 
 
@@ -129,9 +104,11 @@ class Trainer:
     Parameters
     ----------
     model:
-        Any :class:`repro.nn.Module` whose ``forward(ids)`` returns
-        ``(B, T, vocab)`` logits; only its *trainable* parameters are
-        optimised (so LoRA-wrapped models train just the adapters).
+        A :class:`repro.llm.CausalLM`: ``forward(ids)`` returns
+        ``(B, T, vocab)`` logits, and ``forward(ids, return_hidden=True)``
+        plus ``output_logits`` split off the LM head.  Only its
+        *trainable* parameters are optimised (so LoRA-wrapped models
+        train just the adapters).
     source:
         A data source from :mod:`repro.train.data` (or anything with
         ``next_batch()`` / ``state_dict()`` / ``load_state_dict()``).
@@ -152,31 +129,31 @@ class Trainer:
         self.config = config
         self.callbacks = list(callbacks or [])
         self.params = model.trainable_parameters()
-        if config.optimizer == "adamw":
-            self.optimizer = AdamW(
-                self.params, lr=config.lr, betas=config.betas,
-                weight_decay=config.weight_decay,
-            )
-        else:
-            self.optimizer = SGD(self.params, lr=config.lr, momentum=config.momentum)
+        self.optimizer = AdamW(
+            self.params, lr=config.lr, weight_decay=config.weight_decay
+        )
         self.schedule = make_schedule(config)
         self.scaler = LossScaler(config.fp16)
         self.clipper = GradClipper(config.grad_clip) if config.grad_clip > 0 else None
-        self._sparse_loss = config.loss_on == "supervised" and hasattr(
-            model, "output_logits"
-        )
         # Mutable run state (also what checkpoints capture).
         self._step = 0
         self._losses: list[float] = []
         self._skipped = 0
 
     def _loss(self, batch):
-        """Forward + objective for one micro-batch.  The ignore index
-        travels with the batch (set by the data source), so non-default
-        masking works on both paths."""
-        if self._sparse_loss:
-            flat_targets = batch.targets.reshape(-1)
-            idx = np.nonzero(flat_targets != batch.ignore_index)[0]
+        """Forward + objective for one batch.  The ignore index travels
+        with the batch (set by the data source), so non-default masking
+        works on both paths.
+
+        A batch with masked targets (every SFT batch: prompts and pads
+        are masked) projects only its supervised rows through the LM
+        head — the gradient is identical, since masked positions
+        contribute zero, but the head matmul shrinks to the answer
+        span.  A batch with none (a packed pretraining stream) takes
+        the plain full-sequence path."""
+        flat_targets = batch.targets.reshape(-1)
+        idx = np.nonzero(flat_targets != batch.ignore_index)[0]
+        if len(idx) < flat_targets.size:
             hidden = self.model.forward(batch.ids, return_hidden=True)
             b, t, d = hidden.shape
             # nonzero yields unique indices, so the fast-gather op's
@@ -235,17 +212,11 @@ class Trainer:
             lr = self.schedule(step)
             self.optimizer.lr = lr
             self.optimizer.zero_grad()
-            step_loss = 0.0
-            for _ in range(cfg.grad_accum):
-                batch = self.source.next_batch()
-                loss = self._loss(batch)
-                loss.backward(
-                    np.asarray(
-                        self.scaler.loss_factor() / cfg.grad_accum, dtype=np.float32
-                    )
-                )
-                step_loss += loss.item() / cfg.grad_accum
-                report.tokens += batch.n_tokens
+            batch = self.source.next_batch()
+            loss = self._loss(batch)
+            loss.backward(np.asarray(self.scaler.loss_factor(), dtype=np.float32))
+            step_loss = loss.item()
+            report.tokens += batch.n_tokens
             skipped = not self.scaler.unscale_and_check(params)
             if skipped:
                 self._skipped += 1

@@ -52,15 +52,22 @@ class TestParser:
         from repro.cli import main
 
         rc = main(["train", "--preset", "small", "--steps", "10",
-                   "--schedule", "warmup-cosine", "--warmup-steps", "20"])
+                   "--schedule", "cosine", "--warmup-steps", "20"])
         assert rc == 2
         assert "warmup_steps" in capsys.readouterr().err
 
-    def test_train_warmup_without_schedule_rejected(self, capsys):
+    def test_train_warmup_without_cosine_rejected(self, capsys):
         from repro.cli import main
 
         assert main(["train", "--warmup-steps", "5"]) == 2
-        assert "--schedule warmup-cosine" in capsys.readouterr().err
+        assert "--schedule cosine" in capsys.readouterr().err
+        assert main(["train", "--schedule", "constant", "--warmup-steps", "5"]) == 2
+        assert "--schedule cosine" in capsys.readouterr().err
+
+    def test_train_schedule_choices(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train", "--schedule", "warmup-cosine"])
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_train_bad_resume_file_clean_error(self, capsys, tmp_path):
         from repro.cli import main

@@ -10,7 +10,7 @@ from repro.llm import CausalLM, ModelConfig
 from repro.llm.pretrain import PretrainConfig, build_general_corpus, train_tokenizer_on
 from repro.nn import LoRAConfig
 from repro.nn.module import Parameter
-from repro.train import Fp16Config, LossScaler, round_to_fp16
+from repro.train import Fp16Config, LossScaler, PaddedExampleSource, round_to_fp16
 from repro.utils.rng import derive_rng
 
 
@@ -37,14 +37,23 @@ def toy_records(n=12):
 
 
 class TestDataset:
-    def test_batches_cover_dataset(self, tok):
+    def test_examples_cover_dataset(self, tok):
         ds = SFTDataset(toy_records(10), tok, max_seq_len=64)
-        total = sum(b.ids.shape[0] for b in ds.batches(4))
-        assert total == len(ds) == 10
+        assert len(ds) == len(ds.examples) == 10
+        assert all(len(ids) == len(targets) for ids, targets in ds.examples)
+
+    def test_every_example_masks_its_prompt(self, tok):
+        # The trainer projects only supervised rows through the LM head
+        # when a batch has masked targets; SFT examples always do.
+        ds = SFTDataset(toy_records(10), tok, max_seq_len=64)
+        for _, targets in ds.examples:
+            assert targets[0] == -100
+            assert (targets != -100).any()
 
     def test_padding_and_masking(self, tok):
         ds = SFTDataset(toy_records(4), tok, max_seq_len=64)
-        batch = next(ds.batches(4))
+        source = PaddedExampleSource(ds.examples, 4, pad_id=tok.special.pad_id)
+        batch = source.next_batch()
         assert batch.ids.shape == batch.targets.shape
         assert batch.n_supervised > 0
         # Pad positions have ignore targets.
@@ -57,12 +66,6 @@ class TestDataset:
         ids, targets = ds.examples[0]
         assert len(ids) <= 48
         assert (targets != -100).sum() >= 1  # answer survived
-
-    def test_shuffle_changes_order(self, tok):
-        ds = SFTDataset(toy_records(12), tok, max_seq_len=64)
-        b1 = next(ds.batches(12, rng=derive_rng(1, "a")))
-        b2 = next(ds.batches(12, rng=derive_rng(2, "b")))
-        assert not np.array_equal(b1.ids, b2.ids)
 
     def test_validation(self, tok):
         with pytest.raises(ValueError):
@@ -152,6 +155,20 @@ class TestTrainer:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SFTConfig(epochs=0)
+
+    def test_schedule_reaches_trainer(self, tok):
+        from repro.nn import CosineLR
+
+        cfg = SFTConfig(lr=5e-3, epochs=2, batch_size=6, max_seq_len=128,
+                        lora=LoRAConfig(rank=0), schedule="cosine", warmup_steps=2)
+        trainer = SFTTrainer(self._model_tok(tok), tok, cfg).trainer(toy_records(12))
+        assert isinstance(trainer.schedule, CosineLR)
+        assert trainer.schedule.warmup_steps == 2
+        assert trainer.schedule.total_steps == trainer.config.max_steps == 4
+        # Warmup without the cosine schedule is rejected, not ignored.
+        cfg = SFTConfig(lr=5e-3, lora=LoRAConfig(rank=0), warmup_steps=2)
+        with pytest.raises(ValueError, match="cosine"):
+            SFTTrainer(self._model_tok(tok), tok, cfg).trainer(toy_records(12))
 
     def test_deterministic_given_seed(self, tok):
         losses = []

@@ -219,6 +219,30 @@ class TestExtractor:
         assert "function f" not in k.source
         assert (k.start_line, k.end_line) == (6, 13)
 
+    def test_form_feed_does_not_shift_lines(self):
+        # Lines break at "\n" only, as compilers count them; a form feed
+        # between functions is text on line 4, not a fifth line break.
+        text = (
+            "void a(void) {\n  int x = 0;\n}\n\x0c\n"
+            "void b(double *y) {\n"
+            "  #pragma omp parallel for\n"
+            "  for (...) y[i] = y[i-1];\n"
+            "}\n"
+        )
+        sf = SourceFile(path=None, relpath="ff.c", language="C/C++", text=text)
+        (k,) = extract_kernels(sf)
+        assert (k.start_line, k.end_line) == (5, 8)
+        assert k.source == text[text.index("void b"):]
+        assert directive_lines(text, "C/C++") == [(6, "parallel for")]
+
+    @pytest.mark.parametrize("text, spans", [
+        ("void f(void) {\n  a;\n}\n}\nint y;\n", [(1, 3)]),
+        ("int x;\n}\nvoid f(void) {\n}\n", [(3, 4)]),
+    ])
+    def test_stray_closing_brace_ignored(self, text, spans):
+        assert _c_function_spans(text) == spans
+        assert reference_c_function_spans(text)[1] == spans
+
     def test_directive_lines(self):
         assert directive_lines(RACY_C, "C/C++") == [(3, "parallel for")]
         assert directive_lines(F_MODULE, "Fortran")[0][0] == 4

@@ -86,8 +86,8 @@ def reference_c_function_spans(text: str) -> tuple[str, list[tuple[int, int]]]:
             if depth == 0:
                 open_pos = pos
             depth += 1
-        elif ch == "}":
-            depth = max(0, depth - 1)
+        elif ch == "}" and depth:  # a "}" at depth 0 is stray: ignored
+            depth -= 1
             if depth == 0:
                 start_line = _header_line(comment_free, open_pos, line_of)
                 spans.append((start_line, line_of(pos)))

@@ -73,16 +73,19 @@ class TestPaddedExampleSource:
     def test_bucketing_reduces_padding(self):
         examples = make_examples(n=32, max_len=60)
         total = sum(len(ids) for ids, _ in examples)
+        src = PaddedExampleSource(examples, batch_size=4, seed=0)
+        bucketed = sum(src.next_batch().n_tokens for _ in range(src.steps_per_epoch))
 
-        def padded_tokens(bucket):
-            src = PaddedExampleSource(
-                examples, batch_size=4, seed=0, bucket_by_length=bucket
-            )
-            return sum(src.next_batch().n_tokens for _ in range(src.steps_per_epoch))
+        def shuffled_then_padded(seed):
+            # Shuffle every example, slice into batches, pad each batch
+            # to its longest row.
+            order = derive_rng(seed, "tests/train/shuffle").permutation(len(examples))
+            lengths = [len(examples[i][0]) for i in order]
+            return sum(len(chunk) * max(chunk)
+                       for chunk in (lengths[i : i + 4] for i in range(0, 32, 4)))
 
-        bucketed, seed_style = padded_tokens(True), padded_tokens(False)
         assert bucketed >= total
-        assert bucketed < seed_style
+        assert all(bucketed < shuffled_then_padded(seed) for seed in range(5))
 
     def test_bucketed_batches_are_length_sorted_groups(self):
         examples = make_examples(n=24, max_len=50)

@@ -1,12 +1,12 @@
-"""Tests for the unified Trainer: fitting, schedules, grad
-accumulation, callbacks, and config validation."""
+"""Tests for the unified Trainer: fitting, schedules, the LM-head path
+per batch, callbacks, and config validation."""
 
 import numpy as np
 import pytest
 
 from repro.llm import CausalLM, ModelConfig
-from repro.nn import AdamW, SGD
-from repro.nn.schedule import ConstantLR, CosineLR, LinearWarmupCosine
+from repro.nn import AdamW
+from repro.nn.schedule import ConstantLR, CosineLR
 from repro.train import (
     Fp16Config,
     StepInfo,
@@ -48,14 +48,6 @@ class TestTraining:
                               TrainerConfig(max_steps=8, lr=1e-3))
             runs.append(trainer.train().losses)
         assert runs[0] == runs[1]
-
-    def test_sgd_optimizer(self):
-        trainer = Trainer(make_model(), make_source(),
-                          TrainerConfig(max_steps=10, lr=1e-2,
-                                        optimizer="sgd", momentum=0.9))
-        assert isinstance(trainer.optimizer, SGD)
-        report = trainer.train()
-        assert np.isfinite(report.mean_loss())
 
     def test_adamw_default(self):
         trainer = Trainer(make_model(), make_source(),
@@ -103,42 +95,65 @@ class TestTraining:
         # ignore index, not a hardcoded -100.
         from repro.train import PaddedExampleSource
 
-        rng = derive_rng(9, "tests/train/ignore")
-        examples = []
-        for _ in range(8):
-            length = int(rng.integers(6, 20))
-            ids = rng.integers(1, CFG.vocab_size, size=length).astype(np.int64)
-            targets = ids.copy()
-            targets[: length // 2] = -100
-            examples.append((ids, targets))
+        examples = make_masked_examples()
 
         def run(ignore):
             exs = [(ids, np.where(t == -100, ignore, t)) for ids, t in examples]
             model = make_model(seed=2)
             src = PaddedExampleSource(exs, batch_size=4, ignore_index=ignore, seed=0)
-            cfg = TrainerConfig(max_steps=4, lr=1e-3, loss_on="supervised")
+            cfg = TrainerConfig(max_steps=4, lr=1e-3)
             return Trainer(model, src, cfg).train().losses
 
         assert run(-100) == run(-1)
 
-    def test_grad_accum_matches_single_big_batch(self):
-        # Identical rows -> every micro-batch is the same batch, so two
-        # accumulated micro-batches must equal one batch of double size.
-        rng = derive_rng(1, "tests/train/accum")
-        row = rng.integers(0, CFG.vocab_size, size=(1, 17)).astype(np.int64)
-        rows = np.repeat(row, 10, axis=0)
 
-        def run(batch_size, accum):
-            model = make_model(seed=4)
-            src = TokenStreamSource(rows, batch_size, seed=0)
-            Trainer(model, src, TrainerConfig(max_steps=4, lr=1e-3,
-                                              grad_accum=accum)).train()
-            return model.state_dict()
+def make_masked_examples():
+    rng = derive_rng(9, "tests/train/ignore")
+    examples = []
+    for _ in range(8):
+        length = int(rng.integers(6, 20))
+        ids = rng.integers(1, CFG.vocab_size, size=length).astype(np.int64)
+        targets = ids.copy()
+        targets[: length // 2] = -100
+        examples.append((ids, targets))
+    return examples
 
-        small = run(batch_size=2, accum=3)
-        big = run(batch_size=6, accum=1)
-        for key in small:
-            np.testing.assert_allclose(small[key], big[key], atol=1e-5)
+
+class TestHeadPath:
+    """The LM head runs over the supervised rows only when a batch has
+    masked targets, and over every position otherwise."""
+
+    def _head_rows(self, source):
+        model = make_model(seed=3)
+        rows: list[int] = []
+        head = model.output_logits
+
+        def spy(hidden):
+            rows.append(int(np.prod(hidden.shape[:-1])))
+            return head(hidden)
+
+        model.output_logits = spy
+        trainer = Trainer(model, source, TrainerConfig(max_steps=1, lr=1e-3))
+        batch = source.next_batch()
+        loss = trainer._loss(batch)
+        return rows, batch, loss
+
+    def test_masked_batch_projects_supervised_rows(self):
+        from repro.train import PaddedExampleSource
+
+        source = PaddedExampleSource(make_masked_examples(), batch_size=4, seed=0)
+        rows, batch, loss = self._head_rows(source)
+        assert rows == [batch.n_supervised] and batch.n_supervised < batch.n_tokens
+        # Same objective as the full-sequence head over the same batch.
+        from repro.tensor import fused_cross_entropy
+
+        model = make_model(seed=3)
+        full = fused_cross_entropy(model.forward(batch.ids), batch.targets)
+        assert loss.item() == pytest.approx(full.item(), rel=1e-5)
+
+    def test_unmasked_batch_projects_every_position(self):
+        rows, batch, _ = self._head_rows(make_source())
+        assert rows == [batch.n_tokens]
 
 
 class TestSchedules:
@@ -151,7 +166,7 @@ class TestSchedules:
         lrs = []
         trainer = Trainer(
             make_model(), make_source(),
-            TrainerConfig(max_steps=10, lr=1e-3, schedule="cosine", min_lr=1e-5),
+            TrainerConfig(max_steps=10, lr=1e-3, schedule="cosine"),
             callbacks=[lambda i: lrs.append(i.lr)],
         )
         assert isinstance(trainer.schedule, CosineLR)
@@ -164,11 +179,11 @@ class TestSchedules:
         lrs = []
         trainer = Trainer(
             make_model(), make_source(),
-            TrainerConfig(max_steps=12, lr=1e-3, schedule="warmup-cosine",
+            TrainerConfig(max_steps=12, lr=1e-3, schedule="cosine",
                           warmup_steps=4),
             callbacks=[lambda i: lrs.append(i.lr)],
         )
-        assert isinstance(trainer.schedule, LinearWarmupCosine)
+        assert isinstance(trainer.schedule, CosineLR)
         trainer.train()
         assert lrs[0] < lrs[3]  # warmup ramps up
         assert lrs[3] == pytest.approx(1e-3)
@@ -188,10 +203,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             TrainerConfig(max_steps=0, lr=1e-3)
         with pytest.raises(ValueError):
-            TrainerConfig(max_steps=1, lr=1e-3, grad_accum=0)
-        with pytest.raises(ValueError):
-            TrainerConfig(max_steps=1, lr=1e-3, optimizer="lion")
-        with pytest.raises(ValueError):
             TrainerConfig(max_steps=1, lr=1e-3, schedule="step")
+        with pytest.raises(ValueError):
+            TrainerConfig(max_steps=1, lr=1e-3, schedule="warmup-cosine")
+        with pytest.raises(ValueError, match="cosine"):
+            TrainerConfig(max_steps=10, lr=1e-3, warmup_steps=2)
         with pytest.raises(ValueError):
             TrainerConfig(max_steps=1, lr=1e-3, checkpoint_every=5)
