@@ -5,7 +5,9 @@ Times the two training workloads everything builds on:
 * **pretrain** (packed-stream next-token training): tokens/sec through
   the :class:`repro.train.Trainer`, cold vs resumed — a run restarted
   from a mid-run :mod:`repro.train.checkpoint` file must pay only the
-  checkpoint load, not a restart from step 0;
+  checkpoint load, not a restart from step 0.  Both are timed
+  ``PRETRAIN_RUNS`` times after an untimed warm-up run and recorded as
+  ``{metric, value, unit, n, min, max, host}`` (value: the median);
 * **SFT** (instruction fine-tuning): wall-clock for the *seed loop*
   (the original ``SFTTrainer.train`` body, kept here as the baseline:
   shuffle-then-pad batching + reference cross-entropy over every
@@ -26,6 +28,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import platform
+import statistics
 import tempfile
 import time
 
@@ -43,44 +47,68 @@ from repro.train.fp16 import LossScaler, round_to_fp16
 from repro.utils.rng import derive_rng
 
 SFT_EPOCHS = 2
+#: Timed runs of each pretrain variant (after one untimed warm-up run).
+PRETRAIN_RUNS = 5
+
+
+def _host() -> dict:
+    return {"machine": platform.machine(), "cpus": os.cpu_count(),
+            "python": platform.python_version()}
+
+
+def _record(metric: str, samples: list[float], unit: str) -> dict:
+    """One measurement: the median of ``samples`` with its spread."""
+    return {"metric": metric, "value": statistics.median(samples), "unit": unit,
+            "n": len(samples), "min": min(samples), "max": max(samples),
+            "host": _host()}
 
 
 def bench_pretrain(cfg) -> dict:
-    """Cold run vs checkpoint+resume of the same pretraining recipe."""
+    """Cold run vs checkpoint+resume of the same pretraining recipe,
+    each timed ``PRETRAIN_RUNS`` times after one untimed warm-up run:
+    the first training in a process also pays the interpreter's
+    warm-up, which would otherwise land on whichever run came first."""
     recipe = BASE_RECIPES["llama2-13b-sim"]
     pre = dataclasses.replace(
         cfg.pretrain, corpus_scale=recipe["corpus_scale"], seed=recipe["seed"]
     )
     model_cfg = dataclasses.replace(cfg.model, name="bench-train")
 
-    trainer, tok = pretrain_trainer(model_cfg, pre)
-    t0 = time.perf_counter()
-    cold = trainer.train()
-    cold_sec = time.perf_counter() - t0
+    warmup, tok = pretrain_trainer(model_cfg, pre)
+    warmup.train()
+
+    cold_rates = []
+    for _ in range(PRETRAIN_RUNS):
+        trainer, _ = pretrain_trainer(model_cfg, pre, tokenizer=tok)
+        t0 = time.perf_counter()
+        cold = trainer.train()
+        cold_rates.append(cold.tokens / (time.perf_counter() - t0))
 
     half = pre.steps // 2
+    resumed_rates = []
     with tempfile.TemporaryDirectory() as tmp:
         ck = os.path.join(tmp, "pretrain.npz")
-        # A full run that snapshots at the halfway point; the resumed
+        # A full run that snapshots at the halfway point; each resumed
         # run then replays only the second half from that file.
         first, _ = pretrain_trainer(
             model_cfg, pre, tokenizer=tok, checkpoint_every=half, checkpoint_path=ck
         )
         first.train()
-        resumed_trainer, _ = pretrain_trainer(model_cfg, pre, tokenizer=tok)
-        t0 = time.perf_counter()
-        resumed = resumed_trainer.train(resume_from=ck)
-        resumed_sec = time.perf_counter() - t0
+        for _ in range(PRETRAIN_RUNS):
+            resumed_trainer, _ = pretrain_trainer(model_cfg, pre, tokenizer=tok)
+            t0 = time.perf_counter()
+            resumed = resumed_trainer.train(resume_from=ck)
+            # resumed.tokens counts only post-resume forwards, so this
+            # rate includes the checkpoint-load overhead.
+            resumed_rates.append(resumed.tokens / (time.perf_counter() - t0))
     return {
         "steps": pre.steps,
         "resume_point": half,
-        "seconds": {"cold": cold_sec, "resumed_half": resumed_sec},
-        "tokens_per_sec": {
-            "cold": cold.tokens / cold_sec,
-            # resumed.tokens counts only post-resume forwards, so this
-            # rate includes the checkpoint-load overhead.
-            "resumed": resumed.tokens / resumed_sec,
-        },
+        "warmup_runs": 1,
+        "records": [
+            _record("pretrain_cold_tokens_per_s", cold_rates, "tok/s"),
+            _record("pretrain_resumed_tokens_per_s", resumed_rates, "tok/s"),
+        ],
         "loss_parity": bool(np.allclose(cold.losses, resumed.losses)),
     }
 
@@ -186,14 +214,18 @@ def main() -> None:
     (OUT_DIR / "BENCH_train.json").write_text(json.dumps(payload, indent=1) + "\n")
 
     sft = payload["sft"]
+    cold, resumed = pretrain_stats["records"]
     write_out(
         "bench_train_throughput.txt",
         "\n".join(
             [
                 f"Training throughput ({cfg.model.name}, {len(records)} SFT records)",
-                f"  pretrain      cold: {pretrain_stats['tokens_per_sec']['cold']:9,.0f} tok/s   "
-                f"resumed: {pretrain_stats['tokens_per_sec']['resumed']:9,.0f} tok/s   "
-                f"(loss parity: {pretrain_stats['loss_parity']})",
+                f"  pretrain      cold: {cold['value']:9,.0f} tok/s "
+                f"[{cold['min']:,.0f}-{cold['max']:,.0f}]   "
+                f"resumed: {resumed['value']:9,.0f} tok/s "
+                f"[{resumed['min']:,.0f}-{resumed['max']:,.0f}]   "
+                f"(median of {cold['n']} after a warm-up; "
+                f"loss parity: {pretrain_stats['loss_parity']})",
                 f"  SFT           seed loop: {sft['seconds']['seed_loop']:.2f}s   "
                 f"trainer: {sft['seconds']['trainer']:.2f}s   "
                 f"speedup vs seed: {sft['speedup']['trainer_vs_seed']:.2f}x",

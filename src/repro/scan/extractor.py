@@ -25,7 +25,7 @@ scanned kernels.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from repro.drb.generator import KernelSpec
@@ -34,8 +34,12 @@ from repro.openmp.lexer import BLOCK_COMMENT_RE
 from repro.scan.walker import SourceFile
 from repro.utils.languages import FORTRAN
 
-_C_DIRECTIVE_RE = re.compile(r"^\s*#\s*pragma\s+omp\b(.*)$", re.IGNORECASE)
-_F_DIRECTIVE_RE = re.compile(r"^\s*!\$omp\b(.*)$", re.IGNORECASE)
+#: A directive from its sentinel to the end of its line; only
+#: whitespace may come before the sentinel on its line (checked by
+#: :func:`directive_lines`).  ``[^\S\n]`` is ``\s`` without ``\n``, so a
+#: match never runs into the next line.
+_C_DIRECTIVE_RE = re.compile(r"#[^\S\n]*pragma[^\S\n]+omp\b([^\n]*)", re.IGNORECASE)
+_F_DIRECTIVE_RE = re.compile(r"!\$omp\b([^\n]*)", re.IGNORECASE)
 #: Directive words that detector ``supports`` predicates key on.
 _FEATURE_WORDS = ("target", "ordered")
 
@@ -93,14 +97,25 @@ def _lines(text: str) -> list[str]:
 
 
 def directive_lines(text: str, language: str) -> list[tuple[int, str]]:
-    """1-based line numbers and bodies of every OpenMP directive."""
+    """1-based line numbers and bodies of every OpenMP directive (a line
+    is whitespace, the sentinel, then the body; lines break at ``\n``)."""
     rx = _F_DIRECTIVE_RE if language == FORTRAN else _C_DIRECTIVE_RE
     out: list[tuple[int, str]] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        m = rx.match(line)
-        if m:
+    lineno, counted = 1, 0
+    for m in rx.finditer(text):
+        start = m.start()
+        line_start = text.rfind("\n", 0, start) + 1
+        if line_start == start or text[line_start:start].isspace():
+            lineno += text.count("\n", counted, start)
+            counted = start
             out.append((lineno, m.group(1).strip()))
     return out
+
+
+def line_count(text: str) -> int:
+    """How many lines ``_lines(text)`` has, without building them."""
+    n = text.count("\n")
+    return n + 1 if text and not text.endswith("\n") else n
 
 
 def _features(directives: list[tuple[int, str]]) -> frozenset:
@@ -126,16 +141,17 @@ def _parse(text: str, language: str) -> Program | None:
     return program if program.body.stmts else None
 
 
-def whole_file_kernel(file: SourceFile, program: Program | None = None) -> ExtractedKernel:
-    """The file as one tier-1 kernel: lines 1..n, features from every
-    directive.  Only for a file known to parse — ``program`` is None
-    when that knowledge comes from a cached verdict, not a parse."""
+def whole_file_kernel(
+    file: SourceFile, end_line: int, features: frozenset, program: Program | None = None
+) -> ExtractedKernel:
+    """The file as one tier-1 kernel, lines 1..``end_line``.  Only for a
+    file known to parse: ``program`` is None when that knowledge comes
+    from a cached verdict, which also stored the line count and
+    features, so a cache hit never rescans the text."""
     return ExtractedKernel(
         file=file.relpath, language=file.language,
-        start_line=1, end_line=max(1, len(_lines(file.text))),
-        source=file.text,
-        features=_features(directive_lines(file.text, file.language)),
-        parse_ok=True, program=program,
+        start_line=1, end_line=end_line, source=file.text,
+        features=features, parse_ok=True, program=program,
     )
 
 
@@ -147,9 +163,10 @@ def extract_kernels(file: SourceFile) -> list[ExtractedKernel]:
     kernel, e.g. DRB's "Single thread execution" programs), which is
     scanned as one kernel so suite trees get full coverage."""
     program = _parse(file.text, file.language)
-    if program is not None:
-        return [whole_file_kernel(file, program)]
     directives = directive_lines(file.text, file.language)
+    if program is not None:
+        return [whole_file_kernel(file, max(1, line_count(file.text)),
+                                  _features(directives), program)]
     if not directives:
         return []
     lines = _lines(file.text)
@@ -186,6 +203,11 @@ _C_BLANK_RE = re.compile("|".join((
     r"'(?:\\.|[^'\\\n])*'",
 )))
 _BRACE_RE = re.compile(r"[{}]")
+#: A conditional-compilation directive line (comments already blanked).
+_PP_CONDITIONAL_RE = re.compile(
+    r"^[^\S\n]*#[^\S\n]*(if|ifdef|ifndef|elif|elifdef|elifndef|else|endif)\b",
+    re.MULTILINE,
+)
 _NEWLINE_RE = re.compile(r"\n")
 
 
@@ -204,14 +226,22 @@ def _c_comment_free(text: str) -> str:
 def _c_function_spans(text: str) -> list[tuple[int, int]]:
     """(start, end) line spans of top-level ``{...}`` blocks, extended
     upward to the block's header line (the function signature).  A
-    ``}`` with no open block (a stray brace at depth 0) is ignored."""
+    ``}`` with no open block (a stray brace at depth 0) is ignored, and
+    so is every brace of an ``#elif``/``#else`` branch (see
+    :func:`_alternative_branches`)."""
     comment_free = _c_comment_free(text)
     line_of = _line_index(comment_free)
+    skipped = _alternative_branches(comment_free)
+    skip_starts = [start for start, _ in skipped]
     spans: list[tuple[int, int]] = []
     depth = 0
     open_pos = 0
     for m in _BRACE_RE.finditer(comment_free):
         pos = m.start()
+        if skipped:
+            i = bisect_right(skip_starts, pos) - 1
+            if i >= 0 and pos < skipped[i][1]:
+                continue
         if m.group() == "{":
             if depth == 0:
                 open_pos = pos
@@ -222,6 +252,38 @@ def _c_function_spans(text: str) -> list[tuple[int, int]]:
                 start_line = _header_line(comment_free, open_pos, line_of)
                 spans.append((start_line, line_of(pos)))
     return spans
+
+
+def _alternative_branches(text: str) -> list[tuple[int, int]]:
+    """``[start, end)`` offsets of the text under an ``#elif`` or
+    ``#else`` branch of a preprocessor conditional, nested ones
+    included.  Only the first branch of each conditional counts for
+    braces, as ctags does: alternative function headers that each open
+    a ``{`` before one shared body would otherwise never close.  A
+    range runs from the start of the line that leaves the first branch
+    to the start of the line that comes back (its ``#endif``)."""
+    ranges: list[tuple[int, int]] = []
+    in_alternative: list[bool] = []  # per open conditional
+    skip_from: int | None = None
+    for m in _PP_CONDITIONAL_RE.finditer(text):
+        word = m.group(1)
+        if word.startswith("if"):
+            in_alternative.append(False)
+        elif not in_alternative:
+            continue  # an #elif/#else/#endif with no #if
+        elif word == "endif":
+            in_alternative.pop()
+        else:
+            in_alternative[-1] = True
+        skipping = any(in_alternative)
+        if skipping and skip_from is None:
+            skip_from = m.start()
+        elif not skipping and skip_from is not None:
+            ranges.append((skip_from, m.start()))
+            skip_from = None
+    if skip_from is not None:
+        ranges.append((skip_from, len(text)))
+    return ranges
 
 
 def _line_index(text: str):

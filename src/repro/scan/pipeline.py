@@ -4,10 +4,11 @@ Stages (timed into the report; stages 2-3 together as ``extract_s``):
 
 1. **walk** the tree (:mod:`repro.scan.walker`);
 2. **cache** lookup per file, before any parse: the key a file's
-   whole-file kernel would have is read from the persistent verdict
-   store, and an entry that recorded ``parse_ok`` rebuilds that kernel
-   from the text alone — an unchanged file costs one read and one hash,
-   with no extraction, no parse, no model and no tools;
+   whole-file kernel would have is looked up in the persistent verdict
+   store (read once per scan, see :mod:`repro.scan.cache`), and an
+   entry that recorded ``parse_ok`` rebuilds that kernel from the line
+   count and features it stored — an unchanged file costs one read and
+   one hash, with no extraction, no parse, no model and no tools;
 3. **extract** OpenMP kernels from every other file
    (:mod:`repro.scan.extractor`), then look up each kernel whose key
    was not read yet;
@@ -21,7 +22,8 @@ Stages (timed into the report; stages 2-3 together as ``extract_s``):
    contained per tool and kernel), while **LLM scoring** routes every
    kernel through :meth:`InferenceEngine.yes_no_margins` in large
    batches — the same calibrated-margin path as single-kernel
-   ``detect_race``, so scan verdicts match it exactly.
+   ``detect_race``, so scan verdicts match it exactly.  Every miss's
+   verdict is stored at once, as one new cache segment.
 
 The optional ``llm_lock`` serialises only the engine phase, letting the
 HTTP server run long scans concurrently with its micro-batched
@@ -163,7 +165,8 @@ class ScanPipeline:
             # spans the whole file failed that parse, so its entry says
             # parse_ok false and is never trusted here.
             if hit is not None and hit.get("parse_ok") is True:
-                keyed = [(file_key, whole_file_kernel(f))]
+                kernel = whole_file_kernel(f, hit["lines"], frozenset(hit["features"]))
+                keyed = [(file_key, kernel)]
             else:
                 keyed = [
                     (file_key if k.source == f.text
@@ -182,12 +185,10 @@ class ScanPipeline:
         payloads = {key: hit for key in owners if (hit := lookup(key)) is not None}
         cached_keys = set(payloads)
         misses = [key for key in owners if key not in payloads]
-        for key, payload in self._detect_batch(
-            [(key, owners[key][0]) for key in misses]
-        ).items():
-            payloads[key] = payload
-            if self.cache is not None:
-                self.cache.put(key, payload)
+        detected = self._detect_batch([(key, owners[key][0]) for key in misses])
+        payloads.update(detected)
+        if self.cache is not None:
+            self.cache.put(detected)
         t_detect = time.perf_counter()
 
         results = [
@@ -288,6 +289,10 @@ class ScanPipeline:
                 "llm_verdict": llm_verdicts[i],
                 "llm_margin": llm_margins[i],
                 "parse_ok": kernel.parse_ok,
+                # What a hit needs to rebuild a whole-file kernel: both
+                # follow from the source, wherever the kernel sat.
+                "lines": kernel.end_line - kernel.start_line + 1,
+                "features": sorted(kernel.features),
             }
         return payloads
 

@@ -27,7 +27,7 @@ DEFAULT_MAX_BYTES = 2 * 1024 * 1024
 class SourceFile:
     """One candidate source file."""
 
-    path: Path          # absolute path on disk
+    path: str           # path on disk, as reached from the scan root
     relpath: str        # path relative to the scan root (report key)
     language: str       # canonical language name
     text: str
@@ -61,7 +61,12 @@ def walk_tree(
     if not root.exists():
         raise FileNotFoundError(f"scan root {root} does not exist")
 
-    candidates = [root] if root.is_file() else _walk_pruned(root)
+    if root.is_file():
+        candidates, prefix = [str(root)], len(str(root)) - len(root.name)
+    else:
+        top = str(root)
+        candidates = _walk_pruned(top)
+        prefix = len(os.path.join(top, ""))
     files: list[SourceFile] = []
     for path in candidates:
         stats.files_seen += 1
@@ -72,30 +77,32 @@ def walk_tree(
             stats.skipped_language += 1
             continue
         try:
-            size = path.stat().st_size
-            if size > max_bytes:
-                stats.skipped_size += 1
-                continue
-            text = path.read_text(encoding="utf-8", errors="replace")
+            # One open per file: its size from the open descriptor, then
+            # the read (text mode: universal newlines, as read_text).
+            with open(path, encoding="utf-8", errors="replace") as fh:
+                if os.fstat(fh.fileno()).st_size > max_bytes:
+                    stats.skipped_size += 1
+                    continue
+                text = fh.read()
         except OSError as exc:
             stats.skipped_unreadable += 1
             stats.errors.append(f"{path}: {exc}")
             continue
-        rel = path.name if root.is_file() else str(path.relative_to(root))
-        files.append(SourceFile(path=path, relpath=rel, language=language, text=text))
+        files.append(SourceFile(path=path, relpath=path[prefix:], language=language, text=text))
         stats.files_taken += 1
     return files, stats
 
 
-def _walk_pruned(root: Path) -> list[Path]:
-    """Files under ``root`` in sorted order, pruning skip directories
-    *before* descending (a repo's ``.git``/``node_modules`` can dwarf
-    the sources — never enumerate them)."""
-    out: list[Path] = []
-    for dirpath, dirnames, filenames in os.walk(root):
+def _walk_pruned(top: str) -> list[str]:
+    """Files under ``top`` in the order of sorting them as ``Path``s
+    (component by component), pruning skip directories *before*
+    descending (a repo's ``.git``/``node_modules`` can dwarf the
+    sources — never enumerate them)."""
+    out: list[str] = []
+    for dirpath, dirnames, filenames in os.walk(top):
         dirnames[:] = sorted(
             d for d in dirnames if d not in SKIP_DIRS and not d.startswith(".")
         )
-        out.extend(Path(dirpath) / name for name in filenames)
-    out.sort()
+        out.extend(os.path.join(dirpath, name) for name in filenames)
+    out.sort(key=lambda path: path.split(os.sep))
     return out

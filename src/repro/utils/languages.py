@@ -10,6 +10,7 @@ languages.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 C_CPP = "C/C++"
@@ -59,4 +60,4 @@ def normalize_language(name: str) -> str:
 def language_for_path(path: str | Path) -> str | None:
     """Canonical language for a source file path, or ``None`` when the
     extension is not a recognised C/C++ or Fortran source extension."""
-    return EXTENSIONS.get(Path(path).suffix.lower())
+    return EXTENSIONS.get(os.path.splitext(path)[1].lower())

@@ -13,6 +13,7 @@ from repro.drb.generator import KernelSpec
 from repro.eval import EvaluationHarness
 from repro.runtime import Machine, MachineConfig, execute
 from repro.scan import ScanConfig, ScanPipeline
+from repro.scan.cache import SEGMENT_SUFFIX
 
 RACY_C = (
     "int i;\n"
@@ -154,10 +155,11 @@ def test_failure_reasons_survive_the_verdict_cache(tmp_path):
 
     # Entries written before reasons were cached carry no "details" key.
     pipeline = ScanPipeline(config=config)
-    (key,) = [p.stem for p in (tmp_path / "cache").rglob("*.json")]
+    (segment,) = (tmp_path / "cache").glob(f"*{SEGMENT_SUFFIX}")
+    (key,) = [line.split("\t", 1)[0] for line in segment.read_text().splitlines()]
     payload = pipeline.cache.get(key)
     del payload["details"]
-    pipeline.cache.put(key, payload)
+    pipeline.cache.put({key: payload})
     old = pipeline.scan(root)
     assert old.totals["cache_hits"] == 1
     assert old.kernels[0].details == {}

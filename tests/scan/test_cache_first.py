@@ -13,7 +13,8 @@ import repro.openmp
 from repro.drb import DRBSuite
 from repro.scan import ScanConfig, ScanPipeline
 from repro.scan.cache import VerdictCache
-from repro.scan.extractor import extract_kernels, whole_file_kernel
+from repro.scan import extractor
+from repro.scan.extractor import extract_kernels
 from repro.scan.walker import walk_tree
 
 RACY_C = (
@@ -134,17 +135,23 @@ def assert_same_kernel(built, extracted):
 
 
 class TestExtractorParity:
-    def test_suite_files_are_their_whole_file_kernel(self, tmp_path):
-        """For every exported suite file, the kernel built from the
-        text alone equals the extractor's one kernel, field by field."""
-        DRBSuite.evaluation(seed=0).write_tree(tmp_path)
-        files, _ = walk_tree(tmp_path)
-        assert len(files) == 343
+    def test_suite_files_are_their_whole_file_kernel(self, tmp_path, built):
+        """For every exported suite file, the kernel a warm scan builds
+        from its cache entry alone (no text scan, no parse) equals the
+        extractor's one kernel, field by field."""
+        tree = tmp_path / "suite"
+        DRBSuite.evaluation(seed=0).write_tree(tree)
+        no_tools = ScanConfig(tools_only=True, cache_dir=tmp_path / "cache")
+        ScanPipeline(config=no_tools, detectors=[]).scan(tree)
+        built.clear()
+        ScanPipeline(config=no_tools, detectors=[]).scan(tree)
+        files, _ = walk_tree(tree)
+        assert len(files) == len(built) == 343
         for f in files:
             (extracted,) = extract_kernels(f)
-            built = whole_file_kernel(f)
-            assert built.parse_ok and built.program is None
-            assert_same_kernel(built, extracted)
+            (warm,) = built[f.relpath]
+            assert warm.parse_ok and warm.program is None
+            assert_same_kernel(warm, extracted)
 
     def test_warm_kernels_equal_extracted_ones(self, tree, tmp_path, built):
         pipeline(tmp_path).scan(tree)
@@ -159,6 +166,28 @@ class TestExtractorParity:
                 assert_same_kernel(b, e)
         (outside,) = built["outside.c"]
         assert not outside.parse_ok  # a whole-span tier-2 kernel stays unparsed
+
+
+    def test_entry_shared_with_a_function_kernel_rebuilds_its_own_lines(
+        self, tmp_path, built
+    ):
+        """A function kernel of one file (lines 2-6) with the text of a
+        whole other file (lines 1-5) shares its entry: the rebuilt
+        whole-file kernel still spans its own file's lines."""
+        body = "if (s > 0)\n{\n  #pragma omp parallel\n  s = s + 3;\n}\n"
+        root = write_tree(tmp_path / "proj", {
+            "a.c": "int main(void) { return 0; }\n" + body, "b.c": body,
+        })
+        cold = pipeline(tmp_path).scan(root)
+        assert cold.totals["unique_kernels"] == 1
+        assert [(k.file, k.start_line, k.end_line) for k in cold.kernels] == [
+            ("a.c", 2, 6), ("b.c", 1, 5)]
+        built.clear()
+        warm = pipeline(tmp_path).scan(root)
+        assert comparable(warm) == comparable(cold)
+        (b,) = built["b.c"]
+        (extracted,) = extract_kernels(walk_tree(root / "b.c")[0][0])
+        assert_same_kernel(b, extracted)
 
 
 class TestWarmRescan:
@@ -194,6 +223,26 @@ class TestWarmRescan:
         assert [k.file for k in report.kernels if not k.cached] == ["safe.c"]
         assert by_file["safe.c"].verdicts == {k.file: k for k in cold.kernels}["safe.c"].verdicts
         assert report.cache == {"hits": 2, "misses": 1, "writes": 1}
+
+    def test_warm_rescan_never_scans_file_text(self, tmp_path, monkeypatch):
+        """A hit rebuilds its whole-file kernel from the line count and
+        features its entry stored: no directive or line scan."""
+        root = write_tree(tmp_path / "proj", WHOLE_FILE)
+        cold = pipeline(tmp_path).scan(root)
+        calls = Counter()
+        real = extractor.directive_lines
+
+        def spy(text, language):
+            calls[text] += 1
+            return real(text, language)
+
+        monkeypatch.setattr(extractor, "directive_lines", spy)
+        warm = pipeline(tmp_path).scan(root)
+        assert not calls
+        assert comparable(warm) == comparable(cold)
+        assert all(k.cached for k in warm.kernels)
+        (racy,) = [k for k in warm.kernels if k.file == "racy.c"]
+        assert (racy.start_line, racy.end_line) == (1, 4)
 
     def test_cold_whole_file_tree_reads_each_unique_key_once(
         self, tmp_path, monkeypatch

@@ -1,19 +1,22 @@
 """Tests for the tree walker and the kernel extractor."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.drb import DRBSuite
 from repro.scan.extractor import (
     _c_comment_free,
     _c_function_spans,
+    _lines,
     directive_lines,
     extract_kernels,
+    line_count,
 )
 from repro.scan.walker import SourceFile, walk_tree
 
 from support.c_blanking_oracle import reference_c_comment_free, reference_c_function_spans
+from support.directive_oracle import reference_directive_lines
 
 RACY_C = (
     "int i;\n"
@@ -282,3 +285,87 @@ class TestCBlankingParity:
         comment or literal, or change brace depth."""
         assert _c_comment_free(text) == reference_c_comment_free(text)
         assert _c_function_spans(text) == reference_c_function_spans(text)[1]
+
+
+#: Alternative function headers under a conditional, each opening the
+#: one shared body, and the span the first branch gives.
+CONDITIONAL_HEADERS_C = {
+    "if-else": (
+        "#if A\nvoid f(void) {\n#else\nvoid f(int x) {\n#endif\n"
+        "  #pragma omp parallel\n  a;\n}\n",
+        [(2, 8)],
+    ),
+    "elif-nested": (
+        "#ifdef A\nvoid f(void) {\n#elif B\n#  if C\nvoid f(int x) {\n#  endif\n"
+        "#else\nvoid f(long y) {\n#endif\n  a;\n}\nvoid g(void) {\n}\n",
+        [(2, 11), (12, 13)],
+    ),
+    "nested-in-first-branch": (
+        "#if A\n# ifndef B\nvoid f(void) {\n# else\nvoid f(int x) {\n# endif\n"
+        "#endif\n  a;\n}\n",
+        [(3, 9)],
+    ),
+    "unmatched-else-and-endif": (
+        "#else\nvoid f(void) {\n}\n#endif\n",
+        [(2, 3)],
+    ),
+    "unterminated-if": (
+        "#if A\nvoid f(void) {\n}\n#else\nvoid g(void) {\n",
+        [(2, 3)],
+    ),
+}
+
+
+class TestConditionalBranches:
+    @pytest.mark.parametrize("name", sorted(CONDITIONAL_HEADERS_C))
+    def test_only_the_first_branch_counts_braces(self, name):
+        text, spans = CONDITIONAL_HEADERS_C[name]
+        assert _c_function_spans(text) == spans
+        assert reference_c_function_spans(text)[1] == spans
+
+    def test_alternative_headers_give_one_function_kernel(self):
+        text, _ = CONDITIONAL_HEADERS_C["if-else"]
+        sf = SourceFile(path=None, relpath="alt.c", language="C/C++", text=text)
+        (k,) = extract_kernels(sf)
+        assert (k.start_line, k.end_line) == (2, 8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([
+        "#if A\n", "#ifdef B\n", " # ifndef C\n", "#elif D\n", "#else\n",
+        "#endif\n", "#iffy\n", "#\telse\n", "{", "}", "\n", "a;", "/* #else */",
+    ]), max_size=20).map("".join))
+    def test_matches_oracle_on_conditional_soup(self, text):
+        assert _c_function_spans(text) == reference_c_function_spans(text)[1]
+
+
+#: Pieces that make or break a directive line: every whitespace the
+#: line-at-a-time pattern allows around the sentinel, line breaks that
+#: are not ``\n``, and mixed-case sentinels.
+DIRECTIVE_PIECES = [
+    "#", "!", "$", "pragma", "PRAGMA", "Pragma", "omp", "OMP", "oMp", "!$omp",
+    "!$OMP", "#  PRAGMA omp", "# pragma\tomp", "pragma omp", "#\n", "pragma\n",
+    " parallel", "target", "_x", "x",
+    " ", "\t", "\r", "\x0c", "\v", "\x85", "\xa0", "\u2028", "\n", "\r\n",
+]
+
+
+class TestDirectiveParity:
+    def test_matches_line_oracle_on_suite_files(self):
+        suite = DRBSuite.evaluation(seed=0)
+        assert len(suite.specs) == 343
+        for spec in suite.specs:
+            assert directive_lines(spec.source, spec.language) == \
+                reference_directive_lines(spec.source, spec.language)
+            assert line_count(spec.source) == len(_lines(spec.source))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(DIRECTIVE_PIECES), max_size=30).map("".join),
+           st.sampled_from(["C/C++", "Fortran"]))
+    # A sentinel split over two lines is no directive.
+    @example("#\npragma omp for", "C/C++")
+    @example("# pragma\n omp for", "C/C++")
+    @example("x = 1; #pragma omp for\n", "C/C++")
+    @example("\x85 !$OMP\tdo\x0c\n!$\nomp", "Fortran")
+    def test_matches_line_oracle_on_generated_text(self, text, language):
+        assert directive_lines(text, language) == reference_directive_lines(text, language)
+        assert line_count(text) == len(_lines(text))

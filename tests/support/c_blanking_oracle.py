@@ -70,9 +70,29 @@ def reference_c_comment_free(text: str) -> str:
                 i += 2 if ch == "\\" else 1
 
 
+#: The conditional-compilation directives, by what they do.
+OPENS = ("if", "ifdef", "ifndef")
+SWITCHES = ("elif", "elifdef", "elifndef", "else")
+
+
+def _conditional(line: str) -> str | None:
+    """The directive word of a ``#`` line, or None for any other line."""
+    rest = line.lstrip()
+    if not rest.startswith("#"):
+        return None
+    rest = rest[1:].lstrip()
+    end = 0
+    while end < len(rest) and (rest[end].isalnum() or rest[end] == "_"):
+        end += 1
+    return rest[:end]
+
+
 def reference_c_function_spans(text: str) -> tuple[str, list[tuple[int, int]]]:
     """``(comment_free, spans)``, walking the blanked text one
-    character at a time for brace depth and line numbers."""
+    character at a time for brace depth and line numbers.  Braces count
+    only in the first branch of each preprocessor conditional: a line
+    holding ``#elif``/``#else`` and every line after it up to the
+    matching ``#endif`` line are skipped, nested conditionals too."""
     comment_free = reference_c_comment_free(text)
 
     def line_of(pos: int) -> int:
@@ -81,14 +101,29 @@ def reference_c_function_spans(text: str) -> tuple[str, list[tuple[int, int]]]:
     spans: list[tuple[int, int]] = []
     depth = 0
     open_pos = 0
-    for pos, ch in enumerate(comment_free):
-        if ch == "{":
-            if depth == 0:
-                open_pos = pos
-            depth += 1
-        elif ch == "}" and depth:  # a "}" at depth 0 is stray: ignored
-            depth -= 1
-            if depth == 0:
-                start_line = _header_line(comment_free, open_pos, line_of)
-                spans.append((start_line, line_of(pos)))
+    in_alternative: list[bool] = []  # per open conditional
+    pos = 0
+    for line in comment_free.split("\n"):
+        word = _conditional(line)
+        if word in OPENS:
+            in_alternative.append(False)
+        elif word in SWITCHES and in_alternative:
+            in_alternative[-1] = True
+        elif word == "endif" and in_alternative:
+            in_alternative.pop()
+        active = not any(in_alternative)
+        for ch in line:
+            if not active:
+                pass
+            elif ch == "{":
+                if depth == 0:
+                    open_pos = pos
+                depth += 1
+            elif ch == "}" and depth:  # a "}" at depth 0 is stray: ignored
+                depth -= 1
+                if depth == 0:
+                    start_line = _header_line(comment_free, open_pos, line_of)
+                    spans.append((start_line, line_of(pos)))
+            pos += 1
+        pos += 1  # the "\n"
     return comment_free, spans

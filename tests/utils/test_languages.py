@@ -1,5 +1,7 @@
 """Tests for the shared language-alias normaliser."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.utils.languages import (
@@ -44,3 +46,9 @@ class TestLanguageForPath:
         assert language_for_path("x.F90") == "Fortran"
         assert language_for_path("x.py") is None
         assert language_for_path("Makefile") is None
+
+    def test_only_the_last_suffix_of_the_name_counts(self):
+        assert language_for_path(Path("src.f90/kernel.c")) == "C/C++"
+        assert language_for_path("src.c/Makefile") is None
+        assert language_for_path("a/.c") is None  # a dotfile has no suffix
+        assert language_for_path("kernel.c.") is None
