@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import json
 import os
+import platform
+import statistics
 from pathlib import Path
 
 from repro.core import HPCGPTSystem, PAPER_PRESET, SMALL_PRESET
 from repro.drb import DRBSuite
 from repro.eval import EvaluationHarness
-from repro.eval.metrics import MetricRow
 
 OUT_DIR = Path(__file__).parent / "out"
 OUT_DIR.mkdir(exist_ok=True)
@@ -88,6 +89,19 @@ def table5_output():
         ]
         (OUT_DIR / "table5_rows.json").write_text(json.dumps(rows, indent=1))
     return _TABLE5
+
+
+def host() -> dict:
+    """What a measurement ran on."""
+    return {"machine": platform.machine(), "cpus": os.cpu_count(),
+            "python": platform.python_version()}
+
+
+def record(metric: str, samples: list[float], unit: str) -> dict:
+    """One measurement: the median of ``samples`` with its spread."""
+    return {"metric": metric, "value": statistics.median(samples), "unit": unit,
+            "n": len(samples), "min": min(samples), "max": max(samples),
+            "host": host()}
 
 
 def write_out(name: str, text: str, out_dir: Path = OUT_DIR) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core import HPCGPTSystem, SMALL_PRESET
 from repro.drb import DRBSuite
-from repro.finetune import SFTConfig, SFTTrainer
+from repro.finetune import SFTTrainer
 from repro.llm import InferenceEngine
 from repro.nn import LoRAConfig
 

@@ -6,7 +6,6 @@ HPC-GPT models, cached under ``.repro_cache/``); the benchmark then
 times the shared-trace evaluation of the four tool detectors.
 """
 
-from repro.detectors.base import Verdict
 from repro.eval import render_table5
 
 from benchmarks._shared import (

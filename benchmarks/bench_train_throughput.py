@@ -28,14 +28,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import platform
-import statistics
 import tempfile
 import time
 
 import numpy as np
 
-from _shared import OUT_DIR, write_out
+from _shared import OUT_DIR, record, write_out
 from repro.core import HPCGPTSystem, PAPER_PRESET, SMALL_PRESET
 from repro.finetune import SFTTrainer
 from repro.finetune.dataset import SFTDataset
@@ -49,18 +47,6 @@ from repro.utils.rng import derive_rng
 SFT_EPOCHS = 2
 #: Timed runs of each pretrain variant (after one untimed warm-up run).
 PRETRAIN_RUNS = 5
-
-
-def _host() -> dict:
-    return {"machine": platform.machine(), "cpus": os.cpu_count(),
-            "python": platform.python_version()}
-
-
-def _record(metric: str, samples: list[float], unit: str) -> dict:
-    """One measurement: the median of ``samples`` with its spread."""
-    return {"metric": metric, "value": statistics.median(samples), "unit": unit,
-            "n": len(samples), "min": min(samples), "max": max(samples),
-            "host": _host()}
 
 
 def bench_pretrain(cfg) -> dict:
@@ -106,8 +92,8 @@ def bench_pretrain(cfg) -> dict:
         "resume_point": half,
         "warmup_runs": 1,
         "records": [
-            _record("pretrain_cold_tokens_per_s", cold_rates, "tok/s"),
-            _record("pretrain_resumed_tokens_per_s", resumed_rates, "tok/s"),
+            record("pretrain_cold_tokens_per_s", cold_rates, "tok/s"),
+            record("pretrain_resumed_tokens_per_s", resumed_rates, "tok/s"),
         ],
         "loss_parity": bool(np.allclose(cold.losses, resumed.losses)),
     }

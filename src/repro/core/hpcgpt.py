@@ -29,7 +29,7 @@ from repro.drb.generator import generate_training_pool
 from repro.drb.suite import spec_to_chunk
 from repro.finetune import SFTConfig, SFTTrainer
 from repro.knowledge import build_knowledge_base, build_mlperf_table, build_plp_catalog
-from repro.llm import GenerationConfig, ModelConfig, ModelRegistry, PretrainConfig
+from repro.llm import ModelConfig, ModelRegistry, PretrainConfig
 from repro.llm.chat import ChatFormat
 from repro.llm.engine import InferenceEngine
 from repro.llm.model import CausalLM
@@ -272,8 +272,7 @@ class HPCGPTSystem:
         engine = self.engine(version)
         chat = ChatFormat(self.tokenizer)
         outs = engine.generate_many(
-            [chat.prompt_ids(q) for q in questions],
-            GenerationConfig(max_new_tokens=max_new_tokens, temperature=0.0),
+            [chat.prompt_ids(q) for q in questions], max_new_tokens=max_new_tokens
         )
         return [self.tokenizer.decode(o).strip() for o in outs]
 

@@ -15,7 +15,7 @@ The stages mirror Figure 1's first box:
    instruction dataset of Tables 2 and 3.
 """
 
-from repro.datagen.schema import InstructionRecord, records_to_json, records_from_json
+from repro.datagen.schema import InstructionRecord, records_to_json
 from repro.datagen.prompts import (
     ANSWER_PROMPT_TEMPLATE,
     INSTRUCTION_PROMPT_TEMPLATE,
@@ -34,7 +34,6 @@ from repro.datagen.pipeline import (
 __all__ = [
     "InstructionRecord",
     "records_to_json",
-    "records_from_json",
     "ANSWER_PROMPT_TEMPLATE",
     "INSTRUCTION_PROMPT_TEMPLATE",
     "render_answer_prompt",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.datagen.schema import InstructionRecord
 from repro.knowledge.corpus import KnowledgeChunk

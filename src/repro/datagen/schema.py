@@ -10,7 +10,7 @@ format-identical to the paper's.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,3 @@ class InstructionRecord:
 def records_to_json(records: list[InstructionRecord]) -> str:
     """Serialise a dataset to the JSON database format of Figure 1."""
     return json.dumps([r.to_json() for r in records], indent=1)
-
-
-def records_from_json(text: str) -> list[InstructionRecord]:
-    return [InstructionRecord.from_json(d) for d in json.loads(text)]

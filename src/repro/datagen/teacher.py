@@ -21,8 +21,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.datagen.prompts import render_answer_prompt, render_instruction_prompt
 from repro.knowledge.corpus import KnowledgeChunk
 from repro.utils.rng import derive_rng

@@ -25,14 +25,11 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 
-import numpy as np
-
 from repro.datagen.prompts import race_instruction
 from repro.detectors.base import Detector, ToolResult, Verdict
 from repro.drb.generator import KernelSpec
 from repro.llm.chat import ChatFormat
 from repro.llm.engine import InferenceEngine
-from repro.llm.generation import GenerationConfig
 from repro.llm.model import CausalLM
 from repro.runtime.interpreter import Trace
 from repro.tokenizer import BPETokenizer
@@ -123,8 +120,7 @@ class LLMBaseModelDetector(_TokenBudgetMixin):
 
     def detect_many(self, specs: list[KernelSpec]) -> list[Verdict]:
         outs = self.engine.generate_many(
-            [self._prompt_ids(s) for s in specs],
-            GenerationConfig(max_new_tokens=8, temperature=0.0),
+            [self._prompt_ids(s) for s in specs], max_new_tokens=8
         )
         return [
             Verdict.RACE if parse_yes_no(self.tokenizer.decode(o)) == "yes" else Verdict.NO_RACE

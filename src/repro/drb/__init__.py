@@ -11,14 +11,13 @@ feeds the instruction-data pipeline so fine-tuning never sees evaluation
 programs.
 """
 
-from repro.drb.categories import CATEGORY_LABELS, EVAL_COUNTS, category_label
+from repro.drb.categories import CATEGORY_LABELS, EVAL_COUNTS
 from repro.drb.generator import KernelSpec, generate_eval_suite, generate_training_pool
 from repro.drb.suite import DRBSuite, spec_to_chunk
 
 __all__ = [
     "CATEGORY_LABELS",
     "EVAL_COUNTS",
-    "category_label",
     "KernelSpec",
     "generate_eval_suite",
     "generate_training_pool",

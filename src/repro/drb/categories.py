@@ -9,20 +9,13 @@ races."
 
 from __future__ import annotations
 
-from repro.datagen.pipeline import ALL_DRB_CATEGORIES, NORACE_CATEGORIES, RACE_CATEGORIES
+from repro.datagen.pipeline import NORACE_CATEGORIES, RACE_CATEGORIES
 
 #: category -> "yes" (has a data race) or "no".
 CATEGORY_LABELS: dict[str, str] = {
     **{c: "yes" for c in RACE_CATEGORIES},
     **{c: "no" for c in NORACE_CATEGORIES},
 }
-
-
-def category_label(category: str) -> str:
-    try:
-        return CATEGORY_LABELS[category]
-    except KeyError:
-        raise KeyError(f"unknown DRB category {category!r}") from None
 
 
 def _spread(total: int, n: int) -> list[int]:

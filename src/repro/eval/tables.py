@@ -77,18 +77,6 @@ def category_breakdown(
     return out
 
 
-def render_category_breakdown(breakdown: dict, tool: str) -> str:
-    """Human-readable rendering of :func:`category_breakdown`."""
-    lines = [f"Per-category breakdown — {tool}",
-             f"{'Language':<9} {'Category':<36} {'ok':>4} {'bad':>4} {'n/a':>4}"]
-    for (lang, cat), counts in sorted(breakdown.items()):
-        lines.append(
-            f"{lang:<9} {cat:<36} {counts['correct']:>4} "
-            f"{counts['wrong']:>4} {counts['unsupported']:>4}"
-        )
-    return "\n".join(lines)
-
-
 def improvements_over(
     rows: list[MetricRow], subject: str, baselines: list[str], language: str
 ) -> dict[str, float]:

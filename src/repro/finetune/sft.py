@@ -63,10 +63,6 @@ class TrainStats:
     trainable_params: int = 0
     total_params: int = 0
 
-    @property
-    def trainable_fraction(self) -> float:
-        return self.trainable_params / self.total_params if self.total_params else 0.0
-
     def mean_loss(self, last: int = 20) -> float:
         tail = self.losses[-last:] if self.losses else [float("nan")]
         return float(np.mean(tail))

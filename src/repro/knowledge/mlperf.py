@@ -149,25 +149,3 @@ def build_mlperf_table(n_rows: int = 24, seed: int = 0) -> list[MLPerfRow]:
             )
         )
     return rows
-
-
-def find_rows(
-    table: list[MLPerfRow],
-    accelerator: str | None = None,
-    software: str | None = None,
-    submitter: str | None = None,
-    system: str | None = None,
-) -> list[MLPerfRow]:
-    """Conditional lookup used as ground truth by the Task-1 evaluator."""
-    out = []
-    for r in table:
-        if accelerator is not None and r.accelerator != accelerator:
-            continue
-        if software is not None and r.software != software:
-            continue
-        if submitter is not None and r.submitter != submitter:
-            continue
-        if system is not None and r.system != system:
-            continue
-        out.append(r)
-    return out

@@ -11,7 +11,7 @@ facts to generate its Table-2 share of instruction data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.utils.rng import derive_rng
 
@@ -131,36 +131,3 @@ def build_plp_catalog(entries_per_category: int = 8, seed: int = 0) -> list[PLPE
                         break
                 catalog.append(PLPEntry(category, category, dataset, lang, model, metric))
     return catalog
-
-
-def entries_by_category(catalog: list[PLPEntry]) -> dict[str, list[PLPEntry]]:
-    """Group catalog rows by Table-2 category (preserves insertion order)."""
-    out: dict[str, list[PLPEntry]] = {c: [] for c in PLP_CATEGORIES}
-    for e in catalog:
-        out[e.category].append(e)
-    return out
-
-
-def find_entries(
-    catalog: list[PLPEntry],
-    category: str | None = None,
-    language: str | None = None,
-    baseline: str | None = None,
-    source_language: str | None = None,
-    target_language: str | None = None,
-) -> list[PLPEntry]:
-    """Conditional lookup used as ground truth by the Task-1 evaluator."""
-    out = []
-    for e in catalog:
-        if category is not None and e.category != category:
-            continue
-        if language is not None and e.language != language:
-            continue
-        if baseline is not None and e.baseline != baseline:
-            continue
-        if source_language is not None and e.source_language != source_language:
-            continue
-        if target_language is not None and e.target_language != target_language:
-            continue
-        out.append(e)
-    return out

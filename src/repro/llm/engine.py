@@ -8,10 +8,11 @@ routes through :class:`InferenceEngine`.  The engine owns:
   width, each row carries its own RoPE offsets (pad slots rotate by
   position 0 and are masked out of attention), and one forward pass
   fills every row's KV cache;
-* **batched incremental decode** — one token per row per step against
-  preallocated KV buffers, with per-row EOS/context-full bookkeeping;
-* **batched scoring** — next-token logits / log-probs over candidate
-  answer tokens (:meth:`InferenceEngine.yes_no_margins`).
+* **batched incremental decode** — one greedy token per row per step
+  against preallocated KV buffers, with per-row EOS/context-full
+  bookkeeping;
+* **batched scoring** — next-token logits at the answer position, and
+  yes/no margins over them (:meth:`InferenceEngine.yes_no_margins`).
 
 Left-padding (rather than right-padding) keeps the *last* column of the
 batch the last real token of every row, so next-token logits for the
@@ -102,24 +103,22 @@ class InferenceEngine:
     def generate_batch(
         self,
         prompts: list[list[int]],
-        config: "GenerationConfig | None" = None,
-        rng: np.random.Generator | None = None,
+        max_new_tokens: int = 32,
+        stop_at_eos: bool = True,
     ) -> list[list[int]]:
-        """Decode continuations for a batch of prompts; returns, per
-        prompt, only the newly generated ids.
+        """Greedily decode continuations for a batch of prompts; returns,
+        per prompt, only the newly generated ids.
 
-        Greedy decoding of a batch matches decoding each prompt alone,
-        exactly.  With ``temperature > 0`` each alive row draws from
-        ``rng`` in row order each step, so larger batches interleave
-        draws.
+        Each step takes every row's most likely token (ties go to the
+        lowest id), so decoding a batch matches decoding each prompt
+        alone, exactly.
         """
-        from repro.llm.generation import GenerationConfig, _sample_from_logits
-
-        config = config or GenerationConfig()
+        if max_new_tokens < 1:
+            raise ValueError("max_new_tokens must be positive")
         if not prompts or any(not p for p in prompts):
             raise ValueError("empty prompt")
         max_ctx = self.model.config.max_seq_len
-        clamped = [clamp_prompt(list(p), config.max_new_tokens, max_ctx) for p in prompts]
+        clamped = [clamp_prompt(list(p), max_new_tokens, max_ctx) for p in prompts]
 
         self.model.eval()
         eos = self.tokenizer.special.eos_id
@@ -131,16 +130,17 @@ class InferenceEngine:
         alive = np.ones(batch, dtype=bool)
 
         with no_grad():
-            caches = self.model.new_caches(reserve=ids.shape[1] + config.max_new_tokens)
+            caches = self.model.new_caches(reserve=ids.shape[1] + max_new_tokens)
             logits = self.model.forward(
                 ids, caches=caches, attn_mask=mask, positions=positions, q_tail=1
             )
             step = logits.numpy()[:, -1, :]
-            for _ in range(config.max_new_tokens):
+            for _ in range(max_new_tokens):
+                picks = np.argmax(step, axis=-1)
                 nxt = np.full(batch, self.tokenizer.special.pad_id, dtype=np.int64)
                 for i in np.flatnonzero(alive):
-                    tok = _sample_from_logits(step[i], config, rng)
-                    if config.stop_at_eos and tok == eos:
+                    tok = int(picks[i])
+                    if stop_at_eos and tok == eos:
                         alive[i] = False
                         continue
                     outs[i].append(tok)
@@ -163,15 +163,16 @@ class InferenceEngine:
     def generate_many(
         self,
         prompts: list[list[int]],
-        config: "GenerationConfig | None" = None,
-        rng: np.random.Generator | None = None,
+        max_new_tokens: int = 32,
+        stop_at_eos: bool = True,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> list[list[int]]:
         """:meth:`generate_batch` over an arbitrary number of prompts,
         chunked to bound the prefill attention tensor."""
         outs: list[list[int]] = []
         for start in range(0, len(prompts), batch_size):
-            outs.extend(self.generate_batch(prompts[start : start + batch_size], config, rng))
+            chunk = prompts[start : start + batch_size]
+            outs.extend(self.generate_batch(chunk, max_new_tokens, stop_at_eos))
         return outs
 
     # -- scoring -------------------------------------------------------------
@@ -203,25 +204,6 @@ class InferenceEngine:
                 logits = self.model.forward(ids, attn_mask=mask, positions=positions, q_tail=1)
                 out[take] = logits.numpy()[:, -1, :]
         return out
-
-    def score_batch(
-        self,
-        prompts: list[list[int]],
-        candidates: np.ndarray | list[int] | list[list[int]],
-        batch_size: int = DEFAULT_BATCH_SIZE,
-    ) -> np.ndarray:
-        """Next-token log-probabilities of candidate answer ids.
-
-        ``candidates`` is either a shared id list (K,) scored for every
-        prompt, or a per-prompt array (B, K).  Returns (B, K).
-        """
-        logits = self.next_token_logits(prompts, batch_size=batch_size)
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        cand = np.asarray(candidates)
-        if cand.ndim == 1:
-            return logp[:, cand]
-        return np.take_along_axis(logp, cand, axis=-1)
 
     def yes_no_margins(
         self, instructions: list[str], batch_size: int = DEFAULT_BATCH_SIZE

@@ -4,7 +4,7 @@ tied-embedding logits.  Architecture mirrors LLaMA at laptop scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,10 +154,6 @@ class CausalLM(Module):
         return cross_entropy_logits(logits, targets, ignore_index=ignore_index)
 
     # -- convenience --------------------------------------------------------------
-
-    def clone_architecture(self, rng: np.random.Generator) -> "CausalLM":
-        """A freshly-initialised model with identical hyper-parameters."""
-        return CausalLM(self.config, rng)
 
     def copy(self) -> "CausalLM":
         """Deep copy (new parameter arrays, same values)."""

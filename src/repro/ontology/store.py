@@ -84,6 +84,3 @@ class TripleStore:
 
     def objects(self, subject: str, predicate: str) -> set[str]:
         return set(self._sp.get((subject, predicate), set()))
-
-    def subjects(self, predicate: str, obj: str) -> set[str]:
-        return set(self._po.get((predicate, obj), set()))

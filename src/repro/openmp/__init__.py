@@ -32,7 +32,7 @@ from repro.openmp.ast_nodes import (
 from repro.openmp.pragmas import Clause, Pragma, parse_pragma_text
 from repro.openmp.parser_c import CParseError, parse_c
 from repro.openmp.parser_fortran import FortranParseError, parse_fortran
-from repro.openmp.analysis import AccessInfo, collect_accesses, loop_nest_info
+from repro.openmp.analysis import AccessInfo, collect_accesses
 
 __all__ = [
     "ArrayDecl",
@@ -63,5 +63,4 @@ __all__ = [
     "parse_fortran",
     "AccessInfo",
     "collect_accesses",
-    "loop_nest_info",
 ]

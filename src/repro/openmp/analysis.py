@@ -10,14 +10,13 @@ these summaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.openmp.ast_nodes import (
     Assign, AtomicStmt, Barrier, BinOp, CriticalSection, FlushStmt, Idx,
-    IfStmt, Loop, MasterSection, Num, OrderedBlock, ParallelRegion, Program,
-    Seq, SingleSection, Var, walk,
+    IfStmt, Loop, MasterSection, Num, OrderedBlock, ParallelRegion, Seq,
+    SingleSection, Var,
 )
-from repro.openmp.pragmas import Pragma
 
 
 @dataclass(frozen=True)
@@ -195,56 +194,3 @@ def collect_accesses(loop: Loop) -> list[AccessInfo]:
     for stmt in loop.body:
         _stmt_accesses(stmt, loop.var, ctx, out)
     return out
-
-
-@dataclass(frozen=True)
-class LoopNestInfo:
-    """Summary of one parallel loop for support predicates and reports."""
-
-    loop: Loop
-    pragma: Pragma
-    depth: int
-    has_inner_loop: bool
-    uses_if: bool
-    uses_indirect_index: bool
-
-
-def loop_nest_info(program: Program) -> list[LoopNestInfo]:
-    """Find every pragma-bearing loop in the program with feature flags."""
-    infos: list[LoopNestInfo] = []
-
-    def visit(node, depth: int) -> None:
-        if isinstance(node, Loop):
-            if node.pragma is not None:
-                accesses = collect_accesses(node)
-                inner = any(isinstance(s, Loop) for s in walk(node.body) if s is not node)
-                uses_if = any(isinstance(s, IfStmt) for s in walk(node.body))
-                indirect = any(
-                    a.is_array and a.affine is None and a.index_expr is not None
-                    and _has_idx(a.index_expr)
-                    for a in accesses
-                )
-                infos.append(
-                    LoopNestInfo(node, node.pragma, depth, inner, uses_if, indirect)
-                )
-            visit(node.body, depth + 1)
-        elif isinstance(node, Seq):
-            for s in node:
-                visit(s, depth)
-        elif isinstance(node, (CriticalSection, OrderedBlock, MasterSection, SingleSection, ParallelRegion)):
-            visit(node.body, depth)
-        elif isinstance(node, IfStmt):
-            visit(node.then_body, depth)
-            if node.else_body is not None:
-                visit(node.else_body, depth)
-
-    visit(program.body, 0)
-    return infos
-
-
-def _has_idx(expr) -> bool:
-    if isinstance(expr, Idx):
-        return True
-    if isinstance(expr, BinOp):
-        return _has_idx(expr.left) or _has_idx(expr.right)
-    return False

@@ -184,12 +184,6 @@ class Program:
     language: str = "C/C++"  # or "Fortran"
     source: str = ""
 
-    def array_sizes(self) -> dict[str, int]:
-        return {a.name: a.size for a in self.arrays}
-
-    def scalar_names(self) -> set[str]:
-        return {s.name for s in self.scalars}
-
 
 def walk(node) -> list:
     """Pre-order traversal over statements and nested bodies."""
@@ -209,23 +203,3 @@ def walk(node) -> list:
     elif isinstance(node, AtomicStmt):
         out.append(node.update)
     return out
-
-
-def expr_vars(expr: Expr) -> set[str]:
-    """Scalar variable names appearing in an expression."""
-    if isinstance(expr, Var):
-        return {expr.name}
-    if isinstance(expr, BinOp):
-        return expr_vars(expr.left) | expr_vars(expr.right)
-    if isinstance(expr, Idx):
-        return expr_vars(expr.index)
-    return set()
-
-
-def expr_arrays(expr: Expr) -> set[str]:
-    """Array names read inside an expression."""
-    if isinstance(expr, Idx):
-        return {expr.array} | expr_arrays(expr.index)
-    if isinstance(expr, BinOp):
-        return expr_arrays(expr.left) | expr_arrays(expr.right)
-    return set()

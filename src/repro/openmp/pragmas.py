@@ -8,7 +8,7 @@ clauses, reductions, SIMD, device/target, synchronization).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Directive kinds, normalised across languages ("parallel do" -> "parallel for").
 DIRECTIVE_KINDS = (
@@ -71,10 +71,6 @@ class Pragma:
         )
 
     @property
-    def shared_vars(self) -> set[str]:
-        return set(self.clause_args("shared"))
-
-    @property
     def reductions(self) -> dict[str, str]:
         """Map reduced variable -> operator."""
         out: dict[str, str] = {}
@@ -93,18 +89,6 @@ class Pragma:
     def num_threads(self) -> int | None:
         args = self.clause_args("num_threads")
         return int(args[0]) if args else None
-
-    @property
-    def is_worksharing_loop(self) -> bool:
-        return "for" in self.kind.split() or self.kind == "simd"
-
-    @property
-    def is_parallel(self) -> bool:
-        return "parallel" in self.kind.split()
-
-    @property
-    def is_simd(self) -> bool:
-        return "simd" in self.kind.split()
 
     @property
     def is_target(self) -> bool:

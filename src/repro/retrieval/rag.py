@@ -181,9 +181,3 @@ class RetrievalAugmentedAnswerer:
                     return f"{fields[field]} (retrieved, score {hit.score:.2f})"
         # No structured field matched: return the best chunk as context.
         return hits[0].text
-
-    def context_for(self, question: str) -> str:
-        """The retrieved context block, as a prompt prefix for an LM."""
-        hits = self.store.search(question, k=self.k)
-        parts = [f"[{i + 1}] {h.text}" for i, h in enumerate(hits)]
-        return "\n".join(parts)

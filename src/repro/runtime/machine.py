@@ -230,13 +230,3 @@ class Machine:
         a schedule-invariant program whose schedule 0 is race-free
         yields only that one (see :class:`ScheduleTraces`)."""
         return ScheduleTraces(CompiledProgram(program), self.config.n_threads, self.schedule_plan())
-
-    def any_hb_race(self, program: Program, include_lane_events: bool = True) -> bool:
-        """Ground-truth-style oracle: does any explored schedule exhibit a
-        happens-before race (lanes counted as parallel by default)?
-        Stops at the first racy schedule, and after a race-free schedule
-        0 of a schedule-invariant program (see :class:`ScheduleTraces`)."""
-        for trace in self.traces(program):
-            if hb_races(trace, include_lane_events=include_lane_events, max_reports=1):
-                return True
-        return False

@@ -203,6 +203,9 @@ _C_BLANK_RE = re.compile("|".join((
     r"'(?:\\.|[^'\\\n])*'",
 )))
 _BRACE_RE = re.compile(r"[{}]")
+#: A preprocessor line with its backslash continuations (comments
+#: already blanked): its braces belong to a macro, not to the code.
+_PP_LINE_RE = re.compile(r"^[^\S\n]*#(?:[^\n]*\\\n)*[^\n]*", re.MULTILINE)
 #: A conditional-compilation directive line (comments already blanked).
 _PP_CONDITIONAL_RE = re.compile(
     r"^[^\S\n]*#[^\S\n]*(if|ifdef|ifndef|elif|elifdef|elifndef|else|endif)\b",
@@ -227,8 +230,8 @@ def _c_function_spans(text: str) -> list[tuple[int, int]]:
     """(start, end) line spans of top-level ``{...}`` blocks, extended
     upward to the block's header line (the function signature).  A
     ``}`` with no open block (a stray brace at depth 0) is ignored, and
-    so is every brace of an ``#elif``/``#else`` branch (see
-    :func:`_alternative_branches`)."""
+    so is every brace of a preprocessor line (``#define BEGIN {``) or of
+    an ``#elif``/``#else`` branch (see :func:`_alternative_branches`)."""
     comment_free = _c_comment_free(text)
     line_of = _line_index(comment_free)
     skipped = _alternative_branches(comment_free)
@@ -236,7 +239,7 @@ def _c_function_spans(text: str) -> list[tuple[int, int]]:
     spans: list[tuple[int, int]] = []
     depth = 0
     open_pos = 0
-    for m in _BRACE_RE.finditer(comment_free):
+    for m in _BRACE_RE.finditer(_PP_LINE_RE.sub(_blank, comment_free)):
         pos = m.start()
         if skipped:
             i = bisect_right(skip_starts, pos) - 1

@@ -123,10 +123,6 @@ class JobQueue:
         with self._lock:
             return self._jobs.get(job_id)
 
-    def jobs(self) -> list[Job]:
-        with self._lock:
-            return [self._jobs[i] for i in self._order if i in self._jobs]
-
     def close(self, timeout: float = 10.0) -> None:
         with self._lock:
             if self._closed:

@@ -43,8 +43,12 @@ from repro.runtime import Machine, MachineConfig
 from repro.scan.cache import VerdictCache, kernel_key, pipeline_fingerprint
 from repro.scan.extractor import ExtractedKernel, extract_kernels, whole_file_kernel
 from repro.scan.report import KernelResult, ScanReport
-from repro.scan.walker import DEFAULT_MAX_BYTES, walk_tree
+from repro.scan.walker import walk_tree
 from repro.utils.languages import normalize_language
+
+
+#: The fine-tuned model every scan scores with (the paper's HPC-GPT L2).
+LLM_VERSION = "l2"
 
 
 @dataclass(frozen=True)
@@ -53,13 +57,9 @@ class ScanConfig:
 
     languages: tuple[str, ...] | None = None
     tools_only: bool = False
-    llm_version: str = "l2"
     use_cache: bool = True
     cache_dir: str | Path | None = None
-    n_threads: int = 2
     n_schedules: int = 4
-    base_seed: int = 0
-    max_file_bytes: int = DEFAULT_MAX_BYTES
 
 
 def default_scan_cache_dir() -> Path:
@@ -88,12 +88,8 @@ class ScanPipeline:
                 languages=tuple(normalize_language(l) for l in self.config.languages),
             )
         # Build (and thereby validate, here rather than mid-scan) the
-        # machine configuration once.
-        self._machine_config = MachineConfig(
-            n_threads=self.config.n_threads,
-            n_schedules=self.config.n_schedules,
-            base_seed=self.config.base_seed,
-        )
+        # machine configuration once: its default threads and seed.
+        self._machine_config = MachineConfig(n_schedules=self.config.n_schedules)
         if not self.config.tools_only and system is None:
             raise ValueError("LLM scanning needs a system; pass tools_only=True to skip it")
         self.system = system
@@ -116,32 +112,29 @@ class ScanPipeline:
     # -- fingerprint ---------------------------------------------------------
 
     def _fingerprint(self) -> str:
+        machine = self._machine_config
         parts = {
             "detectors": sorted(d.name for d in self.detectors),
-            "machine": [self.config.n_threads, self.config.n_schedules,
-                        self.config.base_seed],
+            "machine": [machine.n_threads, machine.n_schedules, machine.base_seed],
             "tools_only": self.config.tools_only,
         }
         if not self.config.tools_only:
             parts["model"] = self.system.config.cache_key()
-            parts["version"] = self.config.llm_version
+            parts["version"] = LLM_VERSION
             parts["threshold"] = self._threshold()
         return pipeline_fingerprint(parts)
 
     def _threshold(self) -> float:
         if self._llm_lock is not None:
             with self._llm_lock:
-                return self.system.threshold(self.config.llm_version)
-        return self.system.threshold(self.config.llm_version)
+                return self.system.threshold(LLM_VERSION)
+        return self.system.threshold(LLM_VERSION)
 
     # -- the scan ------------------------------------------------------------
 
     def scan(self, root: str | Path) -> ScanReport:
         t0 = time.perf_counter()
-        files, walk_stats = walk_tree(
-            root, languages=self.config.languages,
-            max_bytes=self.config.max_file_bytes,
-        )
+        files, walk_stats = walk_tree(root, languages=self.config.languages)
         t_walk = time.perf_counter()
 
         fingerprint = self._fingerprint()  # may calibrate: timed as detect
@@ -232,7 +225,7 @@ class ScanPipeline:
         return report
 
     def _llm_name(self) -> str:
-        return f"HPC-GPT ({self.config.llm_version.upper()})"
+        return f"HPC-GPT ({LLM_VERSION.upper()})"
 
     # -- detection over the cache misses ------------------------------------
 
@@ -271,7 +264,7 @@ class ScanPipeline:
                 race_instruction(k.source, k.language) for _, k in items
             ]
             threshold = self._threshold()
-            engine = self.system.engine(self.config.llm_version)
+            engine = self.system.engine(LLM_VERSION)
             if self._llm_lock is not None:
                 with self._llm_lock:
                     margins = engine.yes_no_margins(instructions)

@@ -79,10 +79,6 @@ class HPCGPTClient:
         """Queue a repository scan; returns the job id."""
         return self._post("/api/scan", {"path": path, **options})["id"]
 
-    def scan_status(self, job_id: str) -> dict:
-        """Current job state (includes the report once ``done``)."""
-        return self._job_status("scan", job_id)
-
     def scan_wait(self, job_id: str, timeout: float = 600.0, poll_s: float = 0.2) -> dict:
         """Poll until the job finishes (or ``timeout`` elapses)."""
         return self._job_wait("scan", job_id, timeout, poll_s)
@@ -100,10 +96,6 @@ class HPCGPTClient:
         if epochs is not None:
             body["epochs"] = epochs
         return self._post("/api/update", body)["id"]
-
-    def update_status(self, job_id: str) -> dict:
-        """Current update-job state (includes the result once ``done``)."""
-        return self._job_status("update", job_id)
 
     def update_wait(self, job_id: str, timeout: float = 600.0, poll_s: float = 0.2) -> dict:
         """Poll until the update finishes (or ``timeout`` elapses)."""

@@ -20,16 +20,13 @@ from repro.tensor.tensor import Tensor, no_grad, is_grad_enabled
 from repro.tensor.ops import (
     cat,
     cross_entropy_logits,
-    dropout,
     embedding,
     fused_cross_entropy,
     masked_softmax,
     rms_norm,
     silu,
-    softmax,
     stack,
     take_rows,
-    tanh,
     where,
 )
 
@@ -39,15 +36,12 @@ __all__ = [
     "is_grad_enabled",
     "cat",
     "cross_entropy_logits",
-    "dropout",
     "embedding",
     "fused_cross_entropy",
     "masked_softmax",
     "rms_norm",
     "silu",
-    "softmax",
     "stack",
     "take_rows",
-    "tanh",
     "where",
 ]

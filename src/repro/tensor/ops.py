@@ -13,16 +13,6 @@ import numpy as np
 
 from repro.tensor.tensor import Tensor, _unbroadcast
 
-
-def tanh(x: Tensor) -> Tensor:
-    out_data = np.tanh(x.data)
-
-    def backward(g: np.ndarray):
-        return [(x, g * (1.0 - out_data * out_data))]
-
-    return Tensor._op(out_data, (x,), backward)
-
-
 try:  # single-pass C ufunc; ships with the scipy already in the image
     from scipy.special import expit as _expit
 except ImportError:  # pragma: no cover - scipy is a baked-in dependency
@@ -49,21 +39,6 @@ def silu(x: Tensor) -> Tensor:
         return [(x, g * (s * (1.0 + x.data * (1.0 - s))))]
 
     return Tensor._op(out_data, (x,), backward)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically-stable softmax along ``axis`` (in-place temporaries)."""
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=axis, keepdims=True)
-    out_data = z
-
-    def backward(g: np.ndarray):
-        # dL/dx = s * (g - sum(g*s))
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        return [(x, out_data * (g - dot))]
-
-    return Tensor._op(out_data.astype(x.dtype, copy=False), (x,), backward)
 
 
 def masked_softmax(x: Tensor, mask: np.ndarray | None, scale: float | None = None) -> Tensor:
@@ -252,21 +227,6 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-5) -> Tensor:
         return [(x, gx.astype(x.dtype)), (weight, _unbroadcast(gweight, weight.shape))]
 
     return Tensor._op(out_data.astype(x.dtype), (x, weight), backward)
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout; identity when not training or ``p == 0``."""
-    if not training or p <= 0.0:
-        return x
-    if p >= 1.0:
-        raise ValueError("dropout probability must be < 1")
-    keep = (rng.random(x.shape) >= p).astype(x.dtype) / np.float32(1.0 - p)
-    out_data = x.data * keep
-
-    def backward(g: np.ndarray):
-        return [(x, g * keep)]
-
-    return Tensor._op(out_data, (x,), backward)
 
 
 def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:

@@ -12,7 +12,7 @@ over broadcast axes), matching NumPy broadcast semantics exactly.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -97,17 +97,6 @@ class Tensor:
     def ones(*shape: int, requires_grad: bool = False) -> "Tensor":
         return Tensor(np.ones(shape, dtype=np.float32), requires_grad=requires_grad)
 
-    @staticmethod
-    def from_rng(
-        rng: np.random.Generator,
-        shape: Sequence[int],
-        scale: float = 1.0,
-        requires_grad: bool = False,
-    ) -> "Tensor":
-        """Gaussian init N(0, scale^2) drawn from an explicit generator."""
-        data = (rng.standard_normal(tuple(shape)) * scale).astype(np.float32)
-        return Tensor(data, requires_grad=requires_grad)
-
     # -- properties ------------------------------------------------------------
 
     @property
@@ -139,9 +128,6 @@ class Tensor:
         """The underlying array (no copy). Do not mutate in place if this
         tensor participates in a live graph."""
         return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None

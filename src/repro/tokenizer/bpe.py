@@ -51,10 +51,6 @@ class BPETokenizer:
     def vocab_size(self) -> int:
         return len(self._special_to_id) + len(self._id_to_bytes)
 
-    @property
-    def num_merges(self) -> int:
-        return len(self._merges)
-
     # -- training ------------------------------------------------------------
 
     @staticmethod

@@ -37,10 +37,6 @@ class SpecialTokens:
         return 2
 
     @property
-    def unk_id(self) -> int:
-        return 3
-
-    @property
     def inst_open_id(self) -> int:
         return 4
 

@@ -39,10 +39,6 @@ class Batch:
     def n_tokens(self) -> int:
         return int(self.ids.size)
 
-    @property
-    def n_supervised(self) -> int:
-        return int((self.targets != self.ignore_index).sum())
-
 
 def _rng_state(rng: np.random.Generator) -> dict:
     return rng.bit_generator.state

@@ -11,21 +11,15 @@ from repro.utils.languages import (
     language_for_path,
     normalize_language,
 )
-from repro.utils.rng import RngHub, derive_rng
-from repro.utils.text import (
-    normalize_ws,
-    tokenize_words,
-    word_count,
-)
+from repro.utils.rng import derive_rng
+from repro.utils.text import tokenize_words, word_count
 
 __all__ = [
     "LANGUAGES",
     "UnknownLanguageError",
     "language_for_path",
     "normalize_language",
-    "RngHub",
     "derive_rng",
-    "normalize_ws",
     "tokenize_words",
     "word_count",
 ]

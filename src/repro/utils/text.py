@@ -4,13 +4,7 @@ from __future__ import annotations
 
 import re
 
-_WS_RE = re.compile(r"\s+")
 _WORD_RE = re.compile(r"[A-Za-z0-9_#+./-]+")
-
-
-def normalize_ws(text: str) -> str:
-    """Collapse all whitespace runs to single spaces and strip the ends."""
-    return _WS_RE.sub(" ", text).strip()
 
 
 def tokenize_words(text: str) -> list[str]:

@@ -1,11 +1,14 @@
 """Tests for the quota-driven collection pipeline (Tables 2 and 3)."""
 
+import json
+
 import pytest
 
 from repro.datagen import (
     TABLE2_TARGETS,
     TABLE3_TARGETS,
     DataCollectionPipeline,
+    InstructionRecord,
     TeacherConfig,
     TeacherLM,
 )
@@ -116,6 +119,5 @@ class TestBundle:
     def test_json_roundtrip(self):
         kb = build_knowledge_base(plp_entries_per_category=8, mlperf_rows=24)
         bundle = DataCollectionPipeline().collect_task1(kb, scale=0.02)
-        from repro.datagen import records_from_json
-
-        assert records_from_json(bundle.to_json()) == bundle.records
+        back = [InstructionRecord.from_json(d) for d in json.loads(bundle.to_json())]
+        assert back == bundle.records

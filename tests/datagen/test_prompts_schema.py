@@ -6,7 +6,6 @@ import pytest
 
 from repro.datagen import (
     InstructionRecord,
-    records_from_json,
     records_to_json,
     render_answer_prompt,
     render_instruction_prompt,
@@ -50,7 +49,7 @@ class TestSchema:
             InstructionRecord("q1", "a1", task="plp", category="X", source_id="s1"),
             InstructionRecord("q2", "yes", task="datarace", category="Y", language="C/C++"),
         ]
-        back = records_from_json(records_to_json(recs))
+        back = [InstructionRecord.from_json(d) for d in json.loads(records_to_json(recs))]
         assert back == recs
 
     def test_json_is_parseable_list(self):

@@ -15,6 +15,8 @@ from repro.runtime import Machine, MachineConfig, execute
 from repro.scan import ScanConfig, ScanPipeline
 from repro.scan.cache import SEGMENT_SUFFIX
 
+from support.any_race import any_hb_race
+
 RACY_C = (
     "int i;\n"
     "double y[32], x[32];\n"
@@ -281,7 +283,7 @@ def test_out_of_bounds_schedule_is_unsupported_for_every_reader(counting):
         assert results[tool, "oob"].detail.startswith("IndexError: array 'a' index 4 out of bounds")
     assert counter.seeds == [0]
     with pytest.raises(IndexError, match="out of bounds"):
-        Machine(MACHINE).any_hb_race(spec.parse())
+        any_hb_race(Machine(MACHINE), spec.parse())
 
 
 class BatchedFlakyDetector(FlakyDetector):

@@ -9,9 +9,11 @@ any explored schedule.
 import pytest
 
 from repro.datagen.pipeline import ALL_DRB_CATEGORIES, RACE_CATEGORIES
-from repro.drb import DRBSuite, EVAL_COUNTS, category_label, generate_training_pool
+from repro.drb import CATEGORY_LABELS, DRBSuite, EVAL_COUNTS, generate_training_pool
 from repro.drb.suite import spec_to_chunk
 from repro.runtime import Machine, MachineConfig
+
+from support.any_race import any_hb_race
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +48,7 @@ class TestComposition:
 
     def test_labels_match_categories(self, suite):
         for s in suite.specs:
-            assert s.label == category_label(s.category)
+            assert s.label == CATEGORY_LABELS[s.category]
             assert s.label == ("yes" if s.category in RACE_CATEGORIES else "no")
 
     def test_deterministic(self):
@@ -97,7 +99,7 @@ class TestGroundTruth:
                 s for s in suite.specs if s.language == language and s.category == cat
             )
             prog = spec.parse()
-            raced = machine.any_hb_race(prog, include_lane_events=True)
+            raced = any_hb_race(machine, prog, include_lane_events=True)
             expected = spec.label == "yes"
             assert raced == expected, f"{spec.id}\n{spec.source}"
 
@@ -111,5 +113,5 @@ class TestGroundTruth:
             if key in seen:
                 continue
             seen.add(key)
-            raced = machine.any_hb_race(s.parse(), include_lane_events=True)
+            raced = any_hb_race(machine, s.parse(), include_lane_events=True)
             assert raced == (s.label == "yes"), f"{s.id}\n{s.source}"

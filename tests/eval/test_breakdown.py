@@ -4,7 +4,7 @@ import pytest
 
 from repro.detectors import LLOVDetector
 from repro.drb import DRBSuite
-from repro.eval.tables import category_breakdown, render_category_breakdown
+from repro.eval.tables import category_breakdown
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +39,3 @@ class TestBreakdown:
         # ...and rejects ordered programs as unsupported.
         uslf = bd[("C/C++", "Use of special language features")]
         assert uslf["unsupported"] >= 0  # present key; counts partition
-
-    def test_render_contains_rows(self, setup):
-        suite, results = setup
-        text = render_category_breakdown(category_breakdown(results, suite, "LLOV"), "LLOV")
-        assert "Per-category breakdown — LLOV" in text
-        assert "Missing synchronization" in text

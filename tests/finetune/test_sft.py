@@ -55,7 +55,7 @@ class TestDataset:
         source = PaddedExampleSource(ds.examples, 4, pad_id=tok.special.pad_id)
         batch = source.next_batch()
         assert batch.ids.shape == batch.targets.shape
-        assert batch.n_supervised > 0
+        assert (batch.targets != -100).any()
         # Pad positions have ignore targets.
         assert (batch.targets[batch.ids == tok.special.pad_id] == -100).all()
 
@@ -142,7 +142,7 @@ class TestTrainer:
                         lora=LoRAConfig(rank=2))
         stats = SFTTrainer(model, tok, cfg).train(toy_records(6))
         assert 0 < stats.trainable_params < stats.total_params
-        assert stats.trainable_fraction < 0.5
+        assert stats.trainable_params / stats.total_params < 0.5
 
     def test_fp16_training_runs(self, tok):
         model = self._model_tok(tok)

@@ -1,8 +1,6 @@
 """Tests for the Task-1 knowledge substrate (catalog, MLPerf table,
 Figure-2 transforms, documents)."""
 
-import pytest
-
 from repro.knowledge import (
     MLPERF_FIELDS,
     PLP_CATEGORIES,
@@ -13,30 +11,29 @@ from repro.knowledge import (
     attribute_concat,
 )
 from repro.knowledge.corpus import mlperf_chunk, plp_chunk
-from repro.knowledge.mlperf import find_rows
-from repro.knowledge.plp_catalog import PLPEntry, entries_by_category, find_entries
+from repro.knowledge.plp_catalog import PLPEntry
 
 
 class TestPLPCatalog:
     def test_thirteen_categories_covered(self):
         catalog = build_plp_catalog()
-        grouped = entries_by_category(catalog)
-        assert set(grouped) == set(PLP_CATEGORIES)
-        assert all(len(v) >= 8 for v in grouped.values())
+        assert {e.category for e in catalog} == set(PLP_CATEGORIES)
+        for category in PLP_CATEGORIES:
+            assert sum(e.category == category for e in catalog) >= 8
 
     def test_anchor_codetrans(self):
         catalog = build_plp_catalog()
-        hits = find_entries(catalog, source_language="Java", target_language="C#")
+        hits = [e for e in catalog if (e.source_language, e.target_language) == ("Java", "C#")]
         assert any(e.dataset == "CodeTrans" for e in hits)
 
     def test_anchor_poj104_codebert(self):
         catalog = build_plp_catalog()
-        hits = find_entries(catalog, language="C/C++", baseline="CodeBERT")
+        hits = [e for e in catalog if (e.language, e.baseline) == ("C/C++", "CodeBERT")]
         assert any(e.dataset == "POJ-104" for e in hits)
 
     def test_anchor_devign(self):
         catalog = build_plp_catalog()
-        hits = find_entries(catalog, category="Defect detection", language="C")
+        hits = [e for e in catalog if (e.category, e.language) == ("Defect detection", "C")]
         assert any(e.dataset == "Devign" for e in hits)
 
     def test_deterministic(self):
@@ -45,18 +42,20 @@ class TestPLPCatalog:
 
     def test_translation_entries_have_pairs(self):
         catalog = build_plp_catalog()
-        for e in find_entries(catalog, category="Code Translation"):
+        translations = [e for e in catalog if e.category == "Code Translation"]
+        assert translations
+        for e in translations:
             assert e.source_language and e.target_language
 
 
 class TestMLPerf:
     def test_anchor_row_present(self):
         table = build_mlperf_table()
-        hits = find_rows(
-            table,
-            accelerator="NVIDIA H100-SXM5-80GB",
-            software="MXNet NVIDIA Release 23.04",
-        )
+        hits = [
+            r for r in table
+            if (r.accelerator, r.software)
+            == ("NVIDIA H100-SXM5-80GB", "MXNet NVIDIA Release 23.04")
+        ]
         assert len(hits) == 1 and hits[0].system == "dgxh100_n64"
 
     def test_row_count_and_uniqueness(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.llm import CausalLM, GenerationConfig, InferenceEngine, ModelConfig
+from repro.llm import CausalLM, InferenceEngine, ModelConfig
 from repro.llm.pretrain import PretrainConfig, build_general_corpus, train_tokenizer_on
 from repro.nn import load_state, save_state
 from repro.utils.rng import derive_rng
@@ -18,8 +18,8 @@ def tok():
     )
 
 
-def generate(model, tok, prompt_ids, config, rng=None):
-    return InferenceEngine(model, tok).generate_batch([prompt_ids], config, rng=rng)[0]
+def generate(model, tok, prompt_ids, max_new_tokens):
+    return InferenceEngine(model, tok).generate_batch([prompt_ids], max_new_tokens)[0]
 
 
 class TestRoundTrip:
@@ -32,8 +32,8 @@ class TestRoundTrip:
         assert int(meta["step"]) == 7
 
         prompt = tok.encode("the river crosses", bos=True)
-        a = generate(model, tok, prompt, GenerationConfig(max_new_tokens=10))
-        b = generate(reloaded, tok, prompt, GenerationConfig(max_new_tokens=10))
+        a = generate(model, tok, prompt, 10)
+        b = generate(reloaded, tok, prompt, 10)
         assert a == b
 
     def test_logits_bitwise_equal(self, tok, tmp_path):
@@ -48,15 +48,3 @@ class TestRoundTrip:
             la = model.forward(ids).numpy()
             lb = reloaded.forward(ids).numpy()
         np.testing.assert_array_equal(la, lb)
-
-    def test_top_k_sampling_respects_k(self, tok):
-        model = CausalLM(CFG, derive_rng(4, "topk"))
-        prompt = tok.encode("the river", bos=True)
-        # With top_k=1, sampling must equal greedy regardless of temperature.
-        greedy = generate(model, tok, prompt, GenerationConfig(max_new_tokens=6))
-        sampled = generate(
-            model, tok, prompt,
-            GenerationConfig(max_new_tokens=6, temperature=2.0, top_k=1),
-            rng=derive_rng(0, "s"),
-        )
-        assert sampled == greedy

@@ -4,7 +4,7 @@ the context-overflow regression, and growable KV caches."""
 import numpy as np
 import pytest
 
-from repro.llm import CausalLM, GenerationConfig, InferenceEngine, ModelConfig
+from repro.llm import CausalLM, InferenceEngine, ModelConfig
 from repro.llm.engine import clamp_prompt
 from repro.llm.pretrain import PretrainConfig, build_general_corpus, train_tokenizer_on
 from repro.utils.rng import derive_rng
@@ -42,40 +42,50 @@ def mixed_prompts(tok):
 
 class TestGenerateBatchParity:
     def test_greedy_batch_equals_sequential(self, engine, mixed_prompts):
-        cfg = GenerationConfig(max_new_tokens=10)
-        batched = engine.generate_batch(mixed_prompts, cfg)
-        sequential = [engine.generate_batch([p], cfg)[0] for p in mixed_prompts]
+        batched = engine.generate_batch(mixed_prompts, max_new_tokens=10)
+        sequential = [engine.generate_batch([p], max_new_tokens=10)[0] for p in mixed_prompts]
         assert batched == sequential
 
     def test_greedy_parity_without_eos_stop(self, engine, mixed_prompts):
-        cfg = GenerationConfig(max_new_tokens=12, stop_at_eos=False)
-        batched = engine.generate_batch(mixed_prompts, cfg)
-        sequential = [engine.generate_batch([p], cfg)[0] for p in mixed_prompts]
+        batched = engine.generate_batch(mixed_prompts, 12, stop_at_eos=False)
+        sequential = [engine.generate_batch([p], 12, stop_at_eos=False)[0] for p in mixed_prompts]
         assert batched == sequential
 
     def test_shared_engine_matches_fresh_engine(self, engine, model, tok, mixed_prompts):
         """A shared engine and a fresh one decode a batch of one alike."""
-        cfg = GenerationConfig(max_new_tokens=6)
         fresh = InferenceEngine(model, tok)
-        assert engine.generate_batch([mixed_prompts[1]], cfg) == fresh.generate_batch(
-            [mixed_prompts[1]], cfg
+        assert engine.generate_batch([mixed_prompts[1]], 6) == fresh.generate_batch(
+            [mixed_prompts[1]], 6
         )
 
     def test_generate_many_chunks(self, engine, mixed_prompts):
-        cfg = GenerationConfig(max_new_tokens=4)
-        whole = engine.generate_batch(mixed_prompts, cfg)
-        chunked = engine.generate_many(mixed_prompts, cfg, batch_size=2)
+        whole = engine.generate_batch(mixed_prompts, max_new_tokens=4)
+        chunked = engine.generate_many(mixed_prompts, max_new_tokens=4, batch_size=2)
         assert whole == chunked
 
-    def test_sampling_batch_of_one_matches_sequential_stream(
-        self, engine, model, tok, mixed_prompts
-    ):
-        cfg = GenerationConfig(max_new_tokens=6, temperature=0.9, top_k=12)
-        a = engine.generate_batch([mixed_prompts[0]], cfg, rng=derive_rng(7, "s"))[0]
-        b = InferenceEngine(model, tok).generate_batch(
-            [mixed_prompts[0]], cfg, rng=derive_rng(7, "s")
-        )[0]
-        assert a == b
+    def test_generate_many_batch_of_one_matches_whole(self, engine, mixed_prompts):
+        whole = engine.generate_batch(mixed_prompts, 5, stop_at_eos=False)
+        assert engine.generate_many(mixed_prompts, 5, stop_at_eos=False, batch_size=1) == whole
+
+    def test_without_eos_stop_every_row_gets_max_new_tokens(self, engine, mixed_prompts):
+        outs = engine.generate_batch(mixed_prompts, 7, stop_at_eos=False)
+        assert [len(o) for o in outs] == [7] * len(mixed_prompts)
+
+    def test_ties_go_to_the_lowest_id(self, tok, mixed_prompts):
+        """A model with every weight zero gives every token the same logit,
+        so each step must pick id 0 (pad, not EOS) in every row."""
+        flat = CausalLM(SMALL, derive_rng(1, "tests/llm/engine/zero"))
+        for p in flat.parameters():
+            p.data[...] = 0.0
+        outs = InferenceEngine(flat, tok).generate_batch(mixed_prompts[:3], 4)
+        assert outs == [[0, 0, 0, 0]] * 3
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_non_positive_max_new_tokens_rejected(self, engine, mixed_prompts, n):
+        with pytest.raises(ValueError, match="max_new_tokens"):
+            engine.generate_batch(mixed_prompts, max_new_tokens=n)
+        with pytest.raises(ValueError, match="max_new_tokens"):
+            engine.generate_many(mixed_prompts, max_new_tokens=n)
 
     def test_empty_prompt_rejected(self, engine):
         with pytest.raises(ValueError):
@@ -101,18 +111,6 @@ class TestScoreBatchParity:
         a = engine.yes_no_margins(instructions, batch_size=1)
         b = engine.yes_no_margins(instructions, batch_size=3)
         np.testing.assert_allclose(a, b, atol=1e-5)
-
-    def test_score_batch_shared_candidates(self, engine, tok, mixed_prompts):
-        yes_id = tok.encode(" yes")[0]
-        no_id = tok.encode(" no")[0]
-        logp = engine.score_batch(mixed_prompts, [yes_id, no_id])
-        assert logp.shape == (len(mixed_prompts), 2)
-        assert (logp <= 0.0).all()
-
-    def test_score_batch_per_prompt_candidates(self, engine, mixed_prompts):
-        cands = np.arange(len(mixed_prompts) * 3).reshape(len(mixed_prompts), 3) % 300
-        logp = engine.score_batch(mixed_prompts, cands)
-        assert logp.shape == (len(mixed_prompts), 3)
 
     def test_next_token_logits_match_direct_forward(self, engine, model, mixed_prompts):
         from repro.tensor import no_grad
@@ -168,7 +166,7 @@ class TestContextOverflowRegression:
         assert len(long_prompt) > SMALL.max_seq_len
         for n in (SMALL.max_seq_len - 1, SMALL.max_seq_len, SMALL.max_seq_len + 40):
             out = InferenceEngine(model, tok).generate_batch(
-                [long_prompt], GenerationConfig(max_new_tokens=n, stop_at_eos=False)
+                [long_prompt], max_new_tokens=n, stop_at_eos=False
             )[0]
             assert 0 < len(out) <= n
             # The decode can never exceed the model context.

@@ -6,7 +6,6 @@ import pytest
 from repro.llm import (
     CausalLM,
     ChatFormat,
-    GenerationConfig,
     InferenceEngine,
     ModelConfig,
     PretrainConfig,
@@ -69,21 +68,21 @@ class TestModel:
         assert 5_000 <= model.num_parameters() < 200_000
 
 
-def generate(model, tok, prompt_ids, config=None, rng=None):
-    return InferenceEngine(model, tok).generate_batch([prompt_ids], config, rng=rng)[0]
+def generate(model, tok, prompt_ids, max_new_tokens=32):
+    return InferenceEngine(model, tok).generate_batch([prompt_ids], max_new_tokens)[0]
 
 
 class TestGeneration:
     def test_greedy_is_deterministic(self, model, tok):
         ids = tok.encode("the river", bos=True)
-        a = generate(model, tok, ids, GenerationConfig(max_new_tokens=8))
-        b = generate(model, tok, ids, GenerationConfig(max_new_tokens=8))
+        a = generate(model, tok, ids, 8)
+        b = generate(model, tok, ids, 8)
         assert a == b
 
     def test_cache_matches_recompute(self, model, tok):
         """Greedy with KV cache equals greedy recomputing from scratch."""
         prompt = tok.encode("the river", bos=True)
-        fast = generate(model, tok, prompt, GenerationConfig(max_new_tokens=6))
+        fast = generate(model, tok, prompt, 6)
         # Reference: recompute full forward each step.
         slow: list[int] = []
         ctx = list(prompt)
@@ -97,30 +96,14 @@ class TestGeneration:
                 ctx.append(nxt)
         assert fast == slow
 
-    def test_sampling_needs_rng(self, model, tok):
-        with pytest.raises(ValueError):
-            generate(model, tok, [1, 2], GenerationConfig(max_new_tokens=2, temperature=1.0))
-
-    def test_sampling_deterministic_given_rng(self, model, tok):
-        cfg = GenerationConfig(max_new_tokens=5, temperature=0.8, top_k=10)
-        a = generate(model, tok, [1, 7, 8], cfg, rng=derive_rng(3, "s"))
-        b = generate(model, tok, [1, 7, 8], cfg, rng=derive_rng(3, "s"))
-        assert a == b
-
     def test_empty_prompt_rejected(self, model, tok):
         with pytest.raises(ValueError):
             generate(model, tok, [])
 
     def test_generate_text_returns_string(self, model, tok):
         prompt = tok.encode("the river", bos=True)
-        ids = generate(model, tok, prompt, GenerationConfig(max_new_tokens=4))
+        ids = generate(model, tok, prompt, 4)
         assert isinstance(tok.decode(ids), str)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            GenerationConfig(max_new_tokens=0)
-        with pytest.raises(ValueError):
-            GenerationConfig(temperature=-1)
 
 
 class TestChatFormat:

@@ -47,9 +47,10 @@ class TestTripleStore:
         assert list(store.match("hpc:e1", "hpc:language", "C/C++"))
         assert not list(store.match("hpc:e1", "hpc:language", "Rust"))
 
-    def test_objects_subjects_helpers(self, store):
+    def test_objects_helper(self, store):
         assert store.objects("hpc:e2", "hpc:dataset") == {"Bugs2Fix"}
-        assert store.subjects("hpc:language", "Java") == {"hpc:e2"}
+        subs = {t.subject for t in store.match(None, "hpc:language", "Java")}
+        assert subs == {"hpc:e2"}
 
     def test_match_s_only_p_only_o_only(self, store):
         assert len(list(store.match(subject="hpc:e1"))) == 3

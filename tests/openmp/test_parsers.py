@@ -5,9 +5,10 @@ import pytest
 from repro.openmp import (
     Assign, AtomicStmt, Barrier, BinOp, CParseError, CriticalSection,
     FortranParseError, Idx, IfStmt, Loop, Num, ParallelRegion, SingleSection,
-    Var, collect_accesses, loop_nest_info, parse_c, parse_fortran,
+    Var, collect_accesses, parse_c, parse_fortran,
 )
 from repro.openmp.analysis import Affine, affine_of
+from repro.openmp.ast_nodes import walk
 from repro.openmp.lexer import tokenize
 
 
@@ -55,8 +56,8 @@ end do
 class TestCParser:
     def test_decls(self):
         prog = parse_c(C_RACE)
-        assert prog.scalar_names() == {"i", "n"}
-        assert prog.array_sizes() == {"a": 100, "b": 100}
+        assert {s.name for s in prog.scalars} == {"i", "n"}
+        assert {a.name: a.size for a in prog.arrays} == {"a": 100, "b": 100}
         assert prog.language == "C/C++"
 
     def test_loop_structure(self):
@@ -196,8 +197,8 @@ for (i = 0; i < 4; i++) { a[i] = i; }
 class TestFortranParser:
     def test_decls_case_insensitive(self):
         prog = parse_fortran(F_RACE)
-        assert prog.scalar_names() == {"i"}
-        assert prog.array_sizes() == {"a": 100, "b": 100}
+        assert {s.name for s in prog.scalars} == {"i"}
+        assert {a.name: a.size for a in prog.arrays} == {"a": 100, "b": 100}
         assert prog.language == "Fortran"
 
     def test_do_loop_inclusive(self):
@@ -325,13 +326,14 @@ for (i = 0; i < 10; i++) {
         acc = collect_accesses(loop)
         assert all(a.in_atomic for a in acc if a.scalar == "s")
 
-    def test_loop_nest_info(self):
-        infos = loop_nest_info(parse_c(C_RACE))
-        assert len(infos) == 1
-        assert infos[0].pragma.kind == "parallel for"
-        assert not infos[0].uses_indirect_index
+    def test_one_pragma_loop_with_affine_subscripts(self):
+        loops = [s for s in walk(parse_c(C_RACE).body) if isinstance(s, Loop) and s.pragma]
+        assert len(loops) == 1
+        assert loops[0].pragma.kind == "parallel for"
+        arrays = [a for a in collect_accesses(loops[0]) if a.is_array]
+        assert arrays and all(a.affine is not None for a in arrays)
 
-    def test_indirect_flagged(self):
+    def test_indirect_subscript_has_no_affine_form(self):
         src = """
 int i;
 int idx[100];
@@ -341,5 +343,6 @@ for (i = 0; i < 100; i++) {
   a[idx[i]] = 1;
 }
 """
-        infos = loop_nest_info(parse_c(src))
-        assert infos[0].uses_indirect_index
+        (loop,) = [s for s in walk(parse_c(src).body) if isinstance(s, Loop) and s.pragma]
+        (write,) = [a for a in collect_accesses(loop) if a.array == "a"]
+        assert write.affine is None and isinstance(write.index_expr, Idx)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.openmp import Pragma, parse_pragma_text
+from repro.openmp import parse_pragma_text
 from repro.openmp.pragmas import PragmaError
 
 
@@ -10,7 +10,7 @@ class TestDirectiveKinds:
     def test_parallel_for(self):
         p = parse_pragma_text("parallel for")
         assert p.kind == "parallel for"
-        assert p.is_parallel and p.is_worksharing_loop and not p.is_simd
+        assert p.kind.split() == ["parallel", "for"]
 
     def test_fortran_do_normalised(self):
         assert parse_pragma_text("parallel do").kind == "parallel for"
@@ -18,10 +18,9 @@ class TestDirectiveKinds:
             "target teams distribute parallel for"
         )
 
-    def test_simd_flags(self):
-        p = parse_pragma_text("parallel for simd")
-        assert p.is_simd and p.is_parallel
-        assert parse_pragma_text("simd").is_simd
+    def test_simd_kinds(self):
+        assert parse_pragma_text("parallel for simd").kind == "parallel for simd"
+        assert parse_pragma_text("simd").kind == "simd"
 
     def test_target_flag(self):
         assert parse_pragma_text("target teams distribute parallel for").is_target
@@ -45,7 +44,7 @@ class TestClauses:
 
     def test_shared(self):
         p = parse_pragma_text("parallel for shared(a, b)")
-        assert p.shared_vars == {"a", "b"}
+        assert p.clause_args("shared") == ("a", "b")
 
     def test_reduction(self):
         p = parse_pragma_text("parallel for reduction(+:sum)")

@@ -485,12 +485,6 @@ class TestRAG:
         after = rag.answer(q)
         assert after is not None and "dgxb200_n8" in after
 
-    def test_context_for_formats_hits(self, store):
-        rag = RetrievalAugmentedAnswerer(store, k=2)
-        ctx = rag.context_for("code translation dataset")
-        assert ctx.startswith("[1] ")
-        assert "[2] " in ctx
-
     def test_answer_batch_matches_answer(self, store):
         rag = RetrievalAugmentedAnswerer(store)
         questions = [

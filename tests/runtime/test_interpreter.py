@@ -8,6 +8,8 @@ from repro.openmp import parse_c, parse_fortran
 from repro.runtime import ExecutionError, Machine, MachineConfig, execute
 from repro.runtime.machine import hb_races
 
+from support.any_race import any_hb_race
+
 
 def run_c(src, threads=2, seed=0):
     return execute(parse_c(src), n_threads=threads, schedule_seed=seed)
@@ -353,7 +355,7 @@ double y[32];
 for (i = 1; i < 32; i++) { y[i] = y[i-1]; }
 """
         m = Machine(MachineConfig(n_threads=2, n_schedules=3))
-        assert m.any_hb_race(parse_c(src))
+        assert any_hb_race(m, parse_c(src))
 
     def test_machine_no_race_on_safe_program(self):
         src = """
@@ -363,7 +365,7 @@ double a[32];
 for (i = 0; i < 32; i++) { a[i] = i; }
 """
         m = Machine(MachineConfig(n_threads=4, n_schedules=3))
-        assert not m.any_hb_race(parse_c(src))
+        assert not any_hb_race(m, parse_c(src))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from repro.openmp import parse_c
 from repro.runtime import Machine, MachineConfig, execute
 from repro.runtime.machine import hb_races
 
+from support.any_race import any_hb_race
 from support.hb_oracle import hb_races_reference
 
 RACY = """
@@ -50,21 +51,21 @@ class TestShortCircuit:
         counter = _CountingExecute()
         monkeypatch.setattr(machine_mod, "execute", counter)
         m = Machine(MachineConfig(n_threads=2, n_schedules=6))
-        assert m.any_hb_race(parse_c(RACY))
+        assert any_hb_race(m, parse_c(RACY))
         assert counter.calls == 1  # eager seed code executed all 6 up front
 
     def test_race_free_program_still_explores_all_schedules(self, monkeypatch):
         counter = _CountingExecute()
         monkeypatch.setattr(machine_mod, "execute", counter)
         m = Machine(MachineConfig(n_threads=2, n_schedules=6))
-        assert not m.any_hb_race(parse_c(LOCKED))
+        assert not any_hb_race(m, parse_c(LOCKED))
         assert counter.calls == 6
 
     def test_race_free_sync_free_program_settles_on_schedule_0(self, monkeypatch):
         counter = _CountingExecute()
         monkeypatch.setattr(machine_mod, "execute", counter)
         m = Machine(MachineConfig(n_threads=2, n_schedules=6))
-        assert not m.any_hb_race(parse_c(RACE_FREE))
+        assert not any_hb_race(m, parse_c(RACE_FREE))
         assert counter.calls == 1
 
     def test_traces_is_lazy(self, monkeypatch):

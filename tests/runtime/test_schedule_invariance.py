@@ -21,6 +21,7 @@ from repro.openmp import parse_c
 from repro.runtime import CompiledProgram, Machine, MachineConfig
 from repro.runtime.machine import hb_races
 
+from support.any_race import any_hb_race
 from support.every_schedule import EverySchedule
 
 
@@ -80,7 +81,7 @@ def test_any_hb_race_matches_every_schedule_on_suite(suite):
     for spec in suite.specs:
         program = spec.parse()
         want = any(hb_races(t, max_reports=1) for t in EverySchedule(program, machine))
-        assert machine.any_hb_race(program) == want, spec.id
+        assert any_hb_race(machine, program) == want, spec.id
 
 
 def test_suite_has_293_invariant_kernels(suite):
@@ -217,4 +218,4 @@ def test_default_budget_finds_single_winner_race(base_seed):
     default four find the race from every base seed."""
     machine = Machine(MachineConfig(n_threads=2, n_schedules=4, base_seed=base_seed))
     assert machine.schedule_plan() == [base_seed + k for k in range(4)]
-    assert machine.any_hb_race(parse_c(SINGLE_WINNER))
+    assert any_hb_race(machine, parse_c(SINGLE_WINNER))

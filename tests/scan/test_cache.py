@@ -46,6 +46,12 @@ class TestKeys:
         assert a == b  # key order does not matter
         assert pipeline_fingerprint({"detectors": ["y"], "model": "m"}) != a
 
+    def test_default_tools_only_fingerprint_is_pinned(self):
+        """Every stored verdict is keyed by this value: a change to what
+        the default scan fingerprints makes every cached verdict miss."""
+        pipeline = ScanPipeline(config=ScanConfig(tools_only=True, use_cache=False))
+        assert pipeline._fingerprint() == "0edbf6c20ede1999"
+
 
 class TestStore:
     def test_roundtrip_and_stats(self, tmp_path):

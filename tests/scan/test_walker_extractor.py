@@ -338,6 +338,46 @@ class TestConditionalBranches:
         assert _c_function_spans(text) == reference_c_function_spans(text)[1]
 
 
+#: Braces on preprocessor lines, and the spans that ignore them.
+MACRO_BRACES_C = {
+    "define-open": (
+        "#define BEGIN {\nvoid f(double *y) {\n  #pragma omp parallel for\n"
+        "  for (int i = 1; i < 8; i++) y[i] = y[i-1];\n}\nvoid g(void) {\n}\n",
+        [(2, 5), (6, 7)],
+    ),
+    "continued-define": (
+        "#define LOOP(n) { \\\n  for (i = 0; i < n; i++) \\\n    } \\\n  }\n"
+        "void f(void) {\n  a;\n}\n",
+        [(5, 7)],
+    ),
+    "indented-define-close": ("void f(void) {\n  # define END }\n  a;\n}\n", [(1, 4)]),
+    "backslash-without-define": ("void f(void) { \\\n}\n", [(1, 2)]),
+}
+
+
+class TestPreprocessorLines:
+    @pytest.mark.parametrize("name", sorted(MACRO_BRACES_C))
+    def test_macro_braces_do_not_count(self, name):
+        text, spans = MACRO_BRACES_C[name]
+        assert _c_function_spans(text) == spans
+        assert reference_c_function_spans(text)[1] == spans
+
+    def test_define_brace_leaves_the_function_kernel(self):
+        text, _ = MACRO_BRACES_C["define-open"]
+        sf = SourceFile(path=None, relpath="macro.c", language="C/C++", text=text)
+        (k,) = extract_kernels(sf)
+        assert (k.start_line, k.end_line) == (2, 5)
+        assert k.source.startswith("void f(double *y) {")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([
+        "#define M {", "#define N }", "  # x", "#if A\n", "#else\n", "#endif\n",
+        "\\", "\\\n", "{", "}", "\n", "a;", "/* { */", "// }",
+    ]), max_size=20).map("".join))
+    def test_matches_oracle_on_macro_soup(self, text):
+        assert _c_function_spans(text) == reference_c_function_spans(text)[1]
+
+
 #: Pieces that make or break a directive line: every whitespace the
 #: line-at-a-time pattern allows around the sentinel, line breaks that
 #: are not ``\n``, and mixed-case sentinels.

@@ -89,10 +89,12 @@ def _conditional(line: str) -> str | None:
 
 def reference_c_function_spans(text: str) -> tuple[str, list[tuple[int, int]]]:
     """``(comment_free, spans)``, walking the blanked text one
-    character at a time for brace depth and line numbers.  Braces count
-    only in the first branch of each preprocessor conditional: a line
-    holding ``#elif``/``#else`` and every line after it up to the
-    matching ``#endif`` line are skipped, nested conditionals too."""
+    character at a time for brace depth and line numbers.  Braces of a
+    preprocessor line, and of each line a trailing backslash continues
+    it onto, do not count.  Nor do braces outside the first branch of
+    each preprocessor conditional: a line holding ``#elif``/``#else``
+    and every line after it up to the matching ``#endif`` line are
+    skipped, nested conditionals too."""
     comment_free = reference_c_comment_free(text)
 
     def line_of(pos: int) -> int:
@@ -102,16 +104,19 @@ def reference_c_function_spans(text: str) -> tuple[str, list[tuple[int, int]]]:
     depth = 0
     open_pos = 0
     in_alternative: list[bool] = []  # per open conditional
+    continued = False  # the previous line was a preprocessor line ending in "\\"
     pos = 0
     for line in comment_free.split("\n"):
         word = _conditional(line)
+        preprocessor = continued or word is not None
+        continued = preprocessor and line.endswith("\\")
         if word in OPENS:
             in_alternative.append(False)
         elif word in SWITCHES and in_alternative:
             in_alternative[-1] = True
         elif word == "endif" and in_alternative:
             in_alternative.pop()
-        active = not any(in_alternative)
+        active = not preprocessor and not any(in_alternative)
         for ch in line:
             if not active:
                 pass

@@ -1,4 +1,5 @@
-"""Tests for fused functional ops (softmax, cross-entropy, RMSNorm, ...)."""
+"""Tests for fused functional ops (masked softmax, cross-entropy, RMSNorm,
+SiLU, ...)."""
 
 import numpy as np
 import pytest
@@ -7,15 +8,13 @@ from repro.tensor import (
     Tensor,
     cat,
     cross_entropy_logits,
-    dropout,
     embedding,
     fused_cross_entropy,
+    masked_softmax,
     rms_norm,
     silu,
-    softmax,
     stack,
     take_rows,
-    tanh,
     where,
 )
 from repro.utils.rng import derive_rng
@@ -42,27 +41,63 @@ class TestActivations:
         assert np.isfinite(out).all()
         np.testing.assert_allclose(out, [0.0, 100.0], atol=1e-4)
 
-    def test_tanh_grad(self):
-        check_grads(lambda a: tanh(a).sum(), [randn(6)])
-
     def test_silu_grad(self):
         check_grads(lambda a: silu(a).sum(), [randn(6)])
 
 
+class TestMaskedSoftmax:
+    """The attention-probabilities kernel, ``softmax(x * scale + mask)``."""
 
-class TestSoftmax:
-    def test_softmax_rows_sum_to_one(self):
-        s = softmax(Tensor(randn(4, 7))).numpy()
+    def test_rows_sum_to_one(self):
+        s = masked_softmax(Tensor(randn(4, 7)), None).numpy()
         np.testing.assert_allclose(s.sum(axis=-1), np.ones(4), rtol=1e-5)
         assert (s >= 0).all()
 
-    def test_softmax_stability(self):
-        big = Tensor(np.array([[1e4, 1e4 + 1.0]], dtype=np.float32))
-        s = softmax(big).numpy()
-        assert np.isfinite(s).all()
+    def test_matches_reference_softmax(self):
+        a = randn(3, 5)
+        e = np.exp(a - a.max(axis=-1, keepdims=True))
+        ref = e / e.sum(axis=-1, keepdims=True)
+        np.testing.assert_allclose(masked_softmax(Tensor(a), None).numpy(), ref, rtol=1e-5)
 
-    def test_softmax_grad(self):
-        check_grads(lambda a: (softmax(a) ** 2).sum(), [randn(3, 5)])
+    def test_stable_for_large_scores(self):
+        big = Tensor(np.array([[1e4, 1e4 + 1.0]], dtype=np.float32))
+        s = masked_softmax(big, None).numpy()
+        assert np.isfinite(s).all()
+        np.testing.assert_allclose(s, [[1 / (1 + np.e), np.e / (1 + np.e)]], rtol=1e-5)
+
+    def test_masked_columns_get_no_probability(self):
+        a = randn(2, 6)
+        allowed = np.array([[1, 1, 0, 1, 0, 0], [0, 1, 1, 1, 1, 1]], dtype=bool)
+        mask = np.where(allowed, np.float32(0.0), np.float32(-1e9))
+        s = masked_softmax(Tensor(a), mask).numpy()
+        assert (s[~allowed] == 0.0).all()
+        for row in range(2):
+            kept = a[row][allowed[row]]
+            e = np.exp(kept - kept.max())
+            np.testing.assert_allclose(s[row][allowed[row]], e / e.sum(), rtol=1e-5)
+
+    def test_scale_equals_prescaled_scores(self):
+        a, mask = randn(3, 4), np.triu(np.full((3, 4), -1e9, dtype=np.float32), k=1)
+        scaled = masked_softmax(Tensor(a), mask, scale=0.25).numpy()
+        prescaled = masked_softmax(Tensor(a * np.float32(0.25)), mask).numpy()
+        np.testing.assert_allclose(scaled, prescaled, rtol=1e-6)
+
+    def test_input_is_not_modified(self):
+        a = randn(3, 4)
+        before = a.copy()
+        masked_softmax(Tensor(a), None)
+        masked_softmax(Tensor(a), np.zeros((3, 4), dtype=np.float32))
+        masked_softmax(Tensor(a), None, scale=0.5)
+        np.testing.assert_array_equal(a, before)
+
+    def test_grad(self):
+        check_grads(lambda a: (masked_softmax(a, None) ** 2).sum(), [randn(3, 5)])
+
+    def test_grad_with_mask_and_scale(self):
+        mask = np.triu(np.full((4, 4), -1e9, dtype=np.float32), k=1)
+        check_grads(
+            lambda a: (masked_softmax(a, mask, scale=0.5) ** 2).sum(), [randn(2, 4, 4)]
+        )
 
 
 class TestCrossEntropy:
@@ -207,18 +242,6 @@ class TestEmbeddingNormEtc:
             lambda x, w: (rms_norm(x, w) ** 2).sum(),
             [randn(3, 6), np.ones(6, dtype=np.float32) + 0.1 * randn(6)],
         )
-
-    def test_dropout_train_and_eval(self):
-        x = Tensor(np.ones((100,), dtype=np.float32))
-        rng = derive_rng(3, "drop")
-        out = dropout(x, 0.5, rng, training=True).numpy()
-        assert set(np.round(np.unique(out), 4)) <= {0.0, 2.0}
-        out_eval = dropout(x, 0.5, rng, training=False)
-        assert out_eval is x
-
-    def test_dropout_p_one_raises(self):
-        with pytest.raises(ValueError):
-            dropout(Tensor(np.ones(3)), 1.0, derive_rng(0, "d"))
 
     def test_where_grad_partitions(self):
         a = Tensor(randn(5), requires_grad=True)

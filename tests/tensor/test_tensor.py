@@ -192,10 +192,12 @@ class TestGraphMechanics:
         with pytest.raises(RuntimeError):
             Tensor(randn(2)).backward()
 
-    def test_detach_cuts_graph(self):
+    def test_tensor_over_graph_data_is_cut_from_graph(self):
         x = Tensor(randn(3), requires_grad=True)
-        y = (x * 2.0).detach()
+        y = Tensor((x * 2.0).numpy())
         assert not y.requires_grad
+        (y * x).sum().backward()
+        np.testing.assert_allclose(x.grad, y.numpy())
 
     def test_deep_chain_no_recursion_error(self):
         x = Tensor(np.ones(1, dtype=np.float32), requires_grad=True)
@@ -208,8 +210,6 @@ class TestGraphMechanics:
     def test_constructors(self):
         assert Tensor.zeros(2, 3).shape == (2, 3)
         assert Tensor.ones(4).numpy().sum() == 4.0
-        t = Tensor.from_rng(derive_rng(0, "x"), (3, 3), scale=0.1, requires_grad=True)
-        assert t.requires_grad and t.shape == (3, 3)
 
     def test_scalar_exponent_only(self):
         with pytest.raises(TypeError):

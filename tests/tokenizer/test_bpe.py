@@ -29,7 +29,7 @@ def tok():
 class TestTraining:
     def test_vocab_grows_to_target(self, tok):
         assert tok.vocab_size == 320
-        assert tok.num_merges == 320 - 256 - len(SpecialTokens().all())
+        assert len(tok._merges) == 320 - 256 - len(SpecialTokens().all())
 
     def test_training_is_deterministic(self):
         a, b = BPETokenizer(), BPETokenizer()
@@ -181,5 +181,5 @@ class TestPersistence:
 
     def test_special_ids_stable(self):
         sp = SpecialTokens()
-        assert (sp.pad_id, sp.bos_id, sp.eos_id, sp.unk_id) == (0, 1, 2, 3)
+        assert (sp.pad_id, sp.bos_id, sp.eos_id, sp.all().index(sp.unk)) == (0, 1, 2, 3)
         assert (sp.inst_open_id, sp.inst_close_id) == (4, 5)

@@ -143,7 +143,8 @@ class TestHeadPath:
 
         source = PaddedExampleSource(make_masked_examples(), batch_size=4, seed=0)
         rows, batch, loss = self._head_rows(source)
-        assert rows == [batch.n_supervised] and batch.n_supervised < batch.n_tokens
+        supervised = int((batch.targets != batch.ignore_index).sum())
+        assert rows == [supervised] and supervised < batch.n_tokens
         # Same objective as the full-sequence head over the same batch.
         from repro.tensor import fused_cross_entropy
 

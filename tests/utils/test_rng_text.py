@@ -1,14 +1,12 @@
-"""Tests for the seeded RNG hub and text helpers."""
+"""Tests for seeded RNG derivation and the text helpers."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils import RngHub, derive_rng
+from repro.utils import derive_rng
 from repro.utils.text import (
     jaccard_similarity,
-    normalize_ws,
     stable_hash,
     tokenize_words,
     word_count,
@@ -31,27 +29,8 @@ class TestRng:
         b = derive_rng(8, "s").random(5)
         assert not np.array_equal(a, b)
 
-    def test_hub_memoises(self):
-        hub = RngHub(3)
-        assert hub.get("x") is hub.get("x")
-        assert hub.get("x") is not hub.fresh("x")
-
-    def test_hub_fresh_restarts_stream(self):
-        hub = RngHub(3)
-        first = hub.fresh("x").random()
-        again = hub.fresh("x").random()
-        assert first == again
-
-    def test_hub_spawn_namespaces(self):
-        a = RngHub(3).spawn("child").get("x").random()
-        b = RngHub(3).spawn("other").get("x").random()
-        assert a != b
-
 
 class TestText:
-    def test_normalize_ws(self):
-        assert normalize_ws("  a \t b\n\nc ") == "a b c"
-
     def test_tokenize_keeps_symbols(self):
         toks = tokenize_words("translate Java to C# on H100-SXM5-80GB")
         assert "C#" in toks and "H100-SXM5-80GB" in toks
