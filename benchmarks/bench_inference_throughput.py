@@ -18,9 +18,14 @@ pays (n_layers full + full-T head) per prompt while the batched path
 cannot go below (n_layers - 1 full layers) — about 2.3x for the 2-layer
 presets here; more cores move that ceiling, more batch width does not.
 
-Each rate is timed ``REPEATS`` times after one untimed warm-up pass and
-recorded as ``{metric, value, unit, n, min, max, host}`` (value: the
-median).  Writes ``benchmarks/out/BENCH_inference.json``; ``--smoke``
+The five configurations (sequential path, engine batch 1 and 16,
+generation at widths 1 and 16) are timed in ``ROUNDS`` rotated rounds
+after one untimed warm-up pass each: every round times each
+configuration once, starting one configuration later than the round
+before, so host drift between rounds hits every configuration alike.
+Each rate is recorded as ``{metric, value, unit, n, min, max, host}``
+(value: the median over rounds), and each ``speedup`` entry is the
+median of the per-round ratios, with their min and max.  Writes ``benchmarks/out/BENCH_inference.json``; ``--smoke``
 times fewer prompts and writes to the gitignored
 ``benchmarks/out-smoke/`` instead, leaving the committed full-run files
 alone.  Defaults to the small preset; set ``REPRO_BENCH_PRESET=paper``
@@ -32,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import time
 
 import numpy as np
@@ -45,18 +51,30 @@ from repro.tensor import no_grad
 
 BIG_BATCH = 16
 MAX_NEW_TOKENS = 16
-REPEATS = 5
+ROUNDS = 7
 
 
-def _rates(n_items: int, fn) -> list[float]:
-    """Items/sec of ``REPEATS`` timed calls of ``fn``, after a warm-up."""
-    fn()
-    rates = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
+def _rotated_rates(configs: dict[str, tuple[int, object]]) -> dict[str, list[float]]:
+    """Items/sec of each ``name: (n_items, fn)`` per round, over
+    ``ROUNDS`` rounds whose order rotates by one each round."""
+    for _, fn in configs.values():
         fn()
-        rates.append(n_items / (time.perf_counter() - start))
+    names = list(configs)
+    rates: dict[str, list[float]] = {name: [] for name in names}
+    for r in range(ROUNDS):
+        for name in names[r % len(names):] + names[: r % len(names)]:
+            n_items, fn = configs[name]
+            start = time.perf_counter()
+            fn()
+            rates[name].append(n_items / (time.perf_counter() - start))
     return rates
+
+
+def _ratio(num: list[float], den: list[float]) -> dict:
+    """Median of the per-round ratios ``num / den``, with its spread."""
+    ratios = [a / b for a, b in zip(num, den)]
+    return {"value": statistics.median(ratios), "n": len(ratios),
+            "min": min(ratios), "max": max(ratios)}
 
 
 def main() -> None:
@@ -91,12 +109,6 @@ def main() -> None:
             for p in prompts:
                 model.forward(np.asarray(p)).numpy()[0, -1]
 
-    margins_seq = _rates(len(prompts), sequential_margins)
-    margins_b1 = _rates(len(prompts), lambda: engine.next_token_logits(prompts, batch_size=1))
-    margins_b16 = _rates(
-        len(prompts), lambda: engine.next_token_logits(prompts, batch_size=BIG_BATCH)
-    )
-
     # -- generation ----------------------------------------------------------
 
     def generate(batch_size: int) -> list[list[int]]:
@@ -106,17 +118,21 @@ def main() -> None:
 
     outs_b1, outs_b16 = generate(1), generate(BIG_BATCH)
     n_tokens = sum(len(o) for o in outs_b16)
-    tokens_b1 = _rates(n_tokens, lambda: generate(1))
-    tokens_b16 = _rates(n_tokens, lambda: generate(BIG_BATCH))
 
+    n = len(prompts)
+    rates = _rotated_rates({
+        "margins_per_s_sequential_path": (n, sequential_margins),
+        "margins_per_s_batch_1": (n, lambda: engine.next_token_logits(prompts, batch_size=1)),
+        f"margins_per_s_batch_{BIG_BATCH}": (
+            n, lambda: engine.next_token_logits(prompts, batch_size=BIG_BATCH)
+        ),
+        "tokens_per_s_batch_1": (n_tokens, lambda: generate(1)),
+        f"tokens_per_s_batch_{BIG_BATCH}": (n_tokens, lambda: generate(BIG_BATCH)),
+    })
     records = [
-        record("margins_per_s_sequential_path", margins_seq, "1/s"),
-        record("margins_per_s_batch_1", margins_b1, "1/s"),
-        record(f"margins_per_s_batch_{BIG_BATCH}", margins_b16, "1/s"),
-        record("tokens_per_s_batch_1", tokens_b1, "tok/s"),
-        record(f"tokens_per_s_batch_{BIG_BATCH}", tokens_b16, "tok/s"),
+        record(metric, samples, "tok/s" if metric.startswith("tokens") else "1/s")
+        for metric, samples in rates.items()
     ]
-    value = {r["metric"]: r["value"] for r in records}
     payload = {
         "mode": "smoke" if smoke else "full",
         "preset": cfg.model.name,
@@ -130,12 +146,15 @@ def main() -> None:
         "max_new_tokens": MAX_NEW_TOKENS,
         "records": records,
         "speedup": {
-            "margins_batched_vs_sequential": value[f"margins_per_s_batch_{BIG_BATCH}"]
-            / value["margins_per_s_sequential_path"],
-            "margins_batch16_vs_batch1": value[f"margins_per_s_batch_{BIG_BATCH}"]
-            / value["margins_per_s_batch_1"],
-            "generation": value[f"tokens_per_s_batch_{BIG_BATCH}"]
-            / value["tokens_per_s_batch_1"],
+            "margins_batched_vs_sequential": _ratio(
+                rates[f"margins_per_s_batch_{BIG_BATCH}"], rates["margins_per_s_sequential_path"]
+            ),
+            "margins_batch16_vs_batch1": _ratio(
+                rates[f"margins_per_s_batch_{BIG_BATCH}"], rates["margins_per_s_batch_1"]
+            ),
+            "generation": _ratio(
+                rates[f"tokens_per_s_batch_{BIG_BATCH}"], rates["tokens_per_s_batch_1"]
+            ),
         },
         "greedy_parity": {
             "tokens": n_tokens,
@@ -149,24 +168,28 @@ def main() -> None:
         (r,) = [r for r in records if r["metric"] == metric]
         return f"{r['value']:8.2f} [{r['min']:.2f}-{r['max']:.2f}]"
 
-    speedup = payload["speedup"]
+    def times(name: str) -> str:
+        r = payload["speedup"][name]
+        return f"{r['value']:.2f}x [{r['min']:.2f}-{r['max']:.2f}]"
+
     write_out(
         "bench_inference_throughput.txt",
         "\n".join(
             [
                 f"Inference throughput ({payload['mode']}; {cfg.model.name}, "
-                f"{len(prompts)} Table-5 prompts; median of {REPEATS} [min-max])",
+                f"{len(prompts)} Table-5 prompts; median of {ROUNDS} rotated rounds "
+                f"[min-max])",
                 f"  margins/sec   sequential: {spread('margins_per_s_sequential_path')}",
                 f"                engine b1:  {spread('margins_per_s_batch_1')}",
                 f"                engine b{BIG_BATCH}: "
                 f"{spread(f'margins_per_s_batch_{BIG_BATCH}')}",
                 f"                batched-vs-sequential speedup: "
-                f"{speedup['margins_batched_vs_sequential']:.2f}x "
+                f"{times('margins_batched_vs_sequential')} "
                 f"(single-core ceiling ~2.3x for a 2-layer model; see module docstring)",
                 f"  tokens/sec    batch=1:    {spread('tokens_per_s_batch_1')}",
                 f"                batch={BIG_BATCH}:   "
                 f"{spread(f'tokens_per_s_batch_{BIG_BATCH}')}   "
-                f"speedup: {speedup['generation']:.2f}x",
+                f"speedup: {times('generation')}",
                 f"  greedy parity batch={BIG_BATCH} vs batch=1: "
                 f"{payload['greedy_parity'][f'batch_{BIG_BATCH}_equals_batch_1']} "
                 f"({n_tokens} tokens)",

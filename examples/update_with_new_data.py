@@ -5,7 +5,8 @@ The paper sketches two update paths when new datasets/models appear:
 1. **checkpoint-resume** — continue fine-tuning the current model on
    the newly collected instruction data;
 2. **retrieval augmentation** — index new text chunks in a semantic
-   vector store and match prompts against them, no retraining.
+   vector store (``HPCGPTSystem.index_documents``) and match prompts
+   against them, no retraining.
 
 This example exercises both against a freshly invented MLPerf v4.0
 submission that did not exist at training time.
@@ -50,8 +51,8 @@ def main() -> None:
     print("\n[strategy 0] frozen model:", system.answer(QUESTION)[:90])
 
     print("\n[strategy 1] retrieval augmentation (no retraining):")
-    rag = system.retrieval_answerer(extra_chunks=[NEW_ROW])
-    print("  ", rag.answer(QUESTION))
+    system.index_documents([NEW_ROW])
+    print("  ", system.retrieval_answerer().answer(QUESTION))
 
     print("\n[strategy 2] checkpoint-resume fine-tuning:")
     pipeline = DataCollectionPipeline()

@@ -43,6 +43,12 @@ from repro.ontology import HPCOntology
 #: fine-tuned checkpoints are never loaded against fresh data.
 DATA_VERSION = 4
 
+#: Task-2 training records per class that fit the detection threshold.
+CALIBRATION_PER_CLASS = 80
+
+#: Tokens decoded per Task-1 answer.
+ANSWER_TOKENS = 40
+
 
 @dataclass(frozen=True)
 class HPCGPTConfig:
@@ -239,15 +245,15 @@ class HPCGPTSystem:
                     self._engines[version] = InferenceEngine(model, self.tokenizer)
         return self._engines[version]
 
-    def _calibrate(self, model: CausalLM, records, max_examples: int = 160) -> float:
+    def _calibrate(self, model: CausalLM, records) -> float:
         """Fit the yes/no margin threshold on *training* records (the
-        midpoint of per-class median margins), absorbing class bias.
+        midpoint of per-class median margins over the first
+        ``CALIBRATION_PER_CLASS`` of each class), absorbing class bias.
         All records score in a handful of batched forwards."""
         engine = InferenceEngine(model, self.tokenizer)
         task2 = [r for r in records if r.task == "datarace"]
-        half = max_examples // 2
-        yes_recs = [r for r in task2 if r.output == "yes"][:half]
-        no_recs = [r for r in task2 if r.output == "no"][:half]
+        yes_recs = [r for r in task2 if r.output == "yes"][:CALIBRATION_PER_CLASS]
+        no_recs = [r for r in task2 if r.output == "no"][:CALIBRATION_PER_CLASS]
         if not yes_recs or not no_recs:
             return 0.0
         yes_m = engine.yes_no_margins([r.instruction for r in yes_recs])
@@ -261,18 +267,17 @@ class HPCGPTSystem:
 
     # -- user-facing API (stage 4 consumes these) ----------------------------------
 
-    def answer(self, question: str, version: str = "l2", max_new_tokens: int = 40) -> str:
+    def answer(self, question: str, version: str = "l2") -> str:
         """Free-form Task-1 question answering."""
-        return self.answer_batch([question], version=version, max_new_tokens=max_new_tokens)[0]
+        return self.answer_batch([question], version=version)[0]
 
-    def answer_batch(
-        self, questions: list[str], version: str = "l2", max_new_tokens: int = 40
-    ) -> list[str]:
-        """Batched Task-1 answering: all questions decode together."""
+    def answer_batch(self, questions: list[str], version: str = "l2") -> list[str]:
+        """Batched Task-1 answering: all questions decode together, each
+        for up to ``ANSWER_TOKENS`` tokens."""
         engine = self.engine(version)
         chat = ChatFormat(self.tokenizer)
         outs = engine.generate_many(
-            [chat.prompt_ids(q) for q in questions], max_new_tokens=max_new_tokens
+            [chat.prompt_ids(q) for q in questions], max_new_tokens=ANSWER_TOKENS
         )
         return [self.tokenizer.decode(o).strip() for o in outs]
 
@@ -362,18 +367,13 @@ class HPCGPTSystem:
             return None
         return self.cache_dir / f"retrieval-index-{self.config.cache_key()}.npz"
 
-    def retrieval_answerer(self, extra_chunks=None, k: int | None = None,
-                           rebuild: bool = False):
+    def retrieval_answerer(self, rebuild: bool = False):
         """§5's LangChain-style strategy, as a cached singleton: the
         vector store over the knowledge base is built (or reloaded from
-        the persistent index) once per process, and ``extra_chunks`` of
-        *new* data are **appended** to the live index — new facts become
-        answerable without retraining *and* without re-embedding
-        everything already indexed.
-
-        ``k`` is sticky: passing it re-tunes the shared answerer, while
-        the default leaves a previous caller's choice in place (internal
-        calls never reset it)."""
+        the persistent index) once per process.  New data reaches it
+        through :meth:`index_documents`, which **appends** to the live
+        index — new facts become answerable without retraining *and*
+        without re-embedding everything already indexed."""
         from repro.retrieval import RetrievalAugmentedAnswerer
 
         with self._retrieval_lock:
@@ -381,17 +381,8 @@ class HPCGPTSystem:
                 self._retrieval = None
             if self._retrieval is None:
                 store = self._build_retrieval_store(rebuild=rebuild)
-                self._retrieval = RetrievalAugmentedAnswerer(store, k=k or 3)
-            rag = self._retrieval
-            if k is not None:
-                rag.k = k
-            if extra_chunks:
-                extra_chunks = list(extra_chunks)
-                self._retrieval_extend(
-                    [c.text for c in extra_chunks],
-                    [{"facts": dict(getattr(c, "facts", {}) or {})} for c in extra_chunks],
-                )
-            return rag
+                self._retrieval = RetrievalAugmentedAnswerer(store)
+            return self._retrieval
 
     def _build_retrieval_store(self, rebuild: bool = False):
         """Load the persisted index if it is fresh, else embed the
@@ -496,9 +487,7 @@ class HPCGPTSystem:
         nothing to say."""
         return self.answer_retrieval_batch([question], version=version)[0]
 
-    def answer_retrieval_batch(
-        self, questions: list[str], version: str = "l2", max_new_tokens: int = 40
-    ) -> list[str]:
+    def answer_retrieval_batch(self, questions: list[str], version: str = "l2") -> list[str]:
         """Batched hybrid answering: all questions run through one
         batched index search; only the questions retrieval cannot answer
         decode through the LM (also batched)."""
@@ -508,11 +497,7 @@ class HPCGPTSystem:
             answers = rag.answer_batch(questions)
         missing = [i for i, a in enumerate(answers) if a is None]
         if missing:
-            lm_answers = self.answer_batch(
-                [questions[i] for i in missing],
-                version=version,
-                max_new_tokens=max_new_tokens,
-            )
+            lm_answers = self.answer_batch([questions[i] for i in missing], version=version)
             for i, out in zip(missing, lm_answers):
                 answers[i] = out
         return answers

@@ -23,7 +23,7 @@ from repro.datagen.prompts import (
     render_instruction_prompt,
 )
 from repro.datagen.teacher import TeacherConfig, TeacherLM
-from repro.datagen.filtering import FilterConfig, FilterStats, InstructionFilter
+from repro.datagen.filtering import FilterStats, InstructionFilter
 from repro.datagen.pipeline import (
     TABLE2_TARGETS,
     TABLE3_TARGETS,
@@ -40,7 +40,6 @@ __all__ = [
     "render_instruction_prompt",
     "TeacherConfig",
     "TeacherLM",
-    "FilterConfig",
     "FilterStats",
     "InstructionFilter",
     "TABLE2_TARGETS",

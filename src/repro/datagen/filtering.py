@@ -2,7 +2,9 @@
 
 "We implement a postprocessing step to filter out inappropriate
 responses and correct any formatting errors" — the rules below implement
-the requirements stated in the Listing-1/2 prompts:
+the requirements stated in the Listing-1/2 prompts, with the thresholds
+in the module constants ``MAX_INSTRUCTION_WORDS``, ``MAX_OUTPUT_WORDS``,
+``MIN_OUTPUT_WORDS`` and ``NEAR_DUP_THRESHOLD``:
 
 * parse failure or missing fields  -> drop (``unparseable``);
 * instruction over 50 words         -> drop (``overlong_instruction``);
@@ -12,7 +14,8 @@ the requirements stated in the Listing-1/2 prompts:
   *correction* pass first: a leading "yes"/"no" sentence is normalised,
   mirroring the paper's "correct any formatting errors";
 * answer not obtainable from the knowledge -> drop (``unverifiable``);
-* exact or near-duplicate of an accepted instance -> drop (``duplicate``).
+* exact or near-duplicate (instruction word-Jaccard >= 0.95) of an
+  accepted instance -> drop (``duplicate``).
 """
 
 from __future__ import annotations
@@ -27,21 +30,12 @@ from repro.utils.text import jaccard_similarity, word_count
 
 _YES_NO_RE = re.compile(r"^\s*[\"']?(yes|no)\b", re.IGNORECASE)
 
-
-@dataclass(frozen=True)
-class FilterConfig:
-    """Thresholds for the pruning rules."""
-
-    max_instruction_words: int = 50
-    max_output_words: int = 50
-    min_output_words: int = 10
-    near_dup_threshold: float = 0.95
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.near_dup_threshold <= 1.0:
-            raise ValueError("near_dup_threshold must be in (0, 1]")
-        if self.min_output_words >= self.max_output_words:
-            raise ValueError("min_output_words must be below max_output_words")
+# Word limits the Listing-1/2 prompts state for an instance, and the
+# instruction similarity at which a Task-1 instance counts as a near-duplicate.
+MAX_INSTRUCTION_WORDS = 50
+MAX_OUTPUT_WORDS = 50
+MIN_OUTPUT_WORDS = 10
+NEAR_DUP_THRESHOLD = 0.95
 
 
 @dataclass
@@ -87,8 +81,7 @@ class FilterStats:
 class InstructionFilter:
     """Stateful filter: remembers accepted instances for deduplication."""
 
-    def __init__(self, config: FilterConfig | None = None) -> None:
-        self.config = config or FilterConfig()
+    def __init__(self) -> None:
         self.stats = FilterStats()
         self._seen_exact: set[tuple[str, str]] = set()
         # Near-dup search is restricted per category to keep it cheap.
@@ -119,7 +112,6 @@ class InstructionFilter:
 
     def accept(self, raw: str, chunk: KnowledgeChunk, category: str) -> InstructionRecord | None:
         """Apply every rule; return the cleaned record or ``None``."""
-        cfg = self.config
         obj = self._parse(raw)
         if obj is None:
             self.stats.unparseable += 1
@@ -142,13 +134,13 @@ class InstructionFilter:
                 self.stats.corrected += 1
             output = normalized
         else:
-            if word_count(instruction) > cfg.max_instruction_words:
+            if word_count(instruction) > MAX_INSTRUCTION_WORDS:
                 self.stats.overlong_instruction += 1
                 return None
-            if word_count(output) > cfg.max_output_words:
+            if word_count(output) > MAX_OUTPUT_WORDS:
                 self.stats.overlong_output += 1
                 return None
-            if word_count(output) < cfg.min_output_words:
+            if word_count(output) < MIN_OUTPUT_WORDS:
                 self.stats.short_output += 1
                 return None
 
@@ -164,7 +156,7 @@ class InstructionFilter:
         bucket = self._accepted_by_cat.setdefault(category, [])
         if chunk.task != "datarace":
             for prev in bucket:
-                if jaccard_similarity(prev, instruction) >= cfg.near_dup_threshold:
+                if jaccard_similarity(prev, instruction) >= NEAR_DUP_THRESHOLD:
                     self.stats.duplicate += 1
                     return None
 

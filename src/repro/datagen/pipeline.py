@@ -12,10 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.datagen.filtering import FilterConfig, FilterStats, InstructionFilter
+from repro.datagen.filtering import FilterStats, InstructionFilter
 from repro.datagen.schema import InstructionRecord, records_to_json
 from repro.datagen.teacher import TeacherConfig, TeacherLM
 from repro.knowledge.corpus import KnowledgeChunk
+
+#: Instances asked of the teacher per Task-1 request.
+TEACHER_BATCH = 4
+#: Teacher requests allowed per wanted instance before a category is
+#: reported as a shortfall.
+MAX_ATTEMPT_FACTOR = 60
 
 #: Table 2 — Task-1 instruction counts per category.
 TABLE2_TARGETS: dict[str, int] = {
@@ -152,26 +158,15 @@ class DatasetBundle:
 
 
 class DataCollectionPipeline:
-    """Figure 1, stage 1: automatic data collection with an LLM."""
+    """Figure 1, stage 1: automatic data collection with an LLM.
 
-    def __init__(
-        self,
-        teacher: TeacherLM | None = None,
-        filter_config: FilterConfig | None = None,
-        batch_size: int = 4,
-        max_attempt_factor: int = 60,
-    ) -> None:
+    Each ``collect_*`` call runs its own :class:`InstructionFilter`, so
+    per-bundle statistics stay independent (and merging bundles adds them
+    correctly).
+    """
+
+    def __init__(self, teacher: TeacherLM | None = None) -> None:
         self.teacher = teacher or TeacherLM(TeacherConfig())
-        self.filter_config = filter_config
-        # Each collect_* call gets its own filter so per-bundle statistics
-        # stay independent (and merging bundles adds them correctly).
-        self.filter = InstructionFilter(filter_config)
-        self.batch_size = batch_size
-        self.max_attempt_factor = max_attempt_factor
-
-    def _fresh_filter(self) -> InstructionFilter:
-        self.filter = InstructionFilter(self.filter_config)
-        return self.filter
 
     # -- Task 1 ---------------------------------------------------------------
 
@@ -187,7 +182,7 @@ class DataCollectionPipeline:
         quick examples); full Table-2 counts need ``scale=1.0``.
         """
         targets = targets or TABLE2_TARGETS
-        self._fresh_filter()
+        filt = InstructionFilter()
         goals = {k: max(1, round(v * scale)) for k, v in targets.items()}
         records: list[InstructionRecord] = []
         shortfalls: dict[str, int] = {}
@@ -210,11 +205,11 @@ class DataCollectionPipeline:
             if not pool:
                 shortfalls[category] = goal
                 continue
-            got = self._collect_category(pool, goal, category, teacher_category)
+            got = self._collect_category(filt, pool, goal, category, teacher_category)
             if len(got) < goal:
                 shortfalls[category] = goal - len(got)
             records.extend(got)
-        return DatasetBundle(records, self.filter.stats, shortfalls)
+        return DatasetBundle(records, filt.stats, shortfalls)
 
     # -- Task 2 ---------------------------------------------------------------
 
@@ -231,7 +226,7 @@ class DataCollectionPipeline:
         program yields at most one instruction, as in DataRaceBench.
         """
         targets = targets or TABLE3_TARGETS
-        self._fresh_filter()
+        filt = InstructionFilter()
         goals = {k: max(1, round(v * scale)) for k, v in targets.items()}
         by_key: dict[tuple[str, str], list[KnowledgeChunk]] = {}
         for c in chunks:
@@ -246,7 +241,7 @@ class DataCollectionPipeline:
             got: list[InstructionRecord] = []
             used: set[str] = set()
             attempts = 0
-            limit = self.max_attempt_factor * goal
+            limit = MAX_ATTEMPT_FACTOR * goal
             # Cycle the pool: a chunk whose first emission was defective
             # (malformed JSON, flipped label, ...) gets another chance; a
             # chunk already accepted re-emits an exact duplicate that the
@@ -258,19 +253,20 @@ class DataCollectionPipeline:
                 if cid in used:
                     continue
                 for raw in self.teacher.generate_batch(chunk, 1):
-                    rec = self.filter.accept(raw, chunk, chunk.category)
+                    rec = filt.accept(raw, chunk, chunk.category)
                     if rec is not None:
                         got.append(rec)
                         used.add(cid)
             if len(got) < goal:
                 shortfalls[f"{key[0]}/{key[1]}"] = goal - len(got)
             records.extend(got)
-        return DatasetBundle(records, self.filter.stats, shortfalls)
+        return DatasetBundle(records, filt.stats, shortfalls)
 
     # -- shared quota loop -----------------------------------------------------
 
     def _collect_category(
         self,
+        filt: InstructionFilter,
         pool: list[KnowledgeChunk],
         goal: int,
         category: str,
@@ -278,7 +274,7 @@ class DataCollectionPipeline:
     ) -> list[InstructionRecord]:
         got: list[InstructionRecord] = []
         attempts = 0
-        limit = self.max_attempt_factor * goal
+        limit = MAX_ATTEMPT_FACTOR * goal
         variant = 0
         while len(got) < goal and attempts < limit:
             chunk = pool[attempts % len(pool)]
@@ -287,12 +283,12 @@ class DataCollectionPipeline:
                 variant += 1
             raws = self.teacher.generate_batch(
                 chunk,
-                min(self.batch_size, goal - len(got)),
+                min(TEACHER_BATCH, goal - len(got)),
                 category=teacher_category,
-                variant=variant * self.batch_size,
+                variant=variant * TEACHER_BATCH,
             )
             for raw in raws:
-                rec = self.filter.accept(raw, chunk, category)
+                rec = filt.accept(raw, chunk, category)
                 if rec is not None:
                     got.append(rec)
                     if len(got) >= goal:

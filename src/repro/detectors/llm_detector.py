@@ -46,12 +46,12 @@ def race_prompt(spec: KernelSpec) -> str:
     return race_instruction(spec.source, spec.language)
 
 
-def parse_yes_no(text: str, default: str = "yes") -> str:
+def parse_yes_no(text: str) -> str:
     """First standalone yes/no in the model output (LLMs often wrap the
-    answer in a sentence); ``default`` mirrors the yes-bias of base
-    models when the output contains neither."""
+    answer in a sentence); "yes" when the output contains neither,
+    mirroring the yes-bias of base models."""
     m = _YES_NO_RE.search(text)
-    return m.group(1).lower() if m else default
+    return m.group(1).lower() if m else "yes"
 
 
 class _TokenBudgetMixin(Detector):

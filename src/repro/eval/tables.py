@@ -49,34 +49,6 @@ def render_table5(rows: list[MetricRow], language: str) -> str:
     return "\n".join(lines)
 
 
-def category_breakdown(
-    results: "list", suite, tool: str
-) -> dict[tuple[str, str], dict[str, int]]:
-    """Per-(language, category) outcome counts for one tool's results.
-
-    Returns ``{(language, category): {"correct": n, "wrong": n,
-    "unsupported": n}}`` — the per-construct view DRB studies use to
-    explain where a tool's recall/specificity comes from.
-    """
-    from repro.detectors.base import Verdict
-
-    by_id = {s.id: s for s in suite.specs}
-    out: dict[tuple[str, str], dict[str, int]] = {}
-    for r in results:
-        spec = by_id.get(r.program_id)
-        if spec is None:
-            continue
-        key = (spec.language, spec.category)
-        bucket = out.setdefault(key, {"correct": 0, "wrong": 0, "unsupported": 0})
-        if r.verdict is Verdict.UNSUPPORTED:
-            bucket["unsupported"] += 1
-        elif (r.verdict is Verdict.RACE) == (spec.label == "yes"):
-            bucket["correct"] += 1
-        else:
-            bucket["wrong"] += 1
-    return out
-
-
 def improvements_over(
     rows: list[MetricRow], subject: str, baselines: list[str], language: str
 ) -> dict[str, float]:

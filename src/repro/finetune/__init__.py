@@ -1,7 +1,8 @@
 """Supervised fine-tuning (Figure 1, stage 2).
 
 Implements the paper's training recipe at laptop scale: instruction SFT
-with LoRA adapters (PEFT — only adapter parameters train), fp16
+with LoRA adapters (PEFT — only the adapters and the RMSNorm gains
+train, see :func:`repro.nn.apply_lora`), fp16
 mixed-precision simulation with loss scaling (:mod:`repro.train.fp16`),
 AdamW at a constant learning rate, gradient clipping, and checkpointing.
 """

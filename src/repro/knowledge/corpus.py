@@ -107,7 +107,6 @@ def build_knowledge_base(
     plp_entries_per_category: int = 8,
     mlperf_rows: int = 24,
     seed: int = 0,
-    include_documents: bool = True,
 ) -> list[KnowledgeChunk]:
     """Assemble the full Task-1 knowledge base (structured + unstructured)."""
     chunks: list[KnowledgeChunk] = []
@@ -115,9 +114,8 @@ def build_knowledge_base(
         chunks.append(plp_chunk(entry))
     for row in build_mlperf_table(mlperf_rows, seed=seed):
         chunks.append(mlperf_chunk(row))
-    if include_documents:
-        from repro.knowledge.documents import build_mlperf_documents, build_plp_documents
+    from repro.knowledge.documents import build_mlperf_documents, build_plp_documents
 
-        chunks.extend(build_plp_documents(seed=seed))
-        chunks.extend(build_mlperf_documents(seed=seed))
+    chunks.extend(build_plp_documents(seed=seed))
+    chunks.extend(build_mlperf_documents(seed=seed))
     return chunks

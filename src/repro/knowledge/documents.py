@@ -12,6 +12,11 @@ from repro.knowledge.mlperf import build_mlperf_table
 from repro.knowledge.plp_catalog import build_plp_catalog
 from repro.utils.rng import derive_rng
 
+#: PLP paragraphs (§4.2 collects "more than 40" PLP papers) and MLPerf
+#: paragraphs in every knowledge base.
+N_PLP_DOCS = 40
+N_MLPERF_DOCS = 12
+
 _PLP_OPENERS = [
     "Recent work on {cat} explores transformer models for source code.",
     "The {cat} literature has converged on benchmark-driven evaluation.",
@@ -38,14 +43,14 @@ _MLPERF_BODY = (
 )
 
 
-def build_plp_documents(n_docs: int = 40, seed: int = 0) -> list:
-    """Paper-like paragraphs grounded in the PLP catalog (>= 40, per §4.2)."""
+def build_plp_documents(seed: int = 0) -> list:
+    """``N_PLP_DOCS`` paper-like paragraphs grounded in the PLP catalog."""
     from repro.knowledge.corpus import KnowledgeChunk
 
     rng = derive_rng(seed, "knowledge/plp-docs")
     catalog = build_plp_catalog(seed=seed)
     docs: list[KnowledgeChunk] = []
-    for i in range(n_docs):
+    for i in range(N_PLP_DOCS):
         entry = catalog[int(rng.integers(len(catalog)))]
         opener = _PLP_OPENERS[i % len(_PLP_OPENERS)].format(cat=entry.category)
         body = _PLP_BODY.format(
@@ -73,14 +78,14 @@ def build_plp_documents(n_docs: int = 40, seed: int = 0) -> list:
     return docs
 
 
-def build_mlperf_documents(n_docs: int = 12, seed: int = 0) -> list:
-    """Paper-like paragraphs grounded in the MLPerf table."""
+def build_mlperf_documents(seed: int = 0) -> list:
+    """``N_MLPERF_DOCS`` paper-like paragraphs grounded in the MLPerf table."""
     from repro.knowledge.corpus import KnowledgeChunk
 
     rng = derive_rng(seed, "knowledge/mlperf-docs")
     table = build_mlperf_table(seed=seed)
     docs: list[KnowledgeChunk] = []
-    for i in range(n_docs):
+    for i in range(N_MLPERF_DOCS):
         row = table[int(rng.integers(len(table)))]
         opener = _MLPERF_OPENERS[i % len(_MLPERF_OPENERS)]
         body = _MLPERF_BODY.format(

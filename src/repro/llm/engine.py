@@ -205,9 +205,7 @@ class InferenceEngine:
                 out[take] = logits.numpy()[:, -1, :]
         return out
 
-    def yes_no_margins(
-        self, instructions: list[str], batch_size: int = DEFAULT_BATCH_SIZE
-    ) -> list[float]:
+    def yes_no_margins(self, instructions: list[str]) -> list[float]:
         """Batched log-odds margins ``logit(" yes") - logit(" no")`` at the
         answer position of each chat-formatted instruction (left-truncated
         to the model context by :func:`clamp_prompt` inside the scorer).
@@ -221,7 +219,7 @@ class InferenceEngine:
         prompts = [self.chat.prompt_ids(instruction, tail=keep) for instruction in instructions]
         yes_id = self.tokenizer.encode(" yes")[0]
         no_id = self.tokenizer.encode(" no")[0]
-        logits = self.next_token_logits(prompts, batch_size=batch_size)
+        logits = self.next_token_logits(prompts)
         return [float(m) for m in logits[:, yes_id] - logits[:, no_id]]
 
 

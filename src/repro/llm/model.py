@@ -11,7 +11,7 @@ import numpy as np
 from repro.nn import Embedding, RMSNorm, TransformerBlock
 from repro.nn.attention import KVCache, RotaryEmbedding
 from repro.nn.module import Module
-from repro.tensor import Tensor, cross_entropy_logits
+from repro.tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,6 @@ class ModelConfig:
     hidden_dim: int = 176  # ~ 8/3 * dim, rounded like LLaMA
     max_seq_len: int = 256
     name: str = "tiny-llama-sim"
-    tie_embeddings: bool = True
 
     def __post_init__(self) -> None:
         if self.dim % self.n_heads:
@@ -54,12 +53,6 @@ class CausalLM(Module):
                 TransformerBlock(config.dim, config.n_heads, config.hidden_dim, rng),
             )
         self.norm = RMSNorm(config.dim)
-        if not config.tie_embeddings:
-            from repro.nn import Linear
-
-            self.lm_head = Linear(config.dim, config.vocab_size, rng)
-        else:
-            self.lm_head = None
 
     # -- caches -------------------------------------------------------------
 
@@ -140,18 +133,10 @@ class CausalLM(Module):
         return self.output_logits(x)
 
     def output_logits(self, hidden: Tensor) -> Tensor:
-        """Project hidden states (..., dim) to vocab logits — the LM
-        head, exposed so callers can apply it to a subset of positions."""
-        if self.lm_head is not None:
-            return self.lm_head(hidden)
+        """Project hidden states (..., dim) to vocab logits through the
+        tied embedding — the LM head, exposed so callers can apply it to a
+        subset of positions."""
         return hidden @ self.tok_emb.weight.T
-
-    def loss(
-        self, ids: np.ndarray, targets: np.ndarray, ignore_index: int = -100
-    ) -> Tensor:
-        """Mean next-token cross-entropy; ``targets`` already shifted."""
-        logits = self.forward(ids)
-        return cross_entropy_logits(logits, targets, ignore_index=ignore_index)
 
     # -- convenience --------------------------------------------------------------
 

@@ -154,20 +154,12 @@ def pretrain(
     pre: PretrainConfig,
     tokenizer: BPETokenizer | None = None,
     corpus: list[str] | None = None,
-    log_every: int = 0,
 ) -> tuple[CausalLM, BPETokenizer, list[float]]:
     """Pretrain a fresh model; returns (model, tokenizer, loss curve).
 
     Delegates to the unified :class:`repro.train.Trainer` — the single
     training loop shared with SFT and §5 updates.
     """
-    callbacks = []
-    if log_every:  # pragma: no cover - logging only
-        callbacks.append(
-            lambda info: info.step % log_every == 0
-            and print(f"  pretrain[{config.name}] step={info.step} loss={info.loss:.3f}")
-        )
     trainer, tokenizer = pretrain_trainer(config, pre, tokenizer, corpus)
-    trainer.callbacks.extend(callbacks)
     report = trainer.train()
     return trainer.model, tokenizer, report.losses

@@ -156,6 +156,3 @@ class ModelRegistry:
             save_state(model, ckpt)
         self._models[name] = model
         return model
-
-    def available(self) -> list[str]:
-        return sorted(BASE_RECIPES)

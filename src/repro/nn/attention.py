@@ -14,6 +14,7 @@ from repro.nn.module import Module
 from repro.tensor import Tensor, masked_softmax
 
 NEG_INF = np.float32(-1e9)
+ROPE_BASE = 10000.0  # LLaMA's RoPE frequency base
 
 
 def causal_mask(q_len: int, k_len: int | None = None, offset: int = 0) -> np.ndarray:
@@ -51,12 +52,12 @@ class RotaryEmbedding:
     attention dot product.
     """
 
-    def __init__(self, head_dim: int, max_seq_len: int, base: float = 10000.0) -> None:
+    def __init__(self, head_dim: int, max_seq_len: int) -> None:
         if head_dim % 2 != 0:
             raise ValueError("RoPE requires an even head dimension")
         self.head_dim = head_dim
         self.max_seq_len = max_seq_len
-        inv_freq = 1.0 / (base ** (np.arange(0, head_dim, 2) / head_dim))
+        inv_freq = 1.0 / (ROPE_BASE ** (np.arange(0, head_dim, 2) / head_dim))
         t = np.arange(max_seq_len)
         freqs = np.outer(t, inv_freq)  # (T, head_dim/2)
         self.cos = np.cos(freqs).astype(np.float32)

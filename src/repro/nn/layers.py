@@ -9,19 +9,13 @@ from repro.tensor import Tensor, embedding, rms_norm
 
 
 class Linear(Module):
-    """Affine map ``x @ W^T + b``.
+    """Linear map ``x @ W^T`` with no bias, as in LLaMA projections.
 
     Weights use scaled-Gaussian init (std = 1/sqrt(fan_in)), the LLaMA
-    convention; bias defaults off, as in LLaMA projections.
+    convention.
     """
 
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        rng: np.random.Generator,
-        bias: bool = False,
-    ) -> None:
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator) -> None:
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
@@ -30,16 +24,12 @@ class Linear(Module):
             (rng.standard_normal((out_features, in_features)) * scale).astype(np.float32),
             name="weight",
         )
-        self.bias = Parameter(np.zeros(out_features, dtype=np.float32), name="bias") if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.T
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return x @ self.weight.T
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Linear({self.in_features}->{self.out_features}, bias={self.bias is not None})"
+        return f"Linear({self.in_features}->{self.out_features})"
 
 
 class Embedding(Module):
@@ -67,11 +57,10 @@ class Embedding(Module):
 class RMSNorm(Module):
     """LLaMA's RMS normalisation with a learned per-channel gain."""
 
-    def __init__(self, dim: int, eps: float = 1e-5) -> None:
+    def __init__(self, dim: int) -> None:
         super().__init__()
         self.dim = dim
-        self.eps = eps
         self.weight = Parameter(np.ones(dim, dtype=np.float32), name="weight")
 
     def forward(self, x: Tensor) -> Tensor:
-        return rms_norm(x, self.weight, eps=self.eps)
+        return rms_norm(x, self.weight)

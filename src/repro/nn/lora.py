@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.nn.layers import Linear
+from repro.nn.layers import Linear, RMSNorm
 from repro.nn.module import Module, Parameter
 from repro.tensor import Tensor
 
@@ -33,6 +33,10 @@ class LoRAConfig:
     target_modules:
         Dotted-name *suffixes* of Linear layers to wrap (LLaMA practice:
         the attention projections).
+
+    With ``rank > 0`` the RMSNorm gains train too (common PEFT practice
+    alongside LoRA; at tiny model scale this is what lets the output
+    distribution move).
     """
 
     rank: int = 4
@@ -40,9 +44,6 @@ class LoRAConfig:
     target_modules: tuple[str, ...] = field(
         default=("attn.wq", "attn.wk", "attn.wv", "attn.wo")
     )
-    #: Also train RMSNorm gains (common PEFT practice alongside LoRA; at
-    #: tiny model scale this is what lets the output distribution move).
-    train_norms: bool = True
 
     def __post_init__(self) -> None:
         if self.rank < 0:
@@ -91,7 +92,8 @@ def _resolve_parent(root: Module, dotted: str) -> tuple[Module, str]:
 
 def apply_lora(model: Module, config: LoRAConfig, rng: np.random.Generator) -> list[str]:
     """Wrap every targeted Linear in ``model`` with a LoRALinear, freezing
-    everything else.  Returns the dotted names that were wrapped.
+    everything else but the RMSNorm gains.  Returns the dotted names that
+    were wrapped.
 
     With ``config.rank == 0`` the model is left unchanged and fully
     trainable (the full-fine-tuning ablation).
@@ -111,12 +113,9 @@ def apply_lora(model: Module, config: LoRAConfig, rng: np.random.Generator) -> l
         base = getattr(parent, attr)
         setattr(parent, attr, LoRALinear(base, config, rng))
         wrapped.append(name)
-    if config.train_norms:
-        from repro.nn.layers import RMSNorm
-
-        for _, mod in model.named_modules():
-            if isinstance(mod, RMSNorm):
-                mod.unfreeze()
+    for _, mod in model.named_modules():
+        if isinstance(mod, RMSNorm):
+            mod.unfreeze()
     return wrapped
 
 

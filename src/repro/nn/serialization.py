@@ -42,9 +42,9 @@ def save_state(model: Module, path: str | os.PathLike, extra: dict | None = None
     atomic_savez(path, **payload)
 
 
-def load_state(model: Module, path: str | os.PathLike, strict: bool = True) -> dict:
+def load_state(model: Module, path: str | os.PathLike) -> dict:
     """Load a checkpoint produced by :func:`save_state` into ``model``;
-    returns the metadata dict."""
+    returns the metadata dict.  Every parameter must match by name."""
     with np.load(path, allow_pickle=False) as npz:
         state = {}
         meta = {}
@@ -53,5 +53,5 @@ def load_state(model: Module, path: str | os.PathLike, strict: bool = True) -> d
                 meta[key[len("__meta__"):]] = npz[key]
             else:
                 state[key] = npz[key]
-    model.load_state_dict(state, strict=strict)
+    model.load_state_dict(state)
     return meta

@@ -81,6 +81,3 @@ class TripleStore:
             yield from self._o.get(obj, ())
             return
         yield from self._triples
-
-    def objects(self, subject: str, predicate: str) -> set[str]:
-        return set(self._sp.get((subject, predicate), set()))

@@ -150,6 +150,3 @@ class TfidfEmbedder:
         if not texts:
             return np.zeros((0, self.dim), dtype=np.float64)
         return self.embed_batch_sparse(texts).to_dense()
-
-    def embed(self, text: str) -> np.ndarray:
-        return self.embed_batch([text])[0]

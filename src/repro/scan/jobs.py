@@ -5,9 +5,9 @@ handler (a repository scan or a continual-learning update can take
 minutes), and must not stampede the model: jobs run one at a time on a
 single daemon worker, while submission and status polling are O(1)
 dictionary operations.  Finished jobs keep their result until the queue
-is closed (a bounded history evicts the oldest finished jobs), and at
-most :data:`MAX_PENDING_JOBS` jobs wait to start: a submission past
-that raises :class:`QueueFull` (the server answers 429).
+is closed (past :data:`MAX_FINISHED_JOBS` the oldest finished jobs are
+evicted), and at most :data:`MAX_PENDING_JOBS` jobs wait to start: a
+submission past that raises :class:`QueueFull` (the server answers 429).
 
 :class:`JobQueue` is generic — a *kind* names the job-id prefix, a
 *subject_key* names how the job's subject serialises (``"path"`` for
@@ -28,6 +28,10 @@ QUEUED, RUNNING, DONE, ERROR = "queued", "running", "done", "error"
 
 #: Jobs one queue holds submitted but not yet started.
 MAX_PENDING_JOBS = 16
+#: Finished jobs one queue keeps for status polls.
+MAX_FINISHED_JOBS = 64
+#: Seconds :meth:`JobQueue.close` waits for the running job.
+CLOSE_TIMEOUT_S = 10.0
 
 
 class QueueFull(RuntimeError):
@@ -48,7 +52,7 @@ class Job:
     started_at: float | None = None
     finished_at: float | None = None
 
-    def to_dict(self, include_result: bool = True) -> dict:
+    def to_dict(self) -> dict:
         out = {
             "id": self.id,
             self.subject_key: self.subject,
@@ -59,7 +63,7 @@ class Job:
         }
         if self.error is not None:
             out["error"] = self.error
-        if include_result and self.result is not None:
+        if self.result is not None:
             out[self.result_key] = self.result
         return out
 
@@ -75,13 +79,11 @@ class JobQueue:
     def __init__(
         self,
         runner: Callable[[str, dict], dict],
-        max_finished: int = 64,
         kind: str = "scan",
         subject_key: str = "path",
         result_key: str = "report",
     ) -> None:
         self._runner = runner
-        self._max_finished = max_finished
         self._kind = kind
         self._subject_key = subject_key
         self._result_key = result_key
@@ -123,20 +125,20 @@ class JobQueue:
         with self._lock:
             return self._jobs.get(job_id)
 
-    def close(self, timeout: float = 10.0) -> None:
+    def close(self) -> None:
         with self._lock:
             if self._closed:
                 return
             self._closed = True
         self._queue.put(None)
-        self._worker.join(timeout=timeout)
+        self._worker.join(timeout=CLOSE_TIMEOUT_S)
 
     # -- worker --------------------------------------------------------------
 
     def _evict_locked(self) -> None:
         finished = [i for i in self._order
                     if self._jobs[i].status in (DONE, ERROR)]
-        while len(finished) > self._max_finished:
+        while len(finished) > MAX_FINISHED_JOBS:
             victim = finished.pop(0)
             self._jobs.pop(victim, None)
             self._order.remove(victim)

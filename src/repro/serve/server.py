@@ -27,9 +27,12 @@ Endpoints (JSON over HTTP, stdlib ``http.server`` — no dependencies):
 * ``GET  /api/update/<id>`` — update job status + result when done.
 
 A POST body longer than :data:`MAX_BODY_BYTES` gets 413 without being
-read, and the connection is closed.  A scan or update submitted while
-its queue already holds :data:`repro.scan.jobs.MAX_PENDING_JOBS` jobs
-waiting to start gets 429 with a ``Retry-After`` header.  A request
+read, and the connection is closed.  ``epochs`` (``/api/update``) and
+``max_tokens`` (``/api/knowledge``) must be JSON integers of at least 1,
+and ``epochs`` at most :data:`MAX_UPDATE_EPOCHS`: anything else gets
+400.  A scan or update submitted while its queue already holds
+:data:`repro.scan.jobs.MAX_PENDING_JOBS` jobs waiting to start gets 429
+with a ``Retry-After`` header.  A request
 whose handling raises (for example a failed inference batch) gets 500
 with ``{"error": "ExcType: message"}``.
 
@@ -327,6 +330,11 @@ class ServingFrontend:
 #: bytes (``\u00XX``) per byte, plus 1 MiB for the other fields.
 MAX_BODY_BYTES = 13 * 1024 * 1024
 
+#: Most training epochs one ``POST /api/update`` may ask for.  The update
+#: job holds the system lock while it trains, so every answer and detect
+#: request waits for it; no preset's fine-tune runs more than 12 epochs.
+MAX_UPDATE_EPOCHS = 16
+
 
 #: Seconds a client told 429 (a full job backlog) should wait.
 RETRY_AFTER_S = 5
@@ -369,16 +377,18 @@ def _field(payload: dict, key: str, kind: type, default=None):
     return value
 
 
-def _positive_int(payload: dict, key: str) -> int | None:
+def _positive_int(payload: dict, key: str, maximum: int | None = None) -> int | None:
+    """``payload[key]`` as a JSON integer in ``[1, maximum]``; ``None``
+    when absent or null.  Booleans, fractions and strings are refused."""
     value = payload.get(key)
     if value is None:
         return None
-    try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise _BadRequest(f"{key!r} must be an integer") from None
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise _BadRequest(f"{key!r} must be an integer")
     if value < 1:
         raise _BadRequest(f"{key!r} must be >= 1")
+    if maximum is not None and value > maximum:
+        raise _BadRequest(f"{key!r} must be <= {maximum}")
     return value
 
 
@@ -599,7 +609,7 @@ class HPCGPTRequestHandler(BaseHTTPRequestHandler):
                 raise _BadRequest(f"records[{i}] needs 'instruction' and 'output' fields")
         version = _version(payload)
         options: dict = {"records": records}
-        epochs = _positive_int(payload, "epochs")
+        epochs = _positive_int(payload, "epochs", MAX_UPDATE_EPOCHS)
         if epochs is not None:
             options["epochs"] = epochs
         job = _submit_job(self.frontend.update_submit, version, options)

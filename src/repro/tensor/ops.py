@@ -41,25 +41,18 @@ def silu(x: Tensor) -> Tensor:
     return Tensor._op(out_data, (x,), backward)
 
 
-def masked_softmax(x: Tensor, mask: np.ndarray | None, scale: float | None = None) -> Tensor:
-    """Fused ``softmax(x * scale + mask)`` along the last axis.
+def masked_softmax(x: Tensor, mask: np.ndarray | None) -> Tensor:
+    """Fused ``softmax(x + mask)`` along the last axis.
 
     This is the attention-probabilities kernel: ``x`` is the raw score
     tensor (B, H, T_q, T_k) — the largest activation of the forward — so
     folding the additive mask and the softmax normalisation into in-place
     passes over one temporary is a measurable bandwidth win on the CPU
-    substrate.  ``scale=None`` means the caller already scaled the scores
-    (attention folds 1/sqrt(d) into the much smaller ``q``), skipping a
-    full pass over the T_q x T_k tensor.
+    substrate.  The scores arrive already scaled (attention folds
+    1/sqrt(d) into the much smaller ``q``), skipping a full pass over the
+    T_q x T_k tensor.
     """
-    if scale is not None:
-        z = x.data * np.float32(scale)
-        if mask is not None:
-            z += mask
-    elif mask is not None:
-        z = x.data + mask
-    else:
-        z = x.data.copy()
+    z = x.data + mask if mask is not None else x.data.copy()
     z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
@@ -67,10 +60,7 @@ def masked_softmax(x: Tensor, mask: np.ndarray | None, scale: float | None = Non
 
     def backward(g: np.ndarray):
         dot = (g * out_data).sum(axis=-1, keepdims=True)
-        grad = out_data * (g - dot)
-        if scale is not None:
-            grad *= np.float32(scale)
-        return [(x, grad)]
+        return [(x, out_data * (g - dot))]
 
     return Tensor._op(out_data.astype(x.dtype, copy=False), (x,), backward)
 

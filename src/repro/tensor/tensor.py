@@ -87,16 +87,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self.name = name
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def zeros(*shape: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(*shape: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=np.float32), requires_grad=requires_grad)
-
     # -- properties ------------------------------------------------------------
 
     @property

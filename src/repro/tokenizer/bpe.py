@@ -62,7 +62,7 @@ class BPETokenizer:
     def _word_to_base_ids(self, word: str) -> tuple[int, ...]:
         return tuple(self._byte_offset + b for b in word.encode("utf-8"))
 
-    def train(self, texts: list[str], vocab_size: int, verbose: bool = False) -> None:
+    def train(self, texts: list[str], vocab_size: int) -> None:
         """Learn merges until the vocabulary reaches ``vocab_size``."""
         if vocab_size <= self.vocab_size:
             raise ValueError(
@@ -98,8 +98,6 @@ class BPETokenizer:
             for seq, freq in words:
                 new_words.append((self._apply_merge(seq, best, merged_id), freq))
             words = new_words
-            if verbose and len(self._ranks) % 100 == 0:  # pragma: no cover
-                print(f"  merges={len(self._ranks)} vocab={self.vocab_size}")
         self._cache.clear()
 
     @staticmethod

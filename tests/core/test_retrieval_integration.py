@@ -40,7 +40,7 @@ class TestSingleton:
         b = system.retrieval_answerer()
         assert a is b and a.store is b.store
 
-    def test_extra_chunks_append_instead_of_rebuild(self, system):
+    def test_ingested_chunks_append_instead_of_rebuild(self, system):
         rag = system.retrieval_answerer()
         n = len(rag.store)
         chunk = KnowledgeChunk(
@@ -48,11 +48,11 @@ class TestSingleton:
             source="test", task="mlperf", category="System",
             facts={"System": "appended_sys", "Accelerator": "H200-NVL-141GB"},
         )
-        rag2 = system.retrieval_answerer(extra_chunks=[chunk])
-        assert rag2 is rag
+        system.index_documents([chunk])
+        assert system.retrieval_answerer() is rag
         assert len(rag.store) == n + 1
         # Idempotent: re-passing the same chunk does not duplicate it.
-        system.retrieval_answerer(extra_chunks=[chunk])
+        system.index_documents([chunk])
         assert len(rag.store) == n + 1
 
     def test_rebuild_discards_appended_chunks(self, system):
@@ -113,7 +113,7 @@ class TestHybridAnswering:
         monkeypatch.setattr(
             system,
             "answer_batch",
-            lambda qs, version="l2", max_new_tokens=40: [f"lm:{q}" for q in qs],
+            lambda qs, version="l2": [f"lm:{q}" for q in qs],
         )
         out = system.answer_retrieval_batch(["anything?"], version="l2")
         assert out == ["lm:anything?"]

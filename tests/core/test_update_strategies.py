@@ -30,8 +30,8 @@ NEW_CHUNK = KnowledgeChunk(
 
 class TestRetrievalStrategy:
     def test_new_fact_answerable_without_retraining(self, system):
-        rag = system.retrieval_answerer(extra_chunks=[NEW_CHUNK])
-        ans = rag.answer("What is the System if the Accelerator used is "
+        system.index_documents([NEW_CHUNK])
+        ans = system.retrieval_answerer().answer("What is the System if the Accelerator used is "
                          "NVIDIA B200-SXM6-192GB and the Software used is PyTorch 2.3?")
         assert ans is not None and "dgxb200_n8" in ans
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.datagen import FilterConfig, InstructionFilter, TeacherConfig, TeacherLM
+from repro.datagen import InstructionFilter, TeacherConfig, TeacherLM
 from repro.knowledge.corpus import KnowledgeChunk
 
 
@@ -210,9 +210,9 @@ class TestFilter:
         assert f.stats.duplicate == 1
 
     def test_near_duplicate_rejected_same_category_only(self):
-        f = InstructionFilter(FilterConfig(near_dup_threshold=0.9))
-        q1 = "Which dataset is recommended for defect detection tasks in the C language today?"
-        q2 = "Which dataset is recommended for defect detection tasks in the C language?"
+        f = InstructionFilter()
+        words = [f"term{i}" for i in range(21)]
+        q1, q2 = " ".join(words), " ".join(words[:20])  # Jaccard 20/21 ~ 0.952
         out = "The Devign dataset can be used for defect detection tasks in the C language."
         assert f.accept(self._raw(q1, out), plp_chunk(), "CatA") is not None
         assert f.accept(self._raw(q2, out + " Indeed."), plp_chunk(), "CatA") is None
@@ -220,11 +220,35 @@ class TestFilter:
         # Same question in a different category bucket is allowed.
         assert f.accept(self._raw(q2, out + " Indeed."), plp_chunk(), "CatB") is not None
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FilterConfig(near_dup_threshold=0.0)
-        with pytest.raises(ValueError):
-            FilterConfig(min_output_words=50, max_output_words=50)
+    @pytest.mark.parametrize("shared, kept", [(19, False), (18, True)])
+    def test_near_duplicate_threshold_is_095(self, shared, kept):
+        """Jaccard 19/20 = 0.95 is a near-duplicate; 18/19 ~ 0.947 is not."""
+        f = InstructionFilter()
+        words = [f"term{i}" for i in range(shared + 1)]
+        out = "The Devign dataset can be used for defect detection tasks in the C language."
+        assert f.accept(self._raw(" ".join(words[:shared]), out), plp_chunk(), "X") is not None
+        rec = f.accept(self._raw(" ".join(words), out + " Indeed."), plp_chunk(), "X")
+        assert (rec is not None) == kept
+
+    @pytest.mark.parametrize("n, kept", [(50, True), (51, False)])
+    def test_instruction_word_limit(self, n, kept):
+        f = InstructionFilter()
+        question = " ".join(f"q{i}" for i in range(n))
+        out = "The Devign dataset can be used for defect detection tasks in the C language."
+        assert (f.accept(self._raw(question, out), plp_chunk(), "X") is not None) == kept
+        assert f.stats.overlong_instruction == (0 if kept else 1)
+
+    @pytest.mark.parametrize(
+        "n, kept, reason",
+        [(50, True, None), (51, False, "overlong_output"),
+         (10, True, None), (9, False, "short_output")],
+    )
+    def test_output_word_limits(self, n, kept, reason):
+        f = InstructionFilter()
+        out = " ".join(["Devign"] + ["word"] * (n - 1))
+        assert (f.accept(self._raw("Short question?", out), plp_chunk(), "X") is not None) == kept
+        if reason:
+            assert getattr(f.stats, reason) == 1
 
     def test_input_field_capital_i_accepted(self):
         # Listing 2 spells the field "Input"; the filter normalises it.

@@ -67,7 +67,7 @@ class TestParseYesNo:
 
     def test_default_on_garbage(self):
         assert parse_yes_no("ssssss") == "yes"
-        assert parse_yes_no("", default="no") == "no"
+        assert parse_yes_no("") == "yes"
 
     def test_word_boundaries(self):
         assert parse_yes_no("nothing to note here") == "yes"  # 'no' not standalone

@@ -108,8 +108,9 @@ class TestScoreBatchParity:
 
     def test_margins_batch_size_invariant(self, engine):
         instructions = ["alpha beta", "gamma", "delta epsilon zeta eta theta"]
-        a = engine.yes_no_margins(instructions, batch_size=1)
-        b = engine.yes_no_margins(instructions, batch_size=3)
+        prompts = [engine.chat.prompt_ids(s) for s in instructions]
+        a = engine.next_token_logits(prompts, batch_size=1)
+        b = engine.next_token_logits(prompts, batch_size=3)
         np.testing.assert_allclose(a, b, atol=1e-5)
 
     def test_next_token_logits_match_direct_forward(self, engine, model, mixed_prompts):

@@ -13,7 +13,7 @@ from repro.llm import (
     pretrain,
 )
 from repro.llm.pretrain import train_tokenizer_on
-from repro.tensor import no_grad
+from repro.tensor import cross_entropy_logits, no_grad
 from repro.utils.rng import derive_rng
 
 SMALL = ModelConfig(vocab_size=300, dim=16, n_layers=2, n_heads=2, hidden_dim=32, max_seq_len=64)
@@ -50,7 +50,7 @@ class TestModel:
     def test_loss_positive_and_near_uniform_at_init(self, model):
         ids = np.array([[1, 7, 8, 9]])
         targets = np.array([[7, 8, 9, 2]])
-        loss = model.loss(ids, targets).item()
+        loss = cross_entropy_logits(model.forward(ids), targets).item()
         assert 0 < loss < 2 * np.log(300)
 
     def test_config_validation(self):

@@ -47,8 +47,8 @@ class TestTripleStore:
         assert list(store.match("hpc:e1", "hpc:language", "C/C++"))
         assert not list(store.match("hpc:e1", "hpc:language", "Rust"))
 
-    def test_objects_helper(self, store):
-        assert store.objects("hpc:e2", "hpc:dataset") == {"Bugs2Fix"}
+    def test_match_sp_and_po_second_entry(self, store):
+        assert {t.obj for t in store.match("hpc:e2", "hpc:dataset")} == {"Bugs2Fix"}
         subs = {t.subject for t in store.match(None, "hpc:language", "Java")}
         assert subs == {"hpc:e2"}
 

@@ -61,21 +61,21 @@ def store(embedder, kb):
 
 class TestEmbedder:
     def test_unit_norm(self, embedder):
-        v = embedder.embed("the Devign dataset targets C programs")
+        v = embedder.embed_batch(["the Devign dataset targets C programs"])[0]
         assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-6)
 
     def test_similar_texts_closer(self, embedder):
-        a = embedder.embed("dataset for defect detection in C")
-        b = embedder.embed("defect detection dataset for the C language")
-        c = embedder.embed("the lighthouse welcomes every visitor at dusk")
+        a = embedder.embed_batch(["dataset for defect detection in C"])[0]
+        b = embedder.embed_batch(["defect detection dataset for the C language"])[0]
+        c = embedder.embed_batch(["the lighthouse welcomes every visitor at dusk"])[0]
         assert a @ b > a @ c
 
     def test_empty_text_zero_vector(self, embedder):
-        assert np.linalg.norm(embedder.embed("")) == 0.0
+        assert np.linalg.norm(embedder.embed_batch([""])[0]) == 0.0
 
     def test_requires_fit(self, tok):
         with pytest.raises(RuntimeError):
-            TfidfEmbedder(tok).embed("x")
+            TfidfEmbedder(tok).embed_batch(["x"])
         with pytest.raises(RuntimeError):
             TfidfEmbedder(tok).embed_batch_sparse(["x"])
         with pytest.raises(ValueError):
@@ -130,7 +130,7 @@ class TestEmbedder:
         clone = TfidfEmbedder.from_idf(tok, embedder.idf)
         assert clone.fingerprint() == embedder.fingerprint()
         text = kb[0].text
-        assert np.array_equal(clone.embed(text), embedder.embed(text))
+        assert np.array_equal(clone.embed_batch([text]), embedder.embed_batch([text]))
         with pytest.raises(ValueError):
             TfidfEmbedder.from_idf(tok, np.ones(3))
 

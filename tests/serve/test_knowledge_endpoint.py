@@ -64,7 +64,7 @@ class TestKnowledgeEndpoint:
             assert err.value.code == 400
 
     def test_bad_max_tokens_400(self, server_url):
-        for bad in ("abc", 0, -3):
+        for bad in ("abc", "64", 0, -3, True, 2.5):
             with pytest.raises(urllib.error.HTTPError) as err:
                 _post_raw(
                     server_url + "/api/knowledge",

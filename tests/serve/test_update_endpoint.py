@@ -7,7 +7,7 @@ import urllib.request
 import pytest
 
 from repro.serve import HPCGPTClient
-from repro.serve.server import start_background
+from repro.serve.server import MAX_UPDATE_EPOCHS, start_background
 
 from support.stub_system import StubSystem
 
@@ -81,6 +81,10 @@ class TestUpdateEndpoint:
             {"records": RECORDS, "version": "l3"},  # unknown version
             {"records": RECORDS, "epochs": "many"},  # non-integer epochs
             {"records": RECORDS, "epochs": 0},  # < 1
+            {"records": RECORDS, "epochs": True},  # a bool is not a count
+            {"records": RECORDS, "epochs": 2.5},  # fractional
+            {"records": RECORDS, "epochs": "3"},  # a string, even a numeric one
+            {"records": RECORDS, "epochs": MAX_UPDATE_EPOCHS + 1},  # over the cap
         ],
     )
     def test_bad_payloads_rejected(self, update_server, payload):
@@ -91,6 +95,14 @@ class TestUpdateEndpoint:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req)
         assert err.value.code == 400
+
+    def test_epochs_at_the_cap_accepted(self, update_server):
+        system, url = update_server
+        client = HPCGPTClient(url)
+        job_id = client.update_start(RECORDS, epochs=MAX_UPDATE_EPOCHS)
+        assert client.update_wait(job_id, timeout=10.0)["status"] == "done"
+        (_, _, epochs), = system.updates
+        assert epochs == MAX_UPDATE_EPOCHS
 
     def test_unknown_job_404(self, update_server):
         _, url = update_server

@@ -76,28 +76,19 @@ class TestMaskedSoftmax:
             e = np.exp(kept - kept.max())
             np.testing.assert_allclose(s[row][allowed[row]], e / e.sum(), rtol=1e-5)
 
-    def test_scale_equals_prescaled_scores(self):
-        a, mask = randn(3, 4), np.triu(np.full((3, 4), -1e9, dtype=np.float32), k=1)
-        scaled = masked_softmax(Tensor(a), mask, scale=0.25).numpy()
-        prescaled = masked_softmax(Tensor(a * np.float32(0.25)), mask).numpy()
-        np.testing.assert_allclose(scaled, prescaled, rtol=1e-6)
-
     def test_input_is_not_modified(self):
         a = randn(3, 4)
         before = a.copy()
         masked_softmax(Tensor(a), None)
         masked_softmax(Tensor(a), np.zeros((3, 4), dtype=np.float32))
-        masked_softmax(Tensor(a), None, scale=0.5)
         np.testing.assert_array_equal(a, before)
 
     def test_grad(self):
         check_grads(lambda a: (masked_softmax(a, None) ** 2).sum(), [randn(3, 5)])
 
-    def test_grad_with_mask_and_scale(self):
+    def test_grad_with_mask(self):
         mask = np.triu(np.full((4, 4), -1e9, dtype=np.float32), k=1)
-        check_grads(
-            lambda a: (masked_softmax(a, mask, scale=0.5) ** 2).sum(), [randn(2, 4, 4)]
-        )
+        check_grads(lambda a: (masked_softmax(a, mask) ** 2).sum(), [randn(2, 4, 4)])
 
 
 class TestCrossEntropy:

@@ -207,10 +207,6 @@ class TestGraphMechanics:
         y.sum().backward()
         np.testing.assert_allclose(x.grad, [1.0])
 
-    def test_constructors(self):
-        assert Tensor.zeros(2, 3).shape == (2, 3)
-        assert Tensor.ones(4).numpy().sum() == 4.0
-
     def test_scalar_exponent_only(self):
         with pytest.raises(TypeError):
             Tensor(randn(2)) ** Tensor(randn(2))
