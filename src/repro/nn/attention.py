@@ -1,8 +1,10 @@
 """Multi-head self-attention with rotary position embeddings (RoPE).
 
 This matches the LLaMA attention layout: no biases, RoPE applied to the
-query/key halves pairwise, causal additive mask, and an optional KV cache
-for incremental decoding.
+query/key halves pairwise, and a causal additive mask.  The module is
+the training graph; inference (padding masks, per-row positions and the
+KV cache below) runs in :meth:`repro.llm.model.CausalLM.forward`'s NumPy
+kernel.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import numpy as np
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.tensor import Tensor, masked_softmax
+from repro.tensor.ops import rope_rotate
 
 NEG_INF = np.float32(-1e9)
 ROPE_BASE = 10000.0  # LLaMA's RoPE frequency base
@@ -63,31 +66,20 @@ class RotaryEmbedding:
         self.cos = np.cos(freqs).astype(np.float32)
         self.sin = np.sin(freqs).astype(np.float32)
 
-    def rotate(
-        self, x: Tensor, offset: int = 0, positions: np.ndarray | None = None
-    ) -> Tensor:
-        """Apply the rotation to ``x`` of shape (B, H, T, head_dim).
-
-        Without ``positions`` the first token of every row sits at absolute
-        position ``offset``.  With ``positions`` — integer array of shape
-        (B, T) or (T,) — each token rotates by its own absolute position,
-        which is how a left-padded batch gets per-row offsets.
-        """
-        from repro.tensor.ops import rope_rotate
-
-        t = x.shape[2]
-        if positions is None:
-            if offset + t > self.max_seq_len:
-                raise ValueError(
-                    f"sequence of length {offset + t} exceeds RoPE table ({self.max_seq_len})"
-                )
-            return rope_rotate(x, self.cos[offset : offset + t], self.sin[offset : offset + t])
+    def at(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cos/sin rows of integer ``positions`` (any shape)."""
         positions = np.asarray(positions)
-        if int(positions.min()) < 0 or int(positions.max()) >= self.max_seq_len:
+        if positions.size and (
+            int(positions.min()) < 0 or int(positions.max()) >= self.max_seq_len
+        ):
             raise ValueError(
                 f"positions outside [0, {self.max_seq_len}) for the RoPE table"
             )
-        return rope_rotate(x, self.cos[positions], self.sin[positions])
+        return self.cos[positions], self.sin[positions]
+
+    def rotate(self, x: Tensor) -> Tensor:
+        """Rotate ``x`` of shape (B, H, T, head_dim) by positions 0..T-1."""
+        return rope_rotate(x, *self.at(np.arange(x.shape[2])))
 
 
 class KVCache:
@@ -167,71 +159,17 @@ class MultiHeadAttention(Module):
     def _split_heads(self, x: Tensor, b: int, t: int) -> Tensor:
         return x.reshape(b, t, self.n_heads, self.head_dim).transpose(0, 2, 1, 3)
 
-    def forward(
-        self,
-        x: Tensor,
-        rope: RotaryEmbedding,
-        cache: KVCache | None = None,
-        attn_mask: np.ndarray | None = None,
-        positions: np.ndarray | None = None,
-        q_tail: int | None = None,
-    ) -> Tensor:
-        """Attend within a (batched) sequence.
-
-        Parameters
-        ----------
-        x:
-            (B, T, D) activations.
-        rope:
-            Rotary table shared across layers.
-        cache:
-            If given, keys/values are appended and attention covers the
-            full cached history (incremental decoding).
-        attn_mask:
-            Optional additive mask overriding the default causal mask,
-            shape broadcastable to (B, H, T_q, T_k).  Used to mask padding.
-        positions:
-            Optional per-token absolute positions, shape (B, T) or (T,),
-            overriding the cache-derived offset.  A left-padded batch with
-            per-sequence lengths passes each row's own offsets here.
-        q_tail:
-            If set, queries (and outputs) cover only the last ``q_tail``
-            positions while keys/values still cover all of ``x`` — the
-            next-token scoring path needs logits for the final position
-            only, which turns the O(T^2) score tensor into O(q_tail * T).
-        """
+    def forward(self, x: Tensor, rope: RotaryEmbedding) -> Tensor:
+        """Causal self-attention over (B, T, D) activations ``x``."""
         b, t, _ = x.shape
-        offset = cache.length if cache is not None else 0
-
-        k = self._split_heads(self.wk(x), b, t)
+        q = rope.rotate(self._split_heads(self.wq(x), b, t))
+        k = rope.rotate(self._split_heads(self.wk(x), b, t))
         v = self._split_heads(self.wv(x), b, t)
-        k = rope.rotate(k, offset=offset, positions=positions)
-
-        if q_tail is None or q_tail >= t:
-            tq = t
-            x_q, q_positions, q_offset = x, positions, offset
-        else:
-            tq = q_tail
-            x_q = x[:, t - tq :]
-            q_positions = None if positions is None else positions[..., t - tq :]
-            q_offset = offset + (t - tq)
-            if attn_mask is not None:
-                attn_mask = attn_mask[..., t - tq :, :]
-        q = self._split_heads(self.wq(x_q), b, tq)
-        q = rope.rotate(q, offset=q_offset, positions=q_positions)
-
-        if cache is not None:
-            k_all, v_all = cache.append(k.numpy(), v.numpy())
-            k = Tensor(k_all)
-            v = Tensor(v_all)
-
         # 1/sqrt(d) is folded into q (T_q x head_dim) rather than the
         # scores (T_q x T_k) — one full pass less over the big tensor.
         scale = np.float32(1.0 / np.sqrt(self.head_dim))
-        scores = (q * scale) @ k.swapaxes(-1, -2)  # (B, H, T_q, T_k)
-        if attn_mask is None:
-            attn_mask = causal_mask(tq, k.shape[2], offset=q_offset)[None, None, :, :]
-        probs = masked_softmax(scores, attn_mask)
-        ctx = probs @ v  # (B, H, T_q, head_dim)
-        ctx = ctx.transpose(0, 2, 1, 3).reshape(b, tq, self.dim)
+        scores = (q * scale) @ k.swapaxes(-1, -2)  # (B, H, T, T)
+        probs = masked_softmax(scores, causal_mask(t)[None, None, :, :])
+        ctx = probs @ v  # (B, H, T, head_dim)
+        ctx = ctx.transpose(0, 2, 1, 3).reshape(b, t, self.dim)
         return self.wo(ctx)

@@ -44,13 +44,17 @@ class Embedding(Module):
             name="weight",
         )
 
-    def forward(self, ids: np.ndarray) -> Tensor:
-        ids = np.asarray(ids)
+    def check(self, ids: np.ndarray) -> None:
+        """Raise ``IndexError`` unless every id is a row of the table."""
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
             raise IndexError(
                 f"token id out of range [0, {self.num_embeddings}): "
                 f"min={ids.min()}, max={ids.max()}"
             )
+
+    def forward(self, ids: np.ndarray) -> Tensor:
+        ids = np.asarray(ids)
+        self.check(ids)
         return embedding(self.weight, ids)
 
 

@@ -78,18 +78,17 @@ class Module:
         """Copy of every parameter array, keyed by dotted name."""
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray], strict: bool = True) -> None:
-        """Load arrays into parameters in place (shapes must match)."""
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Load arrays into parameters in place (names and shapes must
+        match exactly)."""
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
-        if strict and (missing or unexpected):
+        if missing or unexpected:
             raise KeyError(
                 f"state mismatch: missing={sorted(missing)} unexpected={sorted(unexpected)}"
             )
         for name, p in own.items():
-            if name not in state:
-                continue
             arr = np.asarray(state[name], dtype=p.data.dtype)
             if arr.shape != p.data.shape:
                 raise ValueError(

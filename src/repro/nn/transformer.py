@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.attention import KVCache, MultiHeadAttention, RotaryEmbedding
+from repro.nn.attention import MultiHeadAttention, RotaryEmbedding
 from repro.nn.layers import Linear, RMSNorm
 from repro.nn.module import Module
 from repro.tensor import Tensor, silu
@@ -39,27 +39,6 @@ class TransformerBlock(Module):
         self.mlp_norm = RMSNorm(dim)
         self.mlp = SwiGLU(dim, hidden_dim, rng)
 
-    def forward(
-        self,
-        x: Tensor,
-        rope: RotaryEmbedding,
-        cache: KVCache | None = None,
-        attn_mask: np.ndarray | None = None,
-        positions: np.ndarray | None = None,
-        q_tail: int | None = None,
-    ) -> Tensor:
-        """Residual block; with ``q_tail`` the output covers only the last
-        ``q_tail`` positions (attention keys still span all of ``x``)."""
-        h = self.attn(
-            self.attn_norm(x),
-            rope,
-            cache=cache,
-            attn_mask=attn_mask,
-            positions=positions,
-            q_tail=q_tail,
-        )
-        if q_tail is not None and q_tail < x.shape[1]:
-            x = x[:, x.shape[1] - q_tail :]
-        x = x + h
-        x = x + self.mlp(self.mlp_norm(x))
-        return x
+    def forward(self, x: Tensor, rope: RotaryEmbedding) -> Tensor:
+        x = x + self.attn(self.attn_norm(x), rope)
+        return x + self.mlp(self.mlp_norm(x))

@@ -18,6 +18,9 @@ import re
 
 from repro.retrieval.store import Hit, VectorStore
 
+#: Hits each question's search returns for the answer extractor to rank.
+SEARCH_K = 8
+
 _FIELD_SYNONYMS = {
     "system": "System",
     "submitter": "Submitter",
@@ -82,9 +85,8 @@ class RetrievalAugmentedAnswerer:
     """Answers questions by retrieving chunks and extracting the value
     the question asks for."""
 
-    def __init__(self, store: VectorStore, k: int = 3) -> None:
+    def __init__(self, store: VectorStore) -> None:
         self.store = store
-        self.k = k
         self._fields: list[tuple[str, dict]] = []
 
     # -- extraction --------------------------------------------------------
@@ -138,7 +140,7 @@ class RetrievalAugmentedAnswerer:
         questions = list(questions)
         if not questions:
             return []
-        hits_per_q = self.store.search_batch(questions, k=max(self.k, 8))
+        hits_per_q = self.store.search_batch(questions, k=SEARCH_K)
         return [
             self._answer_from_hits(q, hits)
             for q, hits in zip(questions, hits_per_q)

@@ -41,6 +41,14 @@ def silu(x: Tensor) -> Tensor:
     return Tensor._op(out_data, (x,), backward)
 
 
+def softmax_(z: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis of ``z``, computed in place."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
 def masked_softmax(x: Tensor, mask: np.ndarray | None) -> Tensor:
     """Fused ``softmax(x + mask)`` along the last axis.
 
@@ -52,11 +60,7 @@ def masked_softmax(x: Tensor, mask: np.ndarray | None) -> Tensor:
     1/sqrt(d) into the much smaller ``q``), skipping a full pass over the
     T_q x T_k tensor.
     """
-    z = x.data + mask if mask is not None else x.data.copy()
-    z -= z.max(axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
-    out_data = z
+    out_data = softmax_(x.data + mask if mask is not None else x.data.copy())
 
     def backward(g: np.ndarray):
         dot = (g * out_data).sum(axis=-1, keepdims=True)
@@ -200,10 +204,19 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     return Tensor._op(np.ascontiguousarray(out_data), (weight,), backward)
 
 
-def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-5) -> Tensor:
+#: RMSNorm's epsilon, shared by :func:`rms_norm` and the inference kernel.
+RMS_EPS = 1e-5
+
+
+def rms_inv(x: np.ndarray) -> np.ndarray:
+    """``1 / rms(x)`` along the last axis, accumulated in float64."""
+    ms = np.add.reduce(x.astype(np.float64) ** 2, axis=-1, keepdims=True) / x.shape[-1]
+    return (1.0 / np.sqrt(ms + RMS_EPS)).astype(np.float32)
+
+
+def rms_norm(x: Tensor, weight: Tensor) -> Tensor:
     """LLaMA's RMSNorm: ``x / rms(x) * weight`` along the last axis."""
-    ms = (x.data.astype(np.float64) ** 2).mean(axis=-1, keepdims=True)
-    inv = (1.0 / np.sqrt(ms + eps)).astype(np.float32)
+    inv = rms_inv(x.data)
     normed = x.data * inv
     out_data = normed * weight.data
 
@@ -219,38 +232,31 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-5) -> Tensor:
     return Tensor._op(out_data.astype(x.dtype), (x, weight), backward)
 
 
-def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """Fused rotary-position rotation.
-
-    ``x`` has shape (B, H, T, D) with D even; ``cos``/``sin`` have shape
-    (T, D/2) — or (B, T, D/2) for per-row positions, as in a left-padded
-    batch — and are constants.  Channel pairs (2k, 2k+1) rotate by the
-    position angle.  Fusing this (instead of composing getitem/stack
-    nodes) is the single biggest training-speed lever on CPU.
-    """
+def rotate_pairs(x: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rotate channel pairs (2k, 2k+1) of ``x`` (B, H, T, D) by the
+    angles whose cos/sin ``c``/``s`` broadcast to (B, H, T, D/2)."""
     b, h, t, d = x.shape
-    x4 = x.data.reshape(b, h, t, d // 2, 2)
+    x4 = x.reshape(b, h, t, d // 2, 2)
     e = x4[..., 0]
     o = x4[..., 1]
-    if cos.ndim == 2:
-        c = cos[None, None, :, :]
-        s = sin[None, None, :, :]
-    else:
-        c = cos[:, None, :, :]
-        s = sin[:, None, :, :]
     out = np.empty_like(x4)
     out[..., 0] = e * c - o * s
     out[..., 1] = e * s + o * c
-    out_data = out.reshape(b, h, t, d)
+    return out.reshape(b, h, t, d)
+
+
+def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """Fused rotary-position rotation.
+
+    ``x`` has shape (B, H, T, D) with D even; ``cos``/``sin`` are
+    constants of shape (T, D/2).  Channel pairs (2k, 2k+1) rotate by the
+    position angle.  Fusing this (instead of composing getitem/stack
+    nodes) is the single biggest training-speed lever on CPU.
+    """
+    out_data = rotate_pairs(x.data, cos, sin)
 
     def backward(g: np.ndarray):
-        g4 = g.reshape(b, h, t, d // 2, 2)
-        ge = g4[..., 0]
-        go = g4[..., 1]
-        gx = np.empty_like(g4)
-        gx[..., 0] = ge * c + go * s
-        gx[..., 1] = -ge * s + go * c
-        return [(x, gx.reshape(b, h, t, d))]
+        return [(x, rotate_pairs(g, cos, -sin))]
 
     return Tensor._op(out_data, (x,), backward)
 

