@@ -13,13 +13,20 @@ routes through :class:`InferenceEngine`.  The engine owns:
   bookkeeping;
 * **batched scoring** — next-token logits at the answer position, and
   yes/no margins over them (:meth:`InferenceEngine.yes_no_margins`).
+  Scoring needs no KV cache, so it pads nothing: each length-sorted
+  chunk of prompts is packed end to end and runs the model's scoring
+  prefill (``CausalLM.forward(ids, lengths=...)``), whose per-token
+  work covers real tokens only, whose attention skips the fully masked
+  causal tiles, and whose large arrays are per-thread buffers reused
+  from call to call.
 
-Left-padding (rather than right-padding) keeps the *last* column of the
-batch the last real token of every row, so next-token logits for the
-whole batch are one slice.  The batched and sequential paths are
-numerics-faithful to each other: pad keys receive an additive ``-1e9``
-before softmax, which underflows to an exact zero weight in fp32, so a
-padded row computes the same attention mixture as the same row alone.
+Left-padding generation (rather than right-padding) keeps the *last*
+column of the batch the last real token of every row, so next-token
+logits for the whole batch are one slice.  The batched and sequential
+paths are numerics-faithful to each other: pad keys receive an additive
+``-1e9`` before softmax, which underflows to an exact zero weight in
+fp32, so a padded row computes the same attention mixture as the same
+row alone.
 
 :class:`MicroBatcher` is the serving glue: concurrent callers submit
 single items, and one worker thread serves them in batches: each batch
@@ -31,20 +38,21 @@ from __future__ import annotations
 
 import queue
 import threading
+from itertools import chain
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.llm.chat import ChatFormat
-from repro.llm.model import CausalLM
+from repro.llm.model import SCORE_ROWS, CausalLM
 from repro.nn.attention import padding_causal_mask
 from repro.tensor import no_grad
 from repro.tokenizer import BPETokenizer
 
 #: Default micro-batch width: big enough to amortise Python/dispatch
 #: overhead on the NumPy substrate, small enough to bound the (B, H, W, W)
-#: prefill score tensor.
-DEFAULT_BATCH_SIZE = 16
+#: prefill score tensor; one scoring chunk fits the model's reused buffers.
+DEFAULT_BATCH_SIZE = SCORE_ROWS
 
 
 def clamp_prompt(prompt_ids: list[int], max_new_tokens: int, max_ctx: int) -> list[int]:
@@ -182,7 +190,8 @@ class InferenceEngine:
     ) -> np.ndarray:
         """Logits at the answer position for each prompt, shape (B, vocab).
 
-        Pure batched prefill — no KV caches, no decode loop.  An empty
+        Pure scoring prefill over packed prompts — no padding, no KV
+        caches, no decode loop.  An empty
         prompt *list* scores to an empty result (batch consumers may
         legitimately have nothing to score); an empty prompt is an error.
         """
@@ -193,16 +202,20 @@ class InferenceEngine:
         max_ctx = self.model.config.max_seq_len
         clamped = [clamp_prompt(list(p), 0, max_ctx) for p in prompts]
         self.model.eval()
-        # Bucket by length so each chunk pads to its own maximum — mixed
-        # lengths otherwise inflate every row to the global maximum.
+        # Bucket by length so the rows of a chunk reach about as far:
+        # attention's query blocks then cover few rows past their end.
         order = sorted(range(len(clamped)), key=lambda i: len(clamped[i]))
         out = np.empty((len(clamped), self.model.config.vocab_size), dtype=np.float32)
         with no_grad():
             for start in range(0, len(order), batch_size):
                 take = order[start : start + batch_size]
-                ids, _, positions, mask = self._left_pad([clamped[i] for i in take])
-                logits = self.model.forward(ids, attn_mask=mask, positions=positions, q_tail=1)
-                out[take] = logits.numpy()[:, -1, :]
+                lens = np.array([len(clamped[i]) for i in take], dtype=np.int64)
+                ids = np.fromiter(
+                    chain.from_iterable(clamped[i] for i in take),
+                    dtype=np.int64,
+                    count=int(lens.sum()),
+                )
+                out[take] = self.model.forward(ids, lengths=lens).numpy()
         return out
 
     def yes_no_margins(self, instructions: list[str]) -> list[float]:

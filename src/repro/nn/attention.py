@@ -77,6 +77,16 @@ class RotaryEmbedding:
             )
         return self.cos[positions], self.sin[positions]
 
+    def row_tables(self, n_heads: int) -> tuple[np.ndarray, np.ndarray]:
+        """Cos/sin tables of shape (max_seq_len, n_heads * head_dim) that
+        rotate a whole row of heads at once: channel pair (e, o) maps to
+        (e*c + o*(-s), o*c + e*s), bit-equal to rotate_pairs'
+        (e*c - o*s, e*s + o*c)."""
+        cos = np.tile(np.repeat(self.cos, 2, axis=1), n_heads)
+        sin = np.tile(np.repeat(self.sin, 2, axis=1), n_heads)
+        sin[:, 0::2] *= -1
+        return cos, sin
+
     def rotate(self, x: Tensor) -> Tensor:
         """Rotate ``x`` of shape (B, H, T, head_dim) by positions 0..T-1."""
         return rope_rotate(x, *self.at(np.arange(x.shape[2])))

@@ -114,6 +114,9 @@ class Trace:
     final_arrays: dict = field(default_factory=dict)
     regions: int = 0
     clock_bank: ClockBank = field(default_factory=ClockBank)  # the events' clocks
+    #: ``machine.hb_races`` results by argument pair, so tools checking
+    #: one trace alike share one check.
+    race_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 _DRAW_BATCH = 256

@@ -142,8 +142,17 @@ def hb_races(
     are checked for concurrency via the trace's epoch matrix (vectorised
     for large groups).  Reports come in ``combinations()`` order per
     location, locations in order of first access, and stop at
-    ``max_reports``.
+    ``max_reports``.  The reports are memoised on the trace per argument
+    pair (TSan and ROMP both check schedule 0 alike); each call returns
+    a fresh list.
     """
+    key = (include_lane_events, max_reports)
+    if key not in trace.race_memo:
+        trace.race_memo[key] = tuple(_check_trace(trace, include_lane_events, max_reports))
+    return list(trace.race_memo[key])
+
+
+def _check_trace(trace: Trace, include_lane_events: bool, max_reports: int) -> list[RaceReport]:
     bank = trace.clock_bank
     reports: list[RaceReport] = []
     for loc, events in _group_by_loc(trace, include_lane_events).items():

@@ -12,11 +12,22 @@ over broadcast axes), matching NumPy broadcast semantics exactly.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable
 
 import numpy as np
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Whether ops record the graph, per thread: one thread's ``no_grad``
+    neither disables another's graph nor, by exiting out of order with
+    it, leaves grad off for good."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
+
 
 # A backward closure maps the upstream gradient to per-parent gradients.
 BackwardFn = Callable[[np.ndarray], "list[tuple[Tensor, np.ndarray]]"]
@@ -25,18 +36,17 @@ BackwardFn = Callable[[np.ndarray], "list[tuple[Tensor, np.ndarray]]"]
 @contextlib.contextmanager
 def no_grad():
     """Context manager disabling graph construction (inference mode)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    prev = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD_MODE.enabled = prev
 
 
 def is_grad_enabled() -> bool:
     """Whether ops currently record the autograd graph."""
-    return _GRAD_ENABLED
+    return _GRAD_MODE.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -82,7 +92,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, name: str = "") -> None:
         self.data: np.ndarray = _as_array(data)
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _GRAD_MODE.enabled
         self._backward: BackwardFn | None = None
         self._parents: tuple[Tensor, ...] = ()
         self.name = name
@@ -139,7 +149,7 @@ class Tensor:
         out.data = data
         out.grad = None
         out.name = ""
-        track = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        track = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
         out.requires_grad = track
         out._parents = tuple(p for p in parents if p.requires_grad) if track else ()
         out._backward = backward if track else None

@@ -1,12 +1,18 @@
 """The no_grad forward of :class:`CausalLM` is a plain-NumPy kernel: its
 logits must equal the training graph's bit for bit, it must read the
 weights at call time, and it owns padding, per-row positions and the
-KV cache (the Tensor modules no longer take them)."""
+KV cache (the Tensor modules no longer take them).  Its scoring prefill
+(``forward(ids, lengths=...)``) must match each prompt's own forward."""
+
+import functools
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.llm import CausalLM, InferenceEngine, ModelConfig
+from repro.llm.engine import clamp_prompt
 from repro.llm.pretrain import PretrainConfig, build_general_corpus, train_tokenizer_on
 from repro.nn import LoRAConfig, apply_lora, merge_lora
 from repro.nn.attention import padding_causal_mask
@@ -79,6 +85,8 @@ class TestGraphParity:
             model.forward(random_ids((1, 4)), q_tail=1)
         with pytest.raises(ValueError):
             model.forward(random_ids((1, 4)), caches=model.new_caches())
+        with pytest.raises(ValueError):
+            model.forward(random_ids(4), lengths=[4])
 
 
 class TestInputChecks:
@@ -174,3 +182,156 @@ class TestWeightsReadAtCallTime:
         np.testing.assert_allclose(merged, unmerged, atol=1e-4)
         graph = model.forward(ids).numpy()
         np.testing.assert_array_equal(merged, graph)
+
+
+def packed(prompts):
+    return np.concatenate(prompts), np.array([len(p) for p in prompts])
+
+
+def alone(model, prompt) -> np.ndarray:
+    """A prompt's next-token logits from its own full forward."""
+    with no_grad():
+        return model.forward(np.asarray(prompt)).numpy()[0, -1]
+
+
+class TestScoringPrefill:
+    """``forward(ids, lengths=...)``: packed prompts, no padding."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_logits_match_each_prompt_alone(self, tok, n_layers):
+        """Lengths around the query block (32) and the context, an
+        over-long prompt the engine clamps, more prompts than one chunk,
+        all in shuffled order."""
+        cfg = ModelConfig(vocab_size=300, dim=16, n_layers=n_layers, n_heads=2,
+                          hidden_dim=32, max_seq_len=64)
+        model = CausalLM(cfg, derive_rng(n_layers, "tests/llm/kernel/depth"))
+        lengths = [1, 2, 31, 32, 33, 63, 90] + [5, 17, 40, 63, 1, 33, 12, 50, 28, 2, 61]
+        rng = derive_rng(7, "tests/llm/kernel/score")
+        rng.shuffle(lengths)
+        prompts = [random_ids(n, seed=i).tolist() for i, n in enumerate(lengths)]
+        got = InferenceEngine(model, tok).next_token_logits(prompts)
+        for row, p in zip(got, prompts):
+            np.testing.assert_allclose(row, alone(model, clamp_prompt(p, 0, 64)), atol=1e-5)
+
+    def test_permuted_input_gives_permuted_rows(self):
+        model = make_model()
+        prompts = [random_ids(n, seed=n + i) for i, n in enumerate([9, 40, 3, 40, 63, 1, 33])]
+        perm = derive_rng(2, "tests/llm/kernel/perm").permutation(len(prompts))
+        with no_grad():
+            ids, lens = packed(prompts)
+            out = model.forward(ids, lengths=lens).numpy()
+            ids, lens = packed([prompts[i] for i in perm])
+            permuted = model.forward(ids, lengths=lens).numpy()
+        np.testing.assert_array_equal(permuted, out[perm])
+
+    def test_unmerged_lora_model(self):
+        model = make_model()
+        apply_lora(model, LoRAConfig(rank=2), derive_rng(3, "tests/llm/kernel/lora"))
+        for name, p in model.named_parameters():
+            if name.endswith("lora_b"):
+                p.data = derive_rng(4, name).standard_normal(p.shape).astype(np.float32)
+        prompts = [random_ids(n, seed=n) for n in (3, 35, 20)]
+        ids, lens = packed(prompts)
+        with no_grad():
+            got = model.forward(ids, lengths=lens).numpy()
+        for row, p in zip(got, prompts):
+            np.testing.assert_allclose(row, alone(model, p), atol=1e-5)
+
+    def test_input_checks(self):
+        model = make_model()
+        with no_grad():
+            with pytest.raises(IndexError):
+                model.forward(np.array([1, SMALL.vocab_size, 2]), lengths=[2, 1])
+            with pytest.raises(IndexError):
+                model.forward(np.array([1, -1]), lengths=[2])
+            with pytest.raises(ValueError):  # a position past the RoPE table
+                model.forward(random_ids(SMALL.max_seq_len + 1), lengths=[SMALL.max_seq_len + 1])
+            for lens in ([2, 3], [4, 0], []):
+                with pytest.raises(ValueError):
+                    model.forward(random_ids(4), lengths=lens)
+            with pytest.raises(ValueError):
+                model.forward(random_ids((1, 4)), lengths=[4])
+
+    def test_nothing_an_earlier_call_left_reaches_a_later_one(self):
+        """A NaN embedding row poisons every logit of the prompts that
+        hold its token (and, through the tied head, its own logit
+        everywhere); the next call's rows, whose pad columns the poisoned
+        keys and values occupied, still match their own forwards."""
+        model = make_model()
+        model.tok_emb.weight.data[5] = np.nan
+        poisoned = [np.full(60, 5), random_ids(60, seed=1) % 5]
+        clean = [random_ids(n, seed=n) % 5 for n in (3, 20, 40, 61)]
+        with no_grad():
+            ids, lens = packed(poisoned)
+            first = model.forward(ids, lengths=lens).numpy()
+            ids, lens = packed(clean)
+            got = model.forward(ids, lengths=lens).numpy()
+        assert np.isnan(first[0]).all()
+        assert np.isnan(got[:, 5]).all() and np.isfinite(np.delete(got, 5, axis=1)).all()
+        for row, p in zip(got, clean):
+            np.testing.assert_allclose(row, alone(model, p), atol=1e-5)
+
+    def test_two_threads_get_the_serial_results(self, tok):
+        model = make_model()
+        engine = InferenceEngine(model, tok)
+        sets = [[random_ids(n, seed=10 * t + n).tolist() for n in (5, 60, 31, 2) * (t + 1)]
+                for t in range(2)]
+        serial = [engine.next_token_logits(prompts) for prompts in sets]
+        results: list = [[], []]
+        start = threading.Barrier(2)
+
+        def score(t):
+            start.wait()
+            for _ in range(20):
+                results[t].append(engine.next_token_logits(sets[t]))
+
+        threads = [threading.Thread(target=score, args=(t,)) for t in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        for t in range(2):
+            assert len(results[t]) == 20
+            for got in results[t]:
+                np.testing.assert_array_equal(got, serial[t])
+
+    def test_a_forward_wrapper_sees_one_prefill_per_chunk(self, tok, monkeypatch):
+        """A wrapper that reads ``args[0]`` as caches and counts ``rows x
+        shape[-1]`` tokens, like perfbench's, counts real tokens only."""
+        seen = []
+        forward = CausalLM.forward
+
+        @functools.wraps(forward)
+        def wrapper(self, ids, *args, **kwargs):
+            caches = kwargs.get("caches", args[0] if args else None)
+            shape = ids.shape
+            rows = shape[0] if len(shape) > 1 else 1
+            seen.append((caches, rows * shape[-1]))
+            return forward(self, ids, *args, **kwargs)
+
+        monkeypatch.setattr(CausalLM, "forward", wrapper)
+        lengths = [7, 3, 50, 20] * 5
+        prompts = [random_ids(n, seed=i).tolist() for i, n in enumerate(lengths)]
+        InferenceEngine(make_model(), tok).next_token_logits(prompts)
+        chunks = [sorted(lengths)[:16], sorted(lengths)[16:]]
+        assert seen == [(None, sum(chunk)) for chunk in chunks]
+
+    def test_a_warm_call_allocates_nothing_big(self, tok):
+        """The activations live in per-thread buffers reused across calls:
+        a warm call's peak allocation stays below one (tokens, dim)
+        activation (what remains is index arrays and NumPy's fixed-size
+        ufunc buffers)."""
+        cfg = ModelConfig(vocab_size=300, dim=64, n_layers=2, n_heads=4,
+                          hidden_dim=176, max_seq_len=128)
+        model = CausalLM(cfg, derive_rng(0, "tests/llm/kernel/wide"))
+        lengths = [127, 120, 100, 90, 127, 64, 127, 110] * 2
+        prompts = [random_ids(n, seed=i).tolist() for i, n in enumerate(lengths)]
+        engine = InferenceEngine(model, tok)
+        engine.next_token_logits(prompts)
+        tracemalloc.start()
+        try:
+            engine.next_token_logits(prompts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(lengths) * cfg.dim * 4

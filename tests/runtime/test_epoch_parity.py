@@ -5,11 +5,16 @@ dict-clock oracle ``hb_races_reference`` bit for bit: same reports,
 same order, same truncation — across racy and race-free programs, both
 lane modes, and both group-size code paths (scalar and NumPy)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.detectors.romp import ROMPDetector
+from repro.detectors.tsan import ThreadSanitizerDetector
 from repro.drb import DRBSuite
 from repro.runtime import execute
+from repro.runtime import machine as machine_mod
 from repro.runtime.machine import hb_races
 
 from support.hb_oracle import build_trace, hb_races_reference
@@ -48,6 +53,38 @@ def test_full_construct_corpus_parity(suite):
                     assert got == want, (spec.id, seed, lanes, cap)
             checked += 1
     assert checked >= 30  # both languages, every category
+
+
+def test_memoised_reports_equal_unmemoised(suite):
+    """A repeated check of one trace comes from its memo and equals a
+    check of the same events with an empty memo, and the oracle; a caller
+    that mutates its list leaves the memo alone."""
+    for spec in corpus(suite):
+        trace = execute(spec.parse(), n_threads=2, schedule_seed=0)
+        for lanes in (True, False):
+            for cap in (1, 10_000):
+                hb_races(trace, lanes, max_reports=cap).clear()
+                memoised = report_sig(hb_races(trace, lanes, max_reports=cap))
+                fresh = dataclasses.replace(trace, race_memo={})
+                assert memoised == report_sig(hb_races(fresh, lanes, max_reports=cap))
+                assert memoised == report_sig(hb_races_reference(trace, lanes, max_reports=cap))
+        assert len(trace.race_memo) == 4
+
+
+def test_tsan_and_romp_share_one_check_of_schedule_0(suite, monkeypatch):
+    """ROMP's schedule-0 check is TSan's (no lanes, first report): the
+    second tool gets the memo, though each still calls ``hb_races``."""
+    checks, calls = [], []
+    check, memo_call = machine_mod._check_trace, machine_mod.hb_races
+    monkeypatch.setattr(machine_mod, "_check_trace", lambda *a: checks.append(a[1:]) or check(*a))
+    for module in ("repro.detectors.tsan", "repro.detectors.romp"):
+        monkeypatch.setattr(f"{module}.hb_races", lambda *a, **k: calls.append(k) or memo_call(*a, **k))
+    spec = next(s for s in suite.specs if ROMPDetector().supports(s) and s.language == "C/C++")
+    first = execute(spec.parse(), n_threads=2, schedule_seed=0)
+    ThreadSanitizerDetector().detect(spec, [first])
+    ROMPDetector().detect(spec, [first])
+    assert len(calls) == 2
+    assert checks == [(False, 1)]
 
 
 def test_vectorized_path_parity_on_contended_scalar():

@@ -1,10 +1,12 @@
 """Unit tests for the core autodiff Tensor: arithmetic, broadcasting,
 reductions, shape ops, and graph mechanics."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, no_grad
+from repro.tensor import Tensor, is_grad_enabled, no_grad
 from repro.utils.rng import derive_rng
 
 from tests.tensor.gradcheck import check_grads
@@ -182,6 +184,29 @@ class TestGraphMechanics:
         assert not y.requires_grad
         with pytest.raises(RuntimeError):
             y.backward(np.ones(3))
+
+    def test_no_grad_is_per_thread(self):
+        """A worker's no_grad leaves this thread's graph alone, and the two
+        leaving no_grad out of order leaves grad on."""
+        entered, release, left = threading.Event(), threading.Event(), threading.Event()
+
+        def worker():
+            with no_grad():
+                entered.set()
+                release.wait(timeout=5)
+            left.set()
+
+        t = threading.Thread(target=worker)
+        t.start()
+        assert entered.wait(timeout=5)
+        x = Tensor(randn(3), requires_grad=True)
+        assert (x * 2.0).requires_grad
+        with no_grad():
+            release.set()
+            assert left.wait(timeout=5)  # the worker leaves first
+        t.join(timeout=5)
+        assert not t.is_alive()
+        assert is_grad_enabled() and (x * 2.0).requires_grad
 
     def test_backward_requires_scalar(self):
         x = Tensor(randn(3), requires_grad=True)
