@@ -3,23 +3,29 @@
 Times the two engine workloads every consumer runs, over real Table-5
 race prompts:
 
-* **generation** (batched prefill + incremental greedy decode):
-  tokens/sec at batch width 1 vs 16 — decode steps are tiny-matmul
-  dispatch-bound work, so micro-batching 16 rows amortises nearly all
-  of it.  Both widths must decode the same tokens (``greedy_parity``);
+* **generation** (a packed prefill that fills per-row KV caches, then
+  incremental greedy decode): tokens/sec at batch width 1 vs 16 —
+  decode steps are tiny-matmul dispatch-bound work, so micro-batching
+  16 rows amortises nearly all of it.  Both widths must decode the
+  same tokens (``greedy_parity``), both with every row decoding all
+  ``MAX_NEW_TOKENS`` and at ``stop_at_eos=True`` over
+  ``EOS_NEW_TOKENS``, where rows that emit EOS leave the batch
+  mid-decode;
 * **margin scoring** (``logit(" yes") - logit(" no")``): margins/sec for
-  the pre-engine *sequential path* (one full forward per prompt, all
-  positions through the LM head — what ``yes_no_margin`` did before the
-  engine existed), vs the engine at batch 1 and batch 16.
+  the *sequential path* (one full forward per prompt, all positions
+  through the LM head — what ``yes_no_margin`` did before the engine
+  existed; it now runs the training graph under ``no_grad``, the
+  kernels' reference), vs the engine at batch 1 and batch 16.
 
-The engine scores through the model's scoring prefill: a chunk's
-prompts are packed with no pads, per-token work covers real tokens
-only, attention skips the fully masked causal tiles, and the large
-arrays are per-thread buffers reused across calls.  The sequential path
-pays n_layers full blocks plus a full-T head per prompt; the engine
-pays its lower blocks over real tokens, a last-token top block, and
-Python/dispatch overhead per chunk, which a 16-wide chunk spreads over
-16 prompts and batch 1 pays per prompt.
+The engine prefills through the model's packed kernel, for scoring and
+generation alike: a chunk's prompts are packed with no pads, per-token
+work covers real tokens only, attention skips the fully masked causal
+tiles, and the large arrays are per-thread buffers reused across
+calls.  The sequential path pays n_layers full graph blocks plus a
+full-T head per prompt; the engine pays its lower blocks over real
+tokens, a last-token top block, and Python/dispatch overhead per
+chunk, which a 16-wide chunk spreads over 16 prompts and batch 1 pays
+per prompt.
 
 The five configurations (sequential path, engine batch 1 and 16,
 generation at widths 1 and 16) are timed in ``ROUNDS`` rotated rounds
@@ -54,6 +60,10 @@ from repro.tensor import no_grad
 
 BIG_BATCH = 16
 MAX_NEW_TOKENS = 16
+#: Decode length of the ``stop_at_eos=True`` parity check: long enough
+#: that the base model's rows emit EOS at different steps, so rows
+#: leave the batch while others decode on.
+EOS_NEW_TOKENS = 48
 ROUNDS = 7
 
 
@@ -106,7 +116,7 @@ def main() -> None:
     # -- margin scoring ------------------------------------------------------
 
     def sequential_margins() -> None:
-        # The pre-engine path: one full forward per prompt, every
+        # The pre-engine path: one full graph forward per prompt, every
         # position through the final block and the LM head.
         with no_grad():
             for p in prompts:
@@ -114,13 +124,12 @@ def main() -> None:
 
     # -- generation ----------------------------------------------------------
 
-    def generate(batch_size: int) -> list[list[int]]:
-        return engine.generate_many(
-            prompts, MAX_NEW_TOKENS, stop_at_eos=False, batch_size=batch_size
-        )
+    def generate(batch_size: int, n_new=MAX_NEW_TOKENS, stop_at_eos=False) -> list[list[int]]:
+        return engine.generate_many(prompts, n_new, stop_at_eos, batch_size=batch_size)
 
     outs_b1, outs_b16 = generate(1), generate(BIG_BATCH)
     n_tokens = sum(len(o) for o in outs_b16)
+    eos_b1, eos_b16 = (generate(b, EOS_NEW_TOKENS, stop_at_eos=True) for b in (1, BIG_BATCH))
 
     n = len(prompts)
     rates = _rotated_rates({
@@ -162,6 +171,9 @@ def main() -> None:
         "greedy_parity": {
             "tokens": n_tokens,
             f"batch_{BIG_BATCH}_equals_batch_1": outs_b16 == outs_b1,
+            "stop_at_eos_tokens": sum(len(o) for o in eos_b16),
+            "stop_at_eos_rows_left_early": sum(len(o) < EOS_NEW_TOKENS for o in eos_b16),
+            f"stop_at_eos_batch_{BIG_BATCH}_equals_batch_1": eos_b16 == eos_b1,
         },
     }
     out_dir.mkdir(exist_ok=True)
@@ -194,7 +206,9 @@ def main() -> None:
                 f"speedup: {times('generation')}",
                 f"  greedy parity batch={BIG_BATCH} vs batch=1: "
                 f"{payload['greedy_parity'][f'batch_{BIG_BATCH}_equals_batch_1']} "
-                f"({n_tokens} tokens)",
+                f"({n_tokens} tokens); at stop_at_eos: "
+                f"{payload['greedy_parity'][f'stop_at_eos_batch_{BIG_BATCH}_equals_batch_1']} "
+                f"({payload['greedy_parity']['stop_at_eos_rows_left_early']} rows left early)",
                 f"  artifact: benchmarks/{out_dir.name}/BENCH_inference.json",
             ]
         ),

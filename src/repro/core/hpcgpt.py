@@ -322,8 +322,10 @@ class HPCGPTSystem:
         ``records`` through the unified :class:`repro.train.Trainer`,
         recalibrates the detection threshold over the combined data,
         persists a versioned update checkpoint (so a restarted process
-        resumes from the updated model, not the original build), and
-        rebuilds the serving engine.  Returns the training stats."""
+        resumes from the updated model, not the original build).  The
+        serving engine holds this same model and keeps no state between
+        calls, so its next call reads the updated weights.  Returns the
+        training stats."""
         import dataclasses
 
         records = list(records)
@@ -338,9 +340,6 @@ class HPCGPTSystem:
             model.eval()
             combined = self.collect_data().records + records
             self._thresholds[version] = self._calibrate(model, combined)
-            # The engine caches prefill state against the old weights;
-            # drop it so the next request rebuilds against the update.
-            self._engines.pop(version, None)
             if self.cache_dir is not None:
                 prefix = self._update_ckpt_prefix(version)
                 latest = self._latest_update_ckpt(version)

@@ -4,29 +4,22 @@ Every inference consumer (free-form answering, yes/no margin scoring,
 threshold calibration, the Table-5 detector sweep, and the HTTP server)
 routes through :class:`InferenceEngine`.  The engine owns:
 
-* **batched prefill** — a batch of prompts is left-padded to a common
-  width, each row carries its own RoPE offsets (pad slots rotate by
-  position 0 and are masked out of attention), and one forward pass
-  fills every row's KV cache;
-* **batched incremental decode** — one greedy token per row per step
-  against preallocated KV buffers, with per-row EOS/context-full
-  bookkeeping;
-* **batched scoring** — next-token logits at the answer position, and
-  yes/no margins over them (:meth:`InferenceEngine.yes_no_margins`).
-  Scoring needs no KV cache, so it pads nothing: each length-sorted
-  chunk of prompts is packed end to end and runs the model's scoring
+* **prefill** — one kernel for generation and scoring: a chunk's
+  prompts are packed end to end with no pads and run the model's
   prefill (``CausalLM.forward(ids, lengths=...)``), whose per-token
   work covers real tokens only, whose attention skips the fully masked
   causal tiles, and whose large arrays are per-thread buffers reused
-  from call to call.
+  from call to call.  It returns each prompt's next-token logits;
+* **batched incremental decode** — generation's prefill also fills
+  per-row KV caches (row ``r``'s tokens in its own first columns), and
+  each step forwards one greedy token per row against them.  A row that
+  emits EOS or fills the context leaves the batch;
+* **batched scoring** — next-token logits at the answer position, and
+  yes/no margins over them (:meth:`InferenceEngine.yes_no_margins`):
+  the prefill alone, with no cache.
 
-Left-padding generation (rather than right-padding) keeps the *last*
-column of the batch the last real token of every row, so next-token
-logits for the whole batch are one slice.  The batched and sequential
-paths are numerics-faithful to each other: pad keys receive an additive
-``-1e9`` before softmax, which underflows to an exact zero weight in
-fp32, so a padded row computes the same attention mixture as the same
-row alone.
+Every row attends only to its own tokens, so a batch computes what each
+prompt computes alone, up to float32 rounding.
 
 :class:`MicroBatcher` is the serving glue: concurrent callers submit
 single items, and one worker thread serves them in batches: each batch
@@ -45,14 +38,8 @@ import numpy as np
 
 from repro.llm.chat import ChatFormat
 from repro.llm.model import SCORE_ROWS, CausalLM
-from repro.nn.attention import padding_causal_mask
 from repro.tensor import no_grad
 from repro.tokenizer import BPETokenizer
-
-#: Default micro-batch width: big enough to amortise Python/dispatch
-#: overhead on the NumPy substrate, small enough to bound the (B, H, W, W)
-#: prefill score tensor; one scoring chunk fits the model's reused buffers.
-DEFAULT_BATCH_SIZE = SCORE_ROWS
 
 
 def clamp_prompt(prompt_ids: list[int], max_new_tokens: int, max_ctx: int) -> list[int]:
@@ -71,6 +58,12 @@ def clamp_prompt(prompt_ids: list[int], max_new_tokens: int, max_ctx: int) -> li
     return prompt_ids[-keep:]
 
 
+def _packed(prompts: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """``prompts`` end to end as 1-D ids, and their lengths."""
+    lens = np.array([len(p) for p in prompts], dtype=np.int64)
+    return np.fromiter(chain.from_iterable(prompts), dtype=np.int64, count=int(lens.sum())), lens
+
+
 class InferenceEngine:
     """Batched prefill + batched incremental decode over one model.
 
@@ -85,27 +78,6 @@ class InferenceEngine:
         self.tokenizer = tokenizer
         self.chat = ChatFormat(tokenizer)
 
-    # -- batch assembly ------------------------------------------------------
-
-    def _left_pad(
-        self, prompts: list[list[int]]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Pack prompts into ``(ids, pads, positions, mask)``.
-
-        ``ids`` is (B, W) with pad ids on the left, ``pads`` the per-row
-        pad counts, ``positions`` the per-row RoPE offsets (pad slots
-        clamped to 0), and ``mask`` the padding-aware causal mask.
-        """
-        lens = np.array([len(p) for p in prompts], dtype=np.int64)
-        width = int(lens.max())
-        pads = width - lens
-        ids = np.full((len(prompts), width), self.tokenizer.special.pad_id, dtype=np.int64)
-        for i, p in enumerate(prompts):
-            ids[i, pads[i] :] = p
-        positions = np.maximum(np.arange(width)[None, :] - pads[:, None], 0)
-        mask = padding_causal_mask(pads, width, width)
-        return ids, pads, positions, mask
-
     # -- generation ----------------------------------------------------------
 
     def generate_batch(
@@ -119,7 +91,8 @@ class InferenceEngine:
 
         Each step takes every row's most likely token (ties go to the
         lowest id), so decoding a batch matches decoding each prompt
-        alone, exactly.
+        alone, exactly.  A row that emits EOS or fills the context leaves
+        the batch, so later steps run only the rows still decoding.
         """
         if max_new_tokens < 1:
             raise ValueError("max_new_tokens must be positive")
@@ -130,42 +103,31 @@ class InferenceEngine:
 
         self.model.eval()
         eos = self.tokenizer.special.eos_id
-        batch = len(clamped)
-        ids, pads, positions, mask = self._left_pad(clamped)
-        #: per-row count of real tokens already forwarded into the cache
-        cur = ids.shape[1] - pads
-        outs: list[list[int]] = [[] for _ in range(batch)]
-        alive = np.ones(batch, dtype=bool)
+        ids, lens = _packed(clamped)
+        outs: list[list[int]] = [[] for _ in clamped]
+        live = np.arange(len(clamped))  # the prompt each cache row decodes
 
         with no_grad():
-            caches = self.model.new_caches(reserve=ids.shape[1] + max_new_tokens)
-            logits = self.model.forward(
-                ids, caches=caches, attn_mask=mask, positions=positions, q_tail=1
-            )
-            step = logits.numpy()[:, -1, :]
-            for _ in range(max_new_tokens):
-                picks = np.argmax(step, axis=-1)
-                nxt = np.full(batch, self.tokenizer.special.pad_id, dtype=np.int64)
-                for i in np.flatnonzero(alive):
-                    tok = int(picks[i])
+            capacity = min(int(lens.max()) + max_new_tokens, max_ctx)
+            caches = self.model.new_caches(len(clamped), capacity)
+            logits = self.model.forward(ids, caches, lengths=lens).numpy()
+            for step in range(max_new_tokens):
+                picks = np.argmax(logits, axis=-1)
+                stay = []
+                for r, i in enumerate(live):
+                    tok = int(picks[r])
                     if stop_at_eos and tok == eos:
-                        alive[i] = False
                         continue
                     outs[i].append(tok)
-                    if cur[i] + 1 >= max_ctx:
-                        alive[i] = False
-                        continue
-                    nxt[i] = tok
-                if not alive.any():
+                    if caches[0].lens[r] + 1 < max_ctx:
+                        stay.append(r)
+                if not stay or step + 1 == max_new_tokens:
                     break
-                k_len = caches[0].length
-                step_pos = np.minimum(cur, max_ctx - 1)
-                cur = cur + alive
-                step_mask = padding_causal_mask(pads, 1, k_len + 1, offset=k_len)
-                logits = self.model.forward(
-                    nxt[:, None], caches=caches, attn_mask=step_mask, positions=step_pos[:, None]
-                )
-                step = logits.numpy()[:, -1, :]
+                if len(stay) < live.size:
+                    for cache in caches:
+                        cache.keep(stay)
+                    live, picks = live[stay], picks[stay]
+                logits = self.model.forward(picks[:, None], caches).numpy()
         return outs
 
     def generate_many(
@@ -173,10 +135,10 @@ class InferenceEngine:
         prompts: list[list[int]],
         max_new_tokens: int = 32,
         stop_at_eos: bool = True,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: int = SCORE_ROWS,
     ) -> list[list[int]]:
         """:meth:`generate_batch` over an arbitrary number of prompts,
-        chunked to bound the prefill attention tensor."""
+        chunked to the width the prefill's reused buffers hold."""
         outs: list[list[int]] = []
         for start in range(0, len(prompts), batch_size):
             chunk = prompts[start : start + batch_size]
@@ -186,7 +148,7 @@ class InferenceEngine:
     # -- scoring -------------------------------------------------------------
 
     def next_token_logits(
-        self, prompts: list[list[int]], batch_size: int = DEFAULT_BATCH_SIZE
+        self, prompts: list[list[int]], batch_size: int = SCORE_ROWS
     ) -> np.ndarray:
         """Logits at the answer position for each prompt, shape (B, vocab).
 
@@ -209,12 +171,7 @@ class InferenceEngine:
         with no_grad():
             for start in range(0, len(order), batch_size):
                 take = order[start : start + batch_size]
-                lens = np.array([len(clamped[i]) for i in take], dtype=np.int64)
-                ids = np.fromiter(
-                    chain.from_iterable(clamped[i] for i in take),
-                    dtype=np.int64,
-                    count=int(lens.sum()),
-                )
+                ids, lens = _packed([clamped[i] for i in take])
                 out[take] = self.model.forward(ids, lengths=lens).numpy()
         return out
 
@@ -246,7 +203,7 @@ class MicroBatcher:
 
     Callers block in :meth:`submit`; one worker thread blocks for the
     first pending item, adds whatever else is already queued (up to
-    :data:`DEFAULT_BATCH_SIZE` items), runs ``run_batch`` once over them
+    :data:`SCORE_ROWS` items), runs ``run_batch`` once over them
     right away, and wakes every caller with its own result.  A batch never
     waits for companions: a lone request runs immediately, and under
     load the queue fills while a batch runs, so the next batch is wide.
@@ -309,7 +266,7 @@ class MicroBatcher:
                 return
             batch = [first]
             stop = False
-            while len(batch) < DEFAULT_BATCH_SIZE:
+            while len(batch) < SCORE_ROWS:
                 try:
                     nxt = self._queue.get_nowait()
                 except queue.Empty:

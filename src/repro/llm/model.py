@@ -17,12 +17,12 @@ from repro.nn.module import Module
 from repro.tensor import Tensor, is_grad_enabled
 from repro.tensor.ops import RMS_EPS, _sigmoid, rms_inv, rotate_pairs, softmax_
 
-#: Query positions per block of the scoring prefill's attention.  A block
+#: Query positions per block of the prefill's attention.  A block
 #: ``[s, e)`` reads keys ``[0, e)`` only, so the fully masked tiles above
 #: the diagonal of the causal score square are never computed.
 QUERY_BLOCK = 32
-#: Prompts per scoring call that each thread's reused buffers hold
-#: without growing: the engine's chunk width.
+#: Prompts per prefill that each thread's reused buffers hold without
+#: growing: the engine's chunk and micro-batch width.
 SCORE_ROWS = 16
 
 
@@ -65,26 +65,21 @@ class CausalLM(Module):
                 TransformerBlock(config.dim, config.n_heads, config.hidden_dim, rng),
             )
         self.norm = RMSNorm(config.dim)
-        # The scoring prefill's tables: one additive causal mask, and
+        # The inference kernels' tables: one additive causal mask, and
         # RoPE rows that rotate every head of a token at once; and each
-        # thread's buffers for it (see :meth:`_score_buffers`).
+        # thread's prefill buffers (see :meth:`_score_buffers`).
         self.causal = causal_mask(config.max_seq_len)
         self.rope_rows = self.rope.row_tables(config.n_heads)
         self._scratch = threading.local()
 
     # -- caches -------------------------------------------------------------
 
-    def new_caches(self, reserve: int = 0) -> list[KVCache]:
-        """One empty KV cache per block (incremental decoding state).
-
-        ``reserve`` hints the final sequence length so each cache's
-        buffer allocates once instead of growing during decode.
-        """
-        caches = [KVCache() for _ in range(self.config.n_layers)]
-        if reserve:
-            for cache in caches:
-                cache.reserve(reserve)
-        return caches
+    def new_caches(self, rows: int, capacity: int) -> list[KVCache]:
+        """One empty KV cache per block for ``rows`` sequences of up to
+        ``capacity`` tokens each (incremental decoding state)."""
+        cfg = self.config
+        head_dim = cfg.dim // cfg.n_heads
+        return [KVCache(rows, capacity, cfg.n_heads, head_dim) for _ in range(cfg.n_layers)]
 
     def _blocks(self) -> list[TransformerBlock]:
         return [getattr(self, f"block{i}") for i in range(self.config.n_layers)]
@@ -95,58 +90,42 @@ class CausalLM(Module):
         self,
         ids: np.ndarray,
         caches: list[KVCache] | None = None,
-        attn_mask: np.ndarray | None = None,
-        positions: np.ndarray | None = None,
-        q_tail: int | None = None,
         return_hidden: bool = False,
         lengths: np.ndarray | None = None,
     ) -> Tensor:
-        """Return logits of shape (B, T, vocab) — or (B, q_tail, vocab), or
-        (len(lengths), vocab).
+        """Return logits of shape (B, T, vocab), or one row of next-token
+        logits per prompt or cache row.
 
-        With grad enabled this builds the training graph, which takes
-        ``ids`` and ``return_hidden`` only.  Under ``no_grad`` it runs
-        :meth:`_infer`, a plain-NumPy kernel that performs the graph's
-        array operations in the graph's order over each parameter's
-        current ``.data`` (logits are bit-identical), and accepts:
+        With neither ``lengths`` nor ``caches`` this is the graph, with or
+        without grad.  ``return_hidden`` returns its final *normed hidden
+        states* (B, T, dim) instead of logits, skipping the LM head: the
+        trainer projects only supervised positions through it (see
+        :meth:`output_logits`).
 
-        caches:
-            Per-layer KV caches for incremental decoding.
-        attn_mask:
-            Additive attention mask broadcastable to (B, H, T_q, T_k);
-            defaults to causal.
-        positions:
-            Per-token absolute RoPE positions, shape (B, T) or (T,) — the
-            batched engine's left-padded rows; defaults to the positions
-            after the cached ones.
-        q_tail:
-            Only the last ``q_tail`` positions run through the final
-            block's queries, the norm, and the LM head.  Next-token
-            scoring and prefill need just the last position's logits.
-            KV caches still record every position.
+        Under ``no_grad``, plain-NumPy kernels over each parameter's
+        current ``.data`` run inference:
 
-        ``return_hidden`` returns the final *normed hidden states* (B, T,
-        dim) instead of logits, skipping the LM head: the trainer projects
-        only supervised positions through it (see :meth:`output_logits`).
-
-        ``lengths`` selects the scoring prefill (:meth:`_score`, no_grad
-        only, with no other argument): ``ids`` is 1-D, the prompts packed
-        end to end, ``lengths`` their token counts, and the result holds
-        each prompt's next-token logits.
+        lengths:
+            The prefill (:meth:`_score`): ``ids`` is 1-D, the prompts
+            packed end to end, ``lengths`` their token counts; returns
+            (len(lengths), vocab).  With ``caches`` (new, from
+            :meth:`new_caches`, one row per prompt) it also fills them.
+        caches alone:
+            A decode step (:meth:`_step`): ``ids`` is (rows, 1), one token
+            per cache row, at the position after the row's cached ones;
+            returns (rows, vocab).
         """
         ids = np.asarray(ids)
-        if lengths is not None:
-            if caches is not None or attn_mask is not None or positions is not None or (
-                q_tail or return_hidden or is_grad_enabled()
-            ):
-                raise ValueError("lengths needs no_grad and no other argument")
-            return Tensor(self._score(ids, np.asarray(lengths, dtype=np.int64)))
+        if lengths is not None or caches is not None:
+            if return_hidden or is_grad_enabled():
+                raise ValueError("lengths and caches need no_grad and logits")
+            if lengths is None:
+                return Tensor(self._step(ids, caches))
+            if caches is not None and caches[0].length:
+                raise ValueError("a prefill needs empty caches")
+            return Tensor(self._score(ids, np.asarray(lengths, dtype=np.int64), caches))
         if ids.ndim == 1:
             ids = ids[None, :]
-        if not is_grad_enabled():
-            return Tensor(self._infer(ids, caches, attn_mask, positions, q_tail, return_hidden))
-        if caches is not None or attn_mask is not None or positions is not None or q_tail:
-            raise ValueError("caches, attn_mask, positions and q_tail need no_grad")
         x = self.tok_emb(ids)
         for block in self._blocks():
             x = block(x, self.rope)
@@ -155,22 +134,9 @@ class CausalLM(Module):
             return x
         return self.output_logits(x)
 
-    def _infer(self, ids, caches, attn_mask, positions, q_tail, return_hidden) -> np.ndarray:
-        self.tok_emb.check(ids)
-        x = self.tok_emb.weight.data[ids]
-        b, t = ids.shape
-        offset = caches[0].length if caches else 0
-        if positions is None:
-            positions = np.arange(offset, offset + t)
-        cos, sin = self.rope.at(np.broadcast_to(positions, (b, t))[:, None])
-        blocks = self._blocks()
-        for i, block in enumerate(blocks):
-            tail = t if i < len(blocks) - 1 or q_tail is None else min(q_tail, t)
-            x = _block(block, x, cos, sin, caches[i] if caches else None, attn_mask, tail)
-        x = _rms(x, self.norm)
-        return x if return_hidden else x @ self.tok_emb.weight.data.T
-
-    def _score(self, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    def _score(
+        self, ids: np.ndarray, lengths: np.ndarray, caches: list[KVCache] | None
+    ) -> np.ndarray:
         """Next-token logits of each prompt packed into 1-D ``ids``.
 
         Embedding, norms, projections, RoPE and SwiGLU run on the real
@@ -181,7 +147,8 @@ class CausalLM(Module):
         :data:`QUERY_BLOCK` over the rows that reach the block; the top
         block runs only each row's last token.  Large arrays live in the
         calling thread's buffers (:meth:`_score_buffers`), reused across
-        calls.
+        calls.  Each layer's keys and values, row ``r`` the prompt
+        ``r``, go into ``caches`` when given.
         """
         if ids.ndim != 1 or lengths.ndim != 1 or not lengths.size or (
             lengths.min() < 1 or lengths.sum() != ids.size
@@ -218,12 +185,46 @@ class CausalLM(Module):
                 cells[r, lens[r] :] = 0  # finite pads: a masked weight times a pad stays 0
         x = np.take(self.tok_emb.weight.data, ids, axis=0, out=buf.x[:n], mode="clip")
         blocks = self._blocks()
-        for block in blocks[:-1]:
-            _packed_block(block, x, buf, lay, self.causal)
-        x = _top_block(blocks[-1], x, buf, lay, self.causal, q_cos, q_sin)
+        for i, block in enumerate(blocks):
+            if i + 1 < len(blocks):
+                _packed_block(block, x, buf, lay, self.causal)
+            else:
+                x = _top_block(block, x, buf, lay, self.causal, q_cos, q_sin)
+            if caches is not None:
+                cache = caches[i]
+                cache.k[:, :width], cache.v[:, :width] = lay.ka[slot], lay.va[slot]
+                cache.lens = lengths
         logits = np.empty((rows, cfg.vocab_size), dtype=np.float32)
         logits[order] = _rms(x, self.norm) @ self.tok_emb.weight.data.T
         return logits
+
+    def _step(self, ids: np.ndarray, caches: list[KVCache]) -> np.ndarray:
+        """Next-token logits after one more token per cache row.
+
+        Row ``r``'s token sits at position ``caches[i].lens[r]``: its
+        rotated key and its value go into that column, and its query
+        attends to the row's columns up to it (:func:`_attend_last`).
+        """
+        rows = caches[0].lens.size
+        if ids.shape != (rows, 1) or len(caches) != self.config.n_layers:
+            raise ValueError("a decode step takes (rows, 1) ids and one cache per block")
+        self.tok_emb.check(ids)
+        pos = caches[0].lens
+        cos, sin = self.rope.at(pos)
+        each = np.arange(rows)
+        x = self.tok_emb.weight.data[ids[:, 0]]
+        for block, cache in zip(self._blocks(), caches):
+            attn = block.attn
+            h = _rms(x, block.attn_norm)
+            cache.k[each, pos] = _rotate_rows(_linear(h, attn.wk), cos, sin, attn.n_heads)[:, :, 0]
+            cache.v[each, pos] = _linear(h, attn.wv).reshape(rows, attn.n_heads, attn.head_dim)
+            cache.lens = pos + 1
+            width = int(pos.max()) + 1
+            x = _attend_last(
+                block, x, h, cos, sin, cache.k[:, :width], cache.v[:, :width], cache.lens,
+                self.causal,
+            )
+        return _rms(x, self.norm) @ self.tok_emb.weight.data.T
 
     def _score_buffers(self, rows: int) -> _Buffers:
         """The calling thread's scoring buffers, replaced when too small."""
@@ -250,9 +251,9 @@ class CausalLM(Module):
         return dup
 
 
-# -- the inference kernel ------------------------------------------------------
-# Each helper mirrors one module's forward with the same NumPy operations
-# in the same order, so a no_grad forward is bit-identical to the graph.
+# -- the inference kernels ------------------------------------------------------
+# Each helper mirrors one module's forward with the same NumPy operations,
+# over the rows or packed tokens inference needs.
 
 
 def _linear(x: np.ndarray, layer, out: np.ndarray | None = None) -> np.ndarray:
@@ -269,33 +270,25 @@ def _rms(x: np.ndarray, norm) -> np.ndarray:
     return x * rms_inv(x) * norm.weight.data
 
 
-def _block(block, x, cos, sin, cache, attn_mask, tq) -> np.ndarray:
-    """``TransformerBlock`` forward whose output covers the last ``tq`` of
-    the ``t`` positions of ``x`` (keys and values still cover all ``t``).
-    ``cos``/``sin`` are the RoPE rows of those positions, (B, 1, t, hd/2)."""
-    attn, mlp = block.attn, block.mlp
-    b, t, _ = x.shape
-    heads = (attn.n_heads, attn.head_dim)
-    q_offset = (cache.length if cache is not None else 0) + t - tq
-    h = _rms(x, block.attn_norm)
-    k = _linear(h, attn.wk).reshape(b, t, *heads).transpose(0, 2, 1, 3)
-    v = _linear(h, attn.wv).reshape(b, t, *heads).transpose(0, 2, 1, 3)
-    k = rotate_pairs(k, cos, sin)
-    if tq < t:
-        x = np.ascontiguousarray(x[:, t - tq :])
-        h = np.ascontiguousarray(h[:, t - tq :])
-        cos, sin = cos[:, :, t - tq :], sin[:, :, t - tq :]
-        if attn_mask is not None:
-            attn_mask = attn_mask[..., t - tq :, :]
-    q = _linear(h, attn.wq).reshape(b, tq, *heads).transpose(0, 2, 1, 3)
-    q = rotate_pairs(q, cos, sin)
-    if cache is not None:
-        k, v = cache.append(k, v)
-    if attn_mask is None:
-        attn_mask = causal_mask(tq, k.shape[2], offset=q_offset)[None, None, :, :]
+def _rotate_rows(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, heads: int) -> np.ndarray:
+    """Rotate (rows, dim) ``x``, one position per row whose RoPE rows
+    are ``cos``/``sin`` (rows, head_dim/2), to (rows, heads, 1, head_dim)."""
+    x = x.reshape(x.shape[0], 1, heads, -1).transpose(0, 2, 1, 3)
+    return rotate_pairs(x, cos[:, None, None, :], sin[:, None, None, :])
+
+
+def _attend_last(block, x, h, cos, sin, k, v, lens, causal) -> np.ndarray:
+    """The block's output for one query per row, (rows, dim).  ``x`` and
+    ``h`` are the residual stream and its normed value at each row's
+    position ``lens - 1``, whose RoPE rows are ``cos``/``sin``; ``k`` and
+    ``v`` (rows, W, heads, head_dim) hold the row's keys and values in
+    columns ``0..lens - 1``."""
+    attn = block.attn
+    q = _rotate_rows(_linear(h, attn.wq), cos, sin, attn.n_heads)
+    mask = causal[lens - 1, : k.shape[1]][:, None, None, :]
     scale = np.float32(1.0 / np.sqrt(attn.head_dim))
-    probs = softmax_((q * scale) @ k.swapaxes(-1, -2) + attn_mask)
-    ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(b, tq, attn.dim)
+    probs = softmax_((q * scale) @ k.transpose(0, 2, 3, 1) + mask)
+    ctx = (probs @ v.transpose(0, 2, 1, 3)).reshape(x.shape[0], attn.dim)
     return _residual_mlp(block, x + _linear(ctx, attn.wo))
 
 
@@ -424,14 +417,8 @@ def _packed_block(block, x: np.ndarray, buf: _Buffers, lay: _Layout, causal: np.
 def _top_block(block, x, buf, lay, causal, q_cos, q_sin) -> np.ndarray:
     """The last block's output at each row's last token, (rows, dim):
     keys and values from every token, the rest from the last ones."""
-    attn = block.attn
-    rows = lay.lens.size
     h = _rms_into(x, block.attn_norm, buf)
-    _packed_kv(attn, h, buf, lay)
-    q = _linear(h[lay.last], attn.wq).reshape(rows, 1, attn.n_heads, attn.head_dim)
-    q = rotate_pairs(q.transpose(0, 2, 1, 3), q_cos[:, None, None, :], q_sin[:, None, None, :])
-    mask = causal[lay.lens - 1, : lay.ka.shape[1]][:, None, None, :]
-    scale = np.float32(1.0 / np.sqrt(attn.head_dim))
-    probs = softmax_((q * scale) @ lay.ka.transpose(0, 2, 3, 1) + mask)
-    ctx = (probs @ lay.va.transpose(0, 2, 1, 3)).reshape(rows, attn.dim)
-    return _residual_mlp(block, x[lay.last] + _linear(ctx, attn.wo))
+    _packed_kv(block.attn, h, buf, lay)
+    return _attend_last(
+        block, x[lay.last], h[lay.last], q_cos, q_sin, lay.ka, lay.va, lay.lens, causal
+    )

@@ -14,7 +14,6 @@ from repro.nn.attention import (
     MultiHeadAttention,
     RotaryEmbedding,
     causal_mask,
-    padding_causal_mask,
 )
 from repro.nn.transformer import SwiGLU, TransformerBlock
 from repro.nn.lora import LoRAConfig, LoRALinear, apply_lora, merge_lora
@@ -32,7 +31,6 @@ __all__ = [
     "MultiHeadAttention",
     "RotaryEmbedding",
     "causal_mask",
-    "padding_causal_mask",
     "SwiGLU",
     "TransformerBlock",
     "LoRAConfig",

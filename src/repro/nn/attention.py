@@ -2,9 +2,9 @@
 
 This matches the LLaMA attention layout: no biases, RoPE applied to the
 query/key halves pairwise, and a causal additive mask.  The module is
-the training graph; inference (padding masks, per-row positions and the
-KV cache below) runs in :meth:`repro.llm.model.CausalLM.forward`'s NumPy
-kernel.
+the training graph and the reference for inference, which runs in
+:class:`repro.llm.model.CausalLM`'s NumPy kernels over packed tokens and
+the per-row KV caches below.
 """
 
 from __future__ import annotations
@@ -20,31 +20,12 @@ NEG_INF = np.float32(-1e9)
 ROPE_BASE = 10000.0  # LLaMA's RoPE frequency base
 
 
-def causal_mask(q_len: int, k_len: int | None = None, offset: int = 0) -> np.ndarray:
-    """Additive causal mask of shape ``(q_len, k_len)``.
-
-    Query position ``i`` (absolute position ``offset + i``) may attend to
-    key positions ``<= offset + i``.  Entries are 0 where attention is
-    allowed and ``-1e9`` where it is blocked.
-    """
-    k_len = q_len + offset if k_len is None else k_len
-    qpos = np.arange(q_len)[:, None] + offset
-    kpos = np.arange(k_len)[None, :]
-    return np.where(kpos <= qpos, np.float32(0.0), NEG_INF)
-
-
-def padding_causal_mask(
-    pads: np.ndarray, q_len: int, k_len: int, offset: int = 0
-) -> np.ndarray:
-    """Additive mask of shape ``(B, 1, q_len, k_len)`` for a left-padded
-    batch: row ``b``'s query ``i`` (absolute buffer column ``offset + i``)
-    may attend to buffer column ``j`` when ``j <= offset + i`` (causal)
-    and ``j >= pads[b]`` (not a pad slot)."""
-    pads = np.asarray(pads)
-    qpos = np.arange(q_len)[None, :, None] + offset
-    kpos = np.arange(k_len)[None, None, :]
-    allowed = (kpos <= qpos) & (kpos >= pads[:, None, None])
-    return np.where(allowed, np.float32(0.0), NEG_INF)[:, None, :, :]
+def causal_mask(size: int) -> np.ndarray:
+    """Additive causal mask of shape ``(size, size)``: query ``i`` may
+    attend to keys ``<= i``.  Entries are 0 where attention is allowed
+    and ``-1e9`` where it is blocked."""
+    pos = np.arange(size)
+    return np.where(pos[None, :] <= pos[:, None], np.float32(0.0), NEG_INF)
 
 
 class RotaryEmbedding:
@@ -93,57 +74,28 @@ class RotaryEmbedding:
 
 
 class KVCache:
-    """Per-layer accumulated keys/values for incremental decoding.
+    """One layer's keys and values for incremental decoding.
 
-    Arrays are plain NumPy (generation runs under ``no_grad``) of logical
-    shape (B, H, T_total, head_dim), stored in a preallocated buffer that
-    grows geometrically — appending a token is O(1) amortised instead of
-    the O(T) concatenate-per-token (O(T^2) per decode) it replaces.
+    ``k`` and ``v`` are (rows, capacity, heads, head_dim) arrays
+    allocated once; row ``r`` holds its tokens in columns
+    ``0..lens[r] - 1``, so rows of different lengths need no padding.
+    The columns past a row's end hold finite values, which the causal
+    mask keeps out of its attention.
     """
 
-    _MIN_CAPACITY = 32
-
-    def __init__(self) -> None:
-        self._k: np.ndarray | None = None
-        self._v: np.ndarray | None = None
-        self._len = 0
-        self._reserved = 0
-
-    @property
-    def k(self) -> np.ndarray | None:
-        return None if self._k is None else self._k[:, :, : self._len]
-
-    @property
-    def v(self) -> np.ndarray | None:
-        return None if self._v is None else self._v[:, :, : self._len]
+    def __init__(self, rows: int, capacity: int, heads: int, head_dim: int) -> None:
+        self.k = np.zeros((rows, capacity, heads, head_dim), dtype=np.float32)
+        self.v = np.zeros_like(self.k)
+        self.lens = np.zeros(rows, dtype=np.int64)
 
     @property
     def length(self) -> int:
-        return self._len
+        """The longest row's token count: 0 before a prefill."""
+        return int(self.lens.max(initial=0))
 
-    @property
-    def capacity(self) -> int:
-        return 0 if self._k is None else self._k.shape[2]
-
-    def reserve(self, total_len: int) -> None:
-        """Hint the final sequence length so the buffer allocates once."""
-        self._reserved = max(self._reserved, int(total_len))
-
-    def append(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        b, h, t, hd = k.shape
-        needed = self._len + t
-        if self._k is None or needed > self._k.shape[2]:
-            cap = max(needed, self._reserved, 2 * self.capacity, self._MIN_CAPACITY)
-            grown_k = np.empty((b, h, cap, hd), dtype=k.dtype)
-            grown_v = np.empty((b, h, cap, hd), dtype=v.dtype)
-            if self._len:
-                grown_k[:, :, : self._len] = self._k[:, :, : self._len]
-                grown_v[:, :, : self._len] = self._v[:, :, : self._len]
-            self._k, self._v = grown_k, grown_v
-        self._k[:, :, self._len : needed] = k
-        self._v[:, :, self._len : needed] = v
-        self._len = needed
-        return self._k[:, :, :needed], self._v[:, :, :needed]
+    def keep(self, rows) -> None:
+        """Keep only ``rows`` (indices, in their new order)."""
+        self.k, self.v, self.lens = self.k[rows], self.v[rows], self.lens[rows]
 
 
 class MultiHeadAttention(Module):

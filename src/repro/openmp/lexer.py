@@ -39,26 +39,24 @@ _OP_RE = re.compile("|".join(re.escape(o) for o in _OPS))
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 _NUM_RE = re.compile(r"\d+(\.\d+)?")
 _PUNCT = set("()[]{};,:")
-#: A C block comment, in Friedl's unrolled form (*Mastering Regular
-#: Expressions*, ch. 6): the same matches as the lazy ``/\*.*?\*/``
-#: under DOTALL without its per-character backtracking.
-BLOCK_COMMENT_RE = re.compile(r"/\*[^*]*\*+(?:[^/*][^*]*\*+)*/")
 
 
 def _strip_c_comments(src: str) -> str:
     """Drop comments.  A block comment reads as one space, as in C, so a
     directive runs on past a comment that spans lines; the newlines it
     held go back in at the end of the line it ends on, so every later
-    line keeps its source line number."""
+    line keeps its source line number.  Comments are found with
+    ``str.find``, which copies nothing: a file that is one long comment
+    costs no more memory than its text."""
     out: list[str] = []
     pos = held = 0
-    for m in BLOCK_COMMENT_RE.finditer(src):
-        text = src[pos:m.start()]
+    while (start := src.find("/*", pos)) >= 0 and (end := src.find("*/", start + 2)) >= 0:
+        text = src[pos:start]
         if held and "\n" in text:
             text, held = text.replace("\n", "\n" * (held + 1), 1), 0
         out.append(text + " ")
-        held += m.group().count("\n")
-        pos = m.end()
+        held += src.count("\n", start, end)
+        pos = end + 2
     tail = src[pos:]
     out.append(tail.replace("\n", "\n" * (held + 1), 1) if "\n" in tail else tail + "\n" * held)
     return re.sub(r"//[^\n]*", "", "".join(out))

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 from repro.drb.generator import KernelSpec
 from repro.openmp.ast_nodes import Program
-from repro.openmp.lexer import BLOCK_COMMENT_RE
 from repro.scan.walker import SourceFile
 from repro.utils.languages import FORTRAN
 
@@ -193,9 +192,13 @@ def extract_kernels(file: SourceFile) -> list[ExtractedKernel]:
     return kernels
 
 
-#: Block comment (the unrolled ``BLOCK_COMMENT_RE``), ``//`` comment,
-#: string literal, char literal: one left-to-right scan, so whichever
-#: starts first wins and a marker inside another stays inside it.
+#: A C block comment, in Friedl's unrolled form (*Mastering Regular
+#: Expressions*, ch. 6): the same matches as the lazy ``/\*.*?\*/``
+#: under DOTALL without its per-character backtracking.
+BLOCK_COMMENT_RE = re.compile(r"/\*[^*]*\*+(?:[^/*][^*]*\*+)*/")
+#: Block comment, ``//`` comment, string literal, char literal: one
+#: left-to-right scan, so whichever starts first wins and a marker
+#: inside another stays inside it.
 _C_BLANK_RE = re.compile("|".join((
     BLOCK_COMMENT_RE.pattern,
     r"//[^\n]*",

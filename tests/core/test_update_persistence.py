@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import HPCGPTConfig, HPCGPTSystem
 from repro.finetune import SFTConfig
-from repro.llm import ModelConfig, PretrainConfig
+from repro.llm import InferenceEngine, ModelConfig, PretrainConfig
 from repro.nn import LoRAConfig
 
 #: Smallest config that still runs the full collect -> SFT -> calibrate
@@ -80,11 +80,18 @@ class TestUpdatePersistence:
         latest = cached_system._latest_update_ckpt("l2")
         assert latest.name.endswith("-update-10000.npz")
 
-    def test_update_invalidates_engine(self, cached_system):
-        engine_before = cached_system.engine("l2")
+    def test_update_reaches_the_serving_engine(self, cached_system):
+        """The engine keeps no state between calls, so the one serving
+        before an update scores with the updated weights after it."""
+        engine = cached_system.engine("l2")
         records = cached_system.collect_data().records[:3]
+        questions = [r.instruction for r in records]
+        before = engine.yes_no_margins(questions)
         cached_system.update_with(records, epochs=1)
-        assert cached_system.engine("l2") is not engine_before
+        after = engine.yes_no_margins(questions)
+        assert after != before
+        fresh = InferenceEngine(cached_system.finetuned("l2"), cached_system.tokenizer)
+        assert after == fresh.yes_no_margins(questions)
 
     def test_other_version_unaffected(self, cached_system):
         records = cached_system.collect_data().records[:3]

@@ -1,8 +1,9 @@
-"""The no_grad forward of :class:`CausalLM` is a plain-NumPy kernel: its
-logits must equal the training graph's bit for bit, it must read the
-weights at call time, and it owns padding, per-row positions and the
-KV cache (the Tensor modules no longer take them).  Its scoring prefill
-(``forward(ids, lengths=...)``) must match each prompt's own forward."""
+"""The no_grad forward of :class:`CausalLM` runs plain-NumPy kernels: a
+prefill over packed prompts (``forward(ids, lengths=...)``, filling KV
+caches when given them) and a decode step against those caches
+(``forward(ids, caches)``).  Their logits must match the graph's at the
+same positions, they must read the weights at call time, and the
+prefill's reused buffers must carry nothing from one call to the next."""
 
 import functools
 import threading
@@ -15,7 +16,6 @@ from repro.llm import CausalLM, InferenceEngine, ModelConfig
 from repro.llm.engine import clamp_prompt
 from repro.llm.pretrain import PretrainConfig, build_general_corpus, train_tokenizer_on
 from repro.nn import LoRAConfig, apply_lora, merge_lora
-from repro.nn.attention import padding_causal_mask
 from repro.tensor import no_grad
 from repro.utils.rng import derive_rng
 
@@ -36,124 +36,130 @@ def random_ids(shape, seed: int = 1) -> np.ndarray:
     return derive_rng(seed, "tests/llm/kernel/ids").integers(0, SMALL.vocab_size, size=shape)
 
 
+def with_lora_update(model: CausalLM) -> CausalLM:
+    """``model`` with unmerged LoRA adapters whose update is non-zero."""
+    apply_lora(model, LoRAConfig(rank=2), derive_rng(3, "tests/llm/kernel/lora"))
+    for name, p in model.named_parameters():
+        if name.endswith("lora_b"):
+            p.data = derive_rng(4, name).standard_normal(p.shape).astype(np.float32)
+    return model
+
+
+def graph_logits(model, seq) -> np.ndarray:
+    """The graph's next-token logits after ``seq``."""
+    with no_grad():
+        return model.forward(np.asarray(seq)).numpy()[0, -1]
+
+
 class TestGraphParity:
-    """The kernel's parity oracle: the training graph."""
+    """The kernels' oracle is the graph: the prefill's logits and every
+    decode step's stay within 1e-5 of the graph's at the same position."""
 
-    @pytest.mark.parametrize("length", [1, 7, SMALL.max_seq_len - 1])
-    def test_logits_array_equal_graph(self, length):
-        model = make_model()
-        ids = random_ids((3, length))
-        graph = model.forward(ids).numpy()
+    def decode_and_compare(self, model, lengths, drops=None, steps=5):
+        """Prefill prompts of ``lengths`` into caches, then decode ``steps``
+        tokens of each row's own continuation; ``drops`` maps a step to
+        the rows :meth:`KVCache.keep` keeps before it."""
+        drops = drops or {}
+        seqs = [random_ids(n + steps, seed=10 + i) for i, n in enumerate(lengths)]
+        live = list(range(len(lengths)))
         with no_grad():
-            kernel = model.forward(ids).numpy()
-        np.testing.assert_array_equal(kernel, graph)
+            caches = model.new_caches(len(lengths), SMALL.max_seq_len)
+            ids = np.concatenate([s[:n] for s, n in zip(seqs, lengths)])
+            got = model.forward(ids, caches, lengths=lengths).numpy()
+            for r, (s, n) in enumerate(zip(seqs, lengths)):
+                np.testing.assert_allclose(got[r], graph_logits(model, s[:n]), atol=1e-5)
+            assert caches[0].lens.tolist() == list(lengths)
+            for t in range(steps):
+                if t in drops:
+                    for cache in caches:
+                        cache.keep(drops[t])
+                    live = [live[r] for r in drops[t]]
+                step = np.array([[seqs[i][lengths[i] + t]] for i in live])
+                got = model.forward(step, caches).numpy()
+                assert got.shape == (len(live), SMALL.vocab_size)
+                for r, i in enumerate(live):
+                    want = graph_logits(model, seqs[i][: lengths[i] + t + 1])
+                    np.testing.assert_allclose(got[r], want, atol=1e-5)
+        return caches
 
-    def test_hidden_array_equal_graph(self):
+    def test_mixed_lengths_prefill_and_decode(self):
+        lengths = [1, SMALL.max_seq_len - 6, 7, 33, 2]
+        caches = self.decode_and_compare(make_model(), lengths)
+        assert caches[0].lens.tolist() == [n + 5 for n in lengths]
+
+    def test_prefill_at_the_context_end(self):
+        """Lengths 1 and ``max_seq_len - 1`` in one prefill; the long row
+        then takes the last position the RoPE table holds."""
+        self.decode_and_compare(make_model(), [1, SMALL.max_seq_len - 1], steps=1)
+
+    def test_rows_dropped_mid_decode(self):
+        """Rows that leave (finished, as the engine drops them) take their
+        keys and values with them; the rest decode on unchanged."""
+        caches = self.decode_and_compare(
+            make_model(), [4, 30, 1, 17, 9], drops={1: [0, 2, 3, 4], 3: [1, 3]}
+        )
+        assert caches[0].k.shape[0] == caches[0].lens.size == 2
+
+    def test_unmerged_lora_model(self):
+        """A model whose Linears are still LoRALinear runs the adapter
+        path in both kernels."""
+        self.decode_and_compare(with_lora_update(make_model()), [3, 20, 11])
+
+    def test_no_grad_graph_equals_graph(self):
+        """Without ``lengths`` or ``caches`` a no_grad forward is the
+        graph, records nothing for backward, and gives the same arrays."""
         model = make_model()
         ids = random_ids((2, 9))
-        graph = model.forward(ids, return_hidden=True).numpy()
+        logits = model.forward(ids).numpy()
+        hidden = model.forward(ids, return_hidden=True).numpy()
         with no_grad():
-            kernel = model.forward(ids, return_hidden=True).numpy()
-        np.testing.assert_array_equal(kernel, graph)
-
-    def test_unmerged_lora_model_array_equal_graph(self):
-        """A model whose Linears are still LoRALinear runs the adapter
-        path in the kernel too (here with a non-zero update)."""
-        model = make_model()
-        apply_lora(model, LoRAConfig(rank=2), derive_rng(3, "tests/llm/kernel/lora"))
-        for name, p in model.named_parameters():
-            if name.endswith("lora_b"):
-                p.data = derive_rng(4, name).standard_normal(p.shape).astype(np.float32)
-        ids = random_ids((2, 11))
-        graph = model.forward(ids).numpy()
-        with no_grad():
-            kernel = model.forward(ids).numpy()
-        np.testing.assert_array_equal(kernel, graph)
-
-    def test_q_tail_equals_last_rows_of_full(self):
-        model = make_model()
-        ids = random_ids((2, 12))
-        with no_grad():
-            full = model.forward(ids).numpy()
-            tail = model.forward(ids, q_tail=3).numpy()
-        assert tail.shape == (2, 3, SMALL.vocab_size)
-        np.testing.assert_allclose(tail, full[:, -3:], atol=1e-5)
+            out = model.forward(ids)
+            np.testing.assert_array_equal(out.numpy(), logits)
+            np.testing.assert_array_equal(model.forward(ids, return_hidden=True).numpy(), hidden)
+        assert not out.requires_grad
 
     def test_inference_arguments_need_no_grad(self):
         model = make_model()
         with pytest.raises(ValueError):
-            model.forward(random_ids((1, 4)), q_tail=1)
-        with pytest.raises(ValueError):
-            model.forward(random_ids((1, 4)), caches=model.new_caches())
+            model.forward(random_ids((1, 4)), model.new_caches(1, 8))
         with pytest.raises(ValueError):
             model.forward(random_ids(4), lengths=[4])
+        with no_grad(), pytest.raises(ValueError):
+            model.forward(random_ids(4), lengths=[4], return_hidden=True)
 
 
 class TestInputChecks:
     def test_token_id_out_of_range(self):
         model = make_model()
-        with no_grad(), pytest.raises(IndexError):
-            model.forward(np.array([[1, SMALL.vocab_size]]))
-        with no_grad(), pytest.raises(IndexError):
-            model.forward(np.array([[-1, 2]]))
+        with no_grad():
+            for bad in (SMALL.vocab_size, -1):
+                with pytest.raises(IndexError):
+                    model.forward(np.array([[1, bad]]))
+                caches = model.new_caches(2, 8)
+                model.forward(np.array([1, 2, 3]), caches, lengths=[2, 1])
+                with pytest.raises(IndexError):
+                    model.forward(np.array([[1], [bad]]), caches)
 
-    def test_positions_outside_rope_table(self):
-        model = make_model()
-        with no_grad(), pytest.raises(ValueError):
-            model.forward(np.array([[1, 2]]), positions=np.array([[0, SMALL.max_seq_len]]))
-        with no_grad(), pytest.raises(ValueError):
-            model.forward(np.array([[1, 2]]), positions=np.array([-1, 0]))
-
-    def test_sequence_past_rope_table(self):
+    def test_step_past_rope_table(self):
         model = make_model()
         with no_grad():
-            caches = model.new_caches()
-            model.forward(random_ids((1, SMALL.max_seq_len)), caches=caches)
+            caches = model.new_caches(1, SMALL.max_seq_len)
+            model.forward(random_ids(SMALL.max_seq_len), caches, lengths=[SMALL.max_seq_len])
             with pytest.raises(ValueError):
-                model.forward(np.array([[1]]), caches=caches)
+                model.forward(np.array([[1]]), caches)
 
-
-class TestPaddingPositionsAndCache:
-    def test_padded_rows_match_each_row_alone(self):
-        """A left-padded row, with its own positions, computes the same
-        logits as the row alone."""
+    def test_malformed_step_ids(self):
         model = make_model()
-        short, long = random_ids((1, 3), seed=5), random_ids((1, 6), seed=6)
-        pads = np.array([3, 0])
-        ids = np.concatenate([np.zeros_like(long), long], axis=0)
-        ids[0, 3:] = short[0]
-        positions = np.maximum(np.arange(6)[None, :] - pads[:, None], 0)
         with no_grad():
-            ref_short = model.forward(short).numpy()
-            ref_long = model.forward(long).numpy()
-            out = model.forward(
-                ids, attn_mask=padding_causal_mask(pads, 6, 6), positions=positions
-            ).numpy()
-        np.testing.assert_allclose(out[0, 3:], ref_short[0], atol=1e-5)
-        np.testing.assert_allclose(out[1], ref_long[0], atol=1e-5)
-
-    def test_explicit_positions_match_cache_offset(self):
-        model = make_model()
-        ids = random_ids((1, 8))
-        with no_grad():
-            caches = model.new_caches()
-            model.forward(ids[:, :3], caches=caches)
-            by_offset = model.forward(ids[:, 3:], caches=caches).numpy()
-            caches = model.new_caches()
-            model.forward(ids[:, :3], caches=caches)
-            by_positions = model.forward(
-                ids[:, 3:], caches=caches, positions=np.arange(3, 8)
-            ).numpy()
-        np.testing.assert_array_equal(by_positions, by_offset)
-
-    def test_kv_cache_matches_full_forward(self):
-        model = make_model()
-        ids = random_ids((2, 6))
-        with no_grad():
-            full = model.forward(ids).numpy()
-            caches = model.new_caches()
-            steps = [model.forward(ids[:, t : t + 1], caches=caches).numpy() for t in range(6)]
-        np.testing.assert_allclose(np.concatenate(steps, axis=1), full, atol=1e-4)
+            caches = model.new_caches(2, 8)
+            model.forward(np.array([1, 2, 3]), caches, lengths=[2, 1])
+            for ids in ([1, 2], [[1, 2], [3, 4]], [[1]], [[1], [2], [3]]):
+                with pytest.raises(ValueError):
+                    model.forward(np.array(ids), caches)
+            with pytest.raises(ValueError):  # one cache per block
+                model.forward(np.array([[1], [2]]), caches[:1])
+            with pytest.raises(ValueError):  # a prefill into filled caches
+                model.forward(np.array([1, 2, 3]), caches, lengths=[2, 1])
 
 
 class TestWeightsReadAtCallTime:
@@ -174,24 +180,17 @@ class TestWeightsReadAtCallTime:
         for name, p in model.named_parameters():
             if name.endswith("lora_b"):
                 p.data = np.full(p.shape, 0.5, dtype=np.float32)
-        ids = random_ids((1, 5))
+        ids = random_ids(5)
         with no_grad():
-            unmerged = model.forward(ids).numpy()
+            unmerged = model.forward(ids, lengths=[5]).numpy()
             merge_lora(model)
-            merged = model.forward(ids).numpy()
+            merged = model.forward(ids, lengths=[5]).numpy()
         np.testing.assert_allclose(merged, unmerged, atol=1e-4)
-        graph = model.forward(ids).numpy()
-        np.testing.assert_array_equal(merged, graph)
+        np.testing.assert_allclose(merged[0], graph_logits(model, ids), atol=1e-5)
 
 
 def packed(prompts):
     return np.concatenate(prompts), np.array([len(p) for p in prompts])
-
-
-def alone(model, prompt) -> np.ndarray:
-    """A prompt's next-token logits from its own full forward."""
-    with no_grad():
-        return model.forward(np.asarray(prompt)).numpy()[0, -1]
 
 
 class TestScoringPrefill:
@@ -211,7 +210,7 @@ class TestScoringPrefill:
         prompts = [random_ids(n, seed=i).tolist() for i, n in enumerate(lengths)]
         got = InferenceEngine(model, tok).next_token_logits(prompts)
         for row, p in zip(got, prompts):
-            np.testing.assert_allclose(row, alone(model, clamp_prompt(p, 0, 64)), atol=1e-5)
+            np.testing.assert_allclose(row, graph_logits(model, clamp_prompt(p, 0, 64)), atol=1e-5)
 
     def test_permuted_input_gives_permuted_rows(self):
         model = make_model()
@@ -225,17 +224,13 @@ class TestScoringPrefill:
         np.testing.assert_array_equal(permuted, out[perm])
 
     def test_unmerged_lora_model(self):
-        model = make_model()
-        apply_lora(model, LoRAConfig(rank=2), derive_rng(3, "tests/llm/kernel/lora"))
-        for name, p in model.named_parameters():
-            if name.endswith("lora_b"):
-                p.data = derive_rng(4, name).standard_normal(p.shape).astype(np.float32)
+        model = with_lora_update(make_model())
         prompts = [random_ids(n, seed=n) for n in (3, 35, 20)]
         ids, lens = packed(prompts)
         with no_grad():
             got = model.forward(ids, lengths=lens).numpy()
         for row, p in zip(got, prompts):
-            np.testing.assert_allclose(row, alone(model, p), atol=1e-5)
+            np.testing.assert_allclose(row, graph_logits(model, p), atol=1e-5)
 
     def test_input_checks(self):
         model = make_model()
@@ -269,7 +264,7 @@ class TestScoringPrefill:
         assert np.isnan(first[0]).all()
         assert np.isnan(got[:, 5]).all() and np.isfinite(np.delete(got, 5, axis=1)).all()
         for row, p in zip(got, clean):
-            np.testing.assert_allclose(row, alone(model, p), atol=1e-5)
+            np.testing.assert_allclose(row, graph_logits(model, p), atol=1e-5)
 
     def test_two_threads_get_the_serial_results(self, tok):
         model = make_model()
@@ -335,3 +330,28 @@ class TestScoringPrefill:
         finally:
             tracemalloc.stop()
         assert peak < sum(lengths) * cfg.dim * 4
+
+
+class TestGenerationCalls:
+    def test_a_forward_wrapper_sees_one_prefill_then_decode_steps(self, tok, monkeypatch):
+        """A wrapper that, like perfbench's, reads ``args[0]`` as caches
+        and calls a one-token step against filled caches decode, sees one
+        packed prefill of the real tokens, then one step per new token
+        over the rows still decoding."""
+        seen = []
+        forward = CausalLM.forward
+
+        @functools.wraps(forward)
+        def wrapper(self, ids, *args, **kwargs):
+            caches = kwargs.get("caches", args[0] if args else None)
+            shape = ids.shape
+            decode = bool(caches) and shape[-1] == 1 and caches[0].length > 0
+            rows = shape[0] if len(shape) > 1 else 1
+            seen.append(("decode" if decode else "prefill", rows * shape[-1]))
+            return forward(self, ids, *args, **kwargs)
+
+        monkeypatch.setattr(CausalLM, "forward", wrapper)
+        prompts = [random_ids(n, seed=n).tolist() for n in (7, 3, 20)]
+        outs = InferenceEngine(make_model(), tok).generate_batch(prompts, 4, stop_at_eos=False)
+        assert [len(o) for o in outs] == [4, 4, 4]
+        assert seen == [("prefill", 30)] + [("decode", 3)] * 3

@@ -9,7 +9,8 @@ import threading
 
 import pytest
 
-from repro.llm.engine import DEFAULT_BATCH_SIZE, MicroBatcher
+from repro.llm.engine import MicroBatcher
+from repro.llm.model import SCORE_ROWS
 
 from support.batching import join_all, submit_in_threads, wait_queued
 
@@ -76,12 +77,12 @@ class TestGreedyDrain:
         mb = MicroBatcher(runner)
         try:
             _, _, first = hold(mb, runner)
-            items = list(range(DEFAULT_BATCH_SIZE + 3))
+            items = list(range(SCORE_ROWS + 3))
             results, errors, threads = submit_in_threads(mb.submit, items)
             wait_queued(mb, len(items))
             runner.release.set()
             join_all(first + threads)
-            assert [len(b) for b in runner.batches] == [1, DEFAULT_BATCH_SIZE, 3]
+            assert [len(b) for b in runner.batches] == [1, SCORE_ROWS, 3]
             assert results == {i: f"out:{i}" for i in items} and not errors
         finally:
             mb.close()

@@ -12,9 +12,7 @@ from repro.nn import (
     SwiGLU,
     TransformerBlock,
     causal_mask,
-    padding_causal_mask,
 )
-from repro.nn.attention import KVCache
 from repro.tensor import Tensor
 from repro.tensor.ops import rotate_pairs
 from repro.utils.rng import derive_rng
@@ -112,79 +110,11 @@ class TestRoPE:
             rope.at(np.array([-1, 0]))
 
 
-class TestKVCache:
-    def test_buffer_matches_concatenate_reference(self):
-        cache = KVCache()
-        ref_k, ref_v = [], []
-        rng = derive_rng(11, "kvcache")
-        for t in (3, 1, 1, 5, 1):
-            k = rng.standard_normal((2, 2, t, 4)).astype(np.float32)
-            v = rng.standard_normal((2, 2, t, 4)).astype(np.float32)
-            ref_k.append(k)
-            ref_v.append(v)
-            got_k, got_v = cache.append(k, v)
-            np.testing.assert_array_equal(got_k, np.concatenate(ref_k, axis=2))
-            np.testing.assert_array_equal(got_v, np.concatenate(ref_v, axis=2))
-        assert cache.length == 11
-        np.testing.assert_array_equal(cache.k, np.concatenate(ref_k, axis=2))
-
-    def test_capacity_grows_geometrically(self):
-        cache = KVCache()
-        one = np.ones((1, 1, 1, 2), dtype=np.float32)
-        cache.append(one, one)
-        first_cap = cache.capacity
-        assert first_cap >= 1
-        for _ in range(first_cap + 1):
-            cache.append(one, one)
-        # One growth step at least doubles, so appends are O(1) amortised.
-        assert cache.capacity >= 2 * first_cap
-
-    def test_reserve_preallocates_once(self):
-        cache = KVCache()
-        cache.reserve(100)
-        one = np.ones((1, 1, 1, 2), dtype=np.float32)
-        cache.append(one, one)
-        assert cache.capacity >= 100
-        buf_id = id(cache._k)
-        for _ in range(99):
-            cache.append(one, one)
-        assert id(cache._k) == buf_id  # never reallocated
-        assert cache.length == 100
-
-    def test_empty_cache_properties(self):
-        cache = KVCache()
-        assert cache.length == 0 and cache.capacity == 0
-        assert cache.k is None and cache.v is None
-
-
-class TestPaddingMask:
-    def test_blocks_pads_and_future(self):
-        mask = padding_causal_mask(np.array([0, 2]), 4, 4)
-        assert mask.shape == (2, 1, 4, 4)
-        # Row 0 (no padding) is the plain causal mask.
-        np.testing.assert_array_equal(mask[0, 0], causal_mask(4))
-        # Row 1: the first two key slots are pads, blocked for every query.
-        assert (mask[1, 0, :, :2] < -1e8).all()
-        assert mask[1, 0, 3, 2] == 0 and mask[1, 0, 3, 3] == 0
-        # Causality still holds on the real slots.
-        assert mask[1, 0, 2, 3] < -1e8
-
-    def test_decode_step_mask(self):
-        mask = padding_causal_mask(np.array([1]), 1, 5, offset=4)
-        np.testing.assert_array_equal(
-            mask[0, 0, 0] < -1e8, np.array([True, False, False, False, False])
-        )
-
-
 class TestCausalMask:
     def test_square_mask(self):
         m = causal_mask(3)
         assert m.shape == (3, 3)
         assert m[0, 1] < -1e8 and m[1, 0] == 0 and m[2, 2] == 0
-
-    def test_offset_mask_allows_history(self):
-        m = causal_mask(1, k_len=5, offset=4)
-        np.testing.assert_array_equal(m, np.zeros((1, 5), dtype=np.float32))
 
 
 class TestAttention:

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from repro.drb import DRBSuite
 from repro.openmp import CParseError, FortranParseError, parse_c, parse_fortran
-from repro.openmp.lexer import BLOCK_COMMENT_RE, LexError
+from repro.openmp.lexer import LexError
 from repro.openmp.pragmas import PragmaError
-from repro.scan.extractor import extract_kernels
+from repro.scan.extractor import BLOCK_COMMENT_RE, extract_kernels
 from repro.scan.walker import SourceFile
 
 from support.c_blanking_oracle import LAZY_BLOCK_COMMENT

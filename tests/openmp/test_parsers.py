@@ -1,7 +1,11 @@
 """Tests for the C and Fortran front ends and the access analysis."""
 
+import re
+import tracemalloc
+
 import pytest
 
+from repro.drb import DRBSuite
 from repro.openmp import (
     Assign, AtomicStmt, Barrier, BinOp, CParseError, CriticalSection,
     FortranParseError, Idx, IfStmt, Loop, Num, ParallelRegion, SingleSection,
@@ -9,7 +13,8 @@ from repro.openmp import (
 )
 from repro.openmp.analysis import Affine, affine_of
 from repro.openmp.ast_nodes import walk
-from repro.openmp.lexer import tokenize
+from repro.openmp.lexer import _strip_c_comments, tokenize
+from repro.scan.extractor import BLOCK_COMMENT_RE
 
 
 C_RACE = """
@@ -192,6 +197,58 @@ for (i = 0; i < 4; i++) { a[i] = i; }
             parse_c("#pragma omp parallel for\nint x;")  # pragma not on a loop
         with pytest.raises(CParseError):
             parse_c("int i\n")  # missing semicolon
+
+
+def regex_strip_c_comments(src: str) -> str:
+    """The comment stripper as a ``BLOCK_COMMENT_RE`` scan: the parity
+    oracle of the ``str.find`` one."""
+    out: list[str] = []
+    pos = held = 0
+    for m in BLOCK_COMMENT_RE.finditer(src):
+        text = src[pos:m.start()]
+        if held and "\n" in text:
+            text, held = text.replace("\n", "\n" * (held + 1), 1), 0
+        out.append(text + " ")
+        held += m.group().count("\n")
+        pos = m.end()
+    tail = src[pos:]
+    out.append(tail.replace("\n", "\n" * (held + 1), 1) if "\n" in tail else tail + "\n" * held)
+    return re.sub(r"//[^\n]*", "", "".join(out))
+
+
+class TestStripCComments:
+    def test_suite_kernels_match_the_regex_scan(self):
+        specs = DRBSuite.evaluation(seed=0).by_language("C/C++")
+        assert len(specs) == 177
+        for spec in specs:
+            assert _strip_c_comments(spec.source) == regex_strip_c_comments(spec.source)
+
+    @pytest.mark.parametrize("src", [
+        "a /*/ b */ c\n",
+        "a /**/ b /*** x **/ c\n",
+        "int x; /* never closed\nint y;\n",
+        "a */ b /* c\n d */ e /* f\n",
+        "#pragma omp parallel /* a\n b\n */ for\nfor (;;) {}\nint z; // tail\n",
+        "/* one */ /* two\n */\n/* three\n\n */",
+        "no comments at all",
+        "",
+    ])
+    def test_edge_cases_match_the_regex_scan(self, src):
+        assert _strip_c_comments(src) == regex_strip_c_comments(src)
+
+    def test_a_large_comment_copies_nothing(self):
+        """Finding a comment allocates nothing in its size (a regex
+        match of a 400 KB comment peaks near 800 KB)."""
+        src = "int x;\n/*" + ("x" * 40_000 + "\n") * 10 + "*/\nint y;\n"
+        _strip_c_comments(src)
+        tracemalloc.start()
+        try:
+            out = _strip_c_comments(src)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == "int x;\n " + "\n" * 11 + "int y;\n"
+        assert peak < 16_384
 
 
 class TestFortranParser:
